@@ -56,14 +56,19 @@ def _load_config(path: str) -> dict:
             f"{exc.msg}") from exc
 
 
-def _read_input(cfg: dict, key: str) -> Path:
+def _read_input(cfg: dict, key: str, cls, manifest: dict):
+    """Load the CSV file named by inputs.<key> as ``cls`` and hash it."""
     rel = cfg.get("inputs", {}).get(key)
     if rel is None:
         raise ValueError(f"config is missing inputs.{key}")
     p = Path(rel)
     if not p.is_file():
         raise MissingInput(f"input file not found: {p}")
-    return p
+    manifest["inputs"][str(p)] = _sha256(p)
+    try:
+        return cls.from_csv(p.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from exc
 
 
 def _domain(cfg: dict) -> DomainConfig:
@@ -152,9 +157,7 @@ def cmd_synth(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
 
 def cmd_extract(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
     domain = _domain(cfg)
-    src = _read_input(cfg, "dataset")
-    manifest["inputs"][str(src)] = _sha256(src)
-    data = MultiFreqData.from_csv(src.read_text())
+    data = _read_input(cfg, "dataset", MultiFreqData, manifest)
     model = fit_rational(data, max_poles=cfg.get("max_poles", 6),
                          tol=cfg.get("fit_tol", 1e-9), config=domain)
     u0 = extract_u0(model, domain.k0)
@@ -166,9 +169,7 @@ def cmd_extract(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
 
 def cmd_invert(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
     domain = _domain(cfg)
-    src = _read_input(cfg, "cauchy")
-    manifest["inputs"][str(src)] = _sha256(src)
-    data = CauchyData.from_csv(src.read_text())
+    data = _read_input(cfg, "cauchy", CauchyData, manifest)
     if data.f is None:
         data.f = _current(cfg, data.u0.size)
     settings = _inversion_settings(cfg, domain)

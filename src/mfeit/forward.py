@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NearResonance, SingularSystem
-from .geometry import BoundaryGrid, StarShape, discretize, unit_circle_grid
-from .potential import (KernelMatrices, assemble, eval_S,
-                        eval_S_normal_derivative, kress_log_matrix,
-                        neumann_kernel)
+from .geometry import (BoundaryGrid, StarShape, discretize, fourier_series,
+                       unit_circle_grid)
+from .potential import (KernelMatrices, assemble, eval_S, kress_log_matrix,
+                        neumann_kernel, neumann_normal_derivative)
 from .spectrum import NPSpectrum
 
 _ZERO_MEAN_TOL = 1e-10
@@ -32,13 +32,7 @@ _ZERO_MEAN_TOL = 1e-10
 
 def current_from_fourier(cos_coeffs, sin_coeffs, bgrid: BoundaryGrid) -> np.ndarray:
     """Zero-mean injected current from Fourier coefficients (mode >= 1)."""
-    t = bgrid.t
-    f = np.zeros_like(t)
-    for m, a in enumerate(cos_coeffs, start=1):
-        f += a * np.cos(m * t)
-    for m, b in enumerate(sin_coeffs, start=1):
-        f += b * np.sin(m * t)
-    return f
+    return fourier_series((0.0, *cos_coeffs), sin_coeffs, bgrid.t)[0]
 
 
 def _check_zero_mean(f: np.ndarray, bgrid: BoundaryGrid, what: str) -> None:
@@ -87,6 +81,21 @@ class FrequencyProfile:
         return cls(model=d.pop("model"), params=d)
 
 
+def _read_table(text: str, optional: int | None = None) -> np.ndarray:
+    """Numeric CSV body, all finite bar an all-NaN (unrecorded) ``optional``."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2:
+        raise ValueError("no data rows")
+    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    bad = ~np.isfinite(data)
+    if optional is not None and np.all(np.isnan(data[:, optional])):
+        bad[:, optional] = False
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]  # the header is row 1
+        raise ValueError(f"row {i + 2}, column {rows[0][j]}: not finite")
+    return data
+
+
 @dataclass
 class CauchyData:
     """Injected current and perfect-conductor voltage trace on the circle."""
@@ -110,8 +119,12 @@ class CauchyData:
 
     @classmethod
     def from_csv(cls, text: str, rho: float | None = None) -> "CauchyData":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        data = _read_table(text, optional=1)
+        m = data.shape[0]
+        off = np.abs(data[:, 0] - 2 * np.pi * np.arange(m) / m)
+        if np.max(off) > 1e-9:
+            raise ValueError(f"row {np.argmax(off) + 2}, column theta: not on "
+                             f"the equispaced grid 2 pi i / {m}")
         f = data[:, 1]
         if np.all(np.isnan(f)):
             f = None
@@ -148,8 +161,7 @@ class MultiFreqData:
     @classmethod
     def from_csv(cls, text: str, eta: float = 0.0,
                  seed: int | None = None) -> "MultiFreqData":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        data = _read_table(text)
         m = (data.shape[1] - 3) // 2
         omega = data[:, 0]
         k = data[:, 1] + 1j * data[:, 2]
@@ -181,17 +193,9 @@ def harmonic_lift_interior(f: np.ndarray, bgrid_omega: BoundaryGrid,
 def harmonic_lift_normal_derivative(f: np.ndarray, bgrid_omega: BoundaryGrid,
                                     targets, normals) -> np.ndarray:
     """Directional derivative of the harmonic lift at interior points."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    diff = targets[:, None, :] - bgrid_omega.points[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    gfree = diff / (2 * np.pi * d2)[..., None]
-    zz = np.sum(bgrid_omega.points ** 2, axis=-1)
-    img2 = (np.sum(targets ** 2, axis=-1)[:, None] * zz[None, :]
-            - 2 * targets @ bgrid_omega.points.T + 1.0)
-    gimg = (zz[None, :, None] * targets[:, None, :]
-            - bgrid_omega.points[None, :, :]) / (2 * np.pi * img2)[..., None]
-    ker = np.sum((gfree + gimg) * normals[:, None, :], axis=-1)
+    ker = neumann_normal_derivative(targets[:, None, :],
+                                    bgrid_omega.points[None, :, :],
+                                    normals[:, None, :])
     return -(ker @ (f * bgrid_omega.weights))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -49,6 +50,25 @@ class DomainConfig:
                    m=d.get("m", 50.0), k0=d.get("k0", 1.0))
 
 
+def fourier_series(cos, sin, theta):
+    """Truncated Fourier series and its first two derivatives.
+
+    Returns (r, r', r'') for r(theta) = cos[0] + sum_m cos[m] cos(m theta)
+    + sin[m-1] sin(m theta); each nonzero mode costs one cos and one sin.
+    """
+    theta = np.asarray(theta, dtype=float)
+    r = np.full_like(theta, cos[0])
+    r1 = np.zeros_like(theta)
+    r2 = np.zeros_like(theta)
+    for m, (a, b) in enumerate(zip_longest(cos[1:], sin, fillvalue=0.0), 1):
+        if a or b:
+            c, s = np.cos(m * theta), np.sin(m * theta)
+            r += a * c + b * s
+            r1 += b * m * c - a * m * s
+            r2 -= a * m * m * c + b * m * m * s
+    return r, r1, r2
+
+
 @dataclass(frozen=True)
 class StarShape:
     """Radial Fourier description of a closed curve around the origin.
@@ -69,37 +89,7 @@ class StarShape:
             raise ValueError("need at least the constant coefficient a0")
 
     def radius(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = np.full_like(theta, self.cos[0])
-        for m, a in enumerate(self.cos[1:], start=1):
-            if a:
-                r = r + a * np.cos(m * theta)
-        for m, b in enumerate(self.sin, start=1):
-            if b:
-                r = r + b * np.sin(m * theta)
-        return r
-
-    def radius_d1(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = np.zeros_like(theta)
-        for m, a in enumerate(self.cos[1:], start=1):
-            if a:
-                r = r - a * m * np.sin(m * theta)
-        for m, b in enumerate(self.sin, start=1):
-            if b:
-                r = r + b * m * np.cos(m * theta)
-        return r
-
-    def radius_d2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r = np.zeros_like(theta)
-        for m, a in enumerate(self.cos[1:], start=1):
-            if a:
-                r = r - a * m * m * np.cos(m * theta)
-        for m, b in enumerate(self.sin, start=1):
-            if b:
-                r = r - b * m * m * np.sin(m * theta)
-        return r
+        return fourier_series(self.cos, self.sin, theta)[0]
 
     def points(self, theta):
         r = self.radius(theta)
@@ -132,7 +122,7 @@ def build_star_shape(cos_coeffs, sin_coeffs, config: DomainConfig) -> StarShape:
     """
     shape = StarShape(cos=tuple(cos_coeffs), sin=tuple(sin_coeffs))
     theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
-    r = shape.radius(theta)
+    r, r1, r2 = fourier_series(shape.cos, shape.sin, theta)
     i = int(np.argmin(r))
     if r[i] <= config.b0:
         raise ConstraintViolation("lower bound b0", theta[i], r[i], config.b0)
@@ -141,7 +131,7 @@ def build_star_shape(cos_coeffs, sin_coeffs, config: DomainConfig) -> StarShape:
     if r[j] >= upper:
         raise ConstraintViolation("upper bound b1 - delta", theta[j], r[j], upper)
     # discrete C^2 norm proxy
-    c2 = np.abs(r) + np.abs(shape.radius_d1(theta)) + np.abs(shape.radius_d2(theta))
+    c2 = np.abs(r) + np.abs(r1) + np.abs(r2)
     k = int(np.argmax(c2))
     if c2[k] > config.m:
         raise ConstraintViolation("C2 norm bound m", theta[k], c2[k], config.m)
@@ -181,11 +171,9 @@ class BoundaryGrid:
 
     @property
     def signed_area(self) -> float:
-        x, y = self.points[:, 0], self.points[:, 1]
-        # x'(t) reconstructed from normal and jacobian: tangent = (-ny, nx)
-        tx = -self.normals[:, 1] * self.jacobian
-        ty = self.normals[:, 0] * self.jacobian
-        return float(0.5 * self.h * np.sum(x * ty - y * tx))
+        """Half the boundary integral of x . nu (divergence theorem)."""
+        x_dot_nu = np.sum(self.points * self.normals, axis=1)
+        return float(0.5 * np.sum(self.weights * x_dot_nu))
 
 
 def discretize(shape: StarShape, n: int) -> BoundaryGrid:
@@ -193,9 +181,7 @@ def discretize(shape: StarShape, n: int) -> BoundaryGrid:
     if n % 2 != 0 or n < 16:
         raise InvalidResolution(f"need even n >= 16, got {n}")
     t = 2 * np.pi * np.arange(n) / n
-    r = shape.radius(t)
-    r1 = shape.radius_d1(t)
-    r2 = shape.radius_d2(t)
+    r, r1, r2 = fourier_series(shape.cos, shape.sin, t)
     ct, st = np.cos(t), np.sin(t)
     pts = np.stack([r * ct, r * st], axis=-1)
     # x'(t) = r'(cos,sin) + r(-sin,cos)
@@ -203,10 +189,8 @@ def discretize(shape: StarShape, n: int) -> BoundaryGrid:
     jac = np.hypot(xp[:, 0], xp[:, 1])
     # outward normal for counterclockwise parametrization
     nrm = np.stack([xp[:, 1], -xp[:, 0]], axis=-1) / jac[:, None]
-    # x''(t) = (r'' - r)(cos,sin) + 2 r'(-sin,cos)
-    xpp = np.stack([(r2 - r) * ct - 2 * r1 * st,
-                    (r2 - r) * st + 2 * r1 * ct], axis=-1)
-    kappa = (xp[:, 0] * xpp[:, 1] - xp[:, 1] * xpp[:, 0]) / jac**3
+    # signed curvature of a polar curve r(t)
+    kappa = (r * r + 2 * r1 * r1 - r * r2) / jac**3
     return BoundaryGrid(t=t, points=pts, normals=nrm, jacobian=jac,
                         curvature=kappa)
 
@@ -222,6 +206,5 @@ def r_inf(shape: StarShape, n_samples: int = 100_000) -> float:
     Equals r^2 / sqrt(r^2 + r'^2) pointwise for a radial parametrization.
     """
     theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    r = shape.radius(theta)
-    r1 = shape.radius_d1(theta)
+    r, r1, _ = fourier_series(shape.cos, shape.sin, theta)
     return float(np.min(r * r / np.sqrt(r * r + r1 * r1)))

@@ -24,17 +24,15 @@ from .errors import (DomainViolation, ResolutionTooLow, SingularEvaluation,
                      TargetTooClose)
 from .geometry import BoundaryGrid
 
-_TINY = 1e-300
+
+def _dot(a, b):
+    """Inner product over the last axis, broadcasting the leading axes."""
+    return np.einsum("...k,...k->...", a, b)
 
 
-def _image_log_sq(x, z):
+def _image(x, z):
     """|  |z| x - z/|z| |^2 = |x|^2 |z|^2 - 2 x.z + 1, smooth through z -> 0."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    xx = np.sum(x * x, axis=-1)
-    zz = np.sum(z * z, axis=-1)
-    xz = np.sum(x * z, axis=-1)
-    return xx * zz - 2.0 * xz + 1.0
+    return _dot(x, x) * _dot(z, z) - 2.0 * _dot(x, z) + 1.0
 
 
 def neumann_kernel(x, z):
@@ -45,12 +43,35 @@ def neumann_kernel(x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.any(np.sum(z * z, axis=-1) >= 1.0):
+    if np.any(_dot(z, z) >= 1.0):
         raise DomainViolation("source point z must lie in the open unit disk")
-    d2 = np.sum((x - z) ** 2, axis=-1)
+    d2 = _dot(x - z, x - z)
     if np.any(d2 == 0.0):
         raise SingularEvaluation("Neumann kernel evaluated at x == z")
-    return (np.log(d2) + np.log(_image_log_sq(x, z))) / (4 * np.pi)
+    return (np.log(d2) + np.log(_image(x, z))) / (4 * np.pi)
+
+
+def _normal_derivative_parts(x, z, nu):
+    """Free-space and image parts of nu . grad_x N(x, z); free is nan at x == z."""
+    diff = x - z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free = _dot(diff, nu) / (2 * np.pi * _dot(diff, diff))
+    image = (_dot(z, z) * _dot(x, nu) - _dot(z, nu)) / (2 * np.pi * _image(x, z))
+    return free, image
+
+
+def neumann_normal_derivative(x, z, nu):
+    """nu . grad_x N(x, z), elementwise over broadcast points.
+
+    Both points may lie anywhere in the closed disk, ``z`` on the unit circle
+    included (where the harmonic lift puts its sources), but must not
+    coincide; ``nu`` is the direction at ``x``.
+    """
+    free, image = _normal_derivative_parts(
+        *(np.asarray(a, dtype=float) for a in (x, z, nu)))
+    if np.any(np.isnan(free)):
+        raise SingularEvaluation("Neumann kernel gradient evaluated at x == z")
+    return free + image
 
 
 def kress_log_matrix(n: int) -> np.ndarray:
@@ -97,55 +118,32 @@ class KernelMatrices:
 
 
 def _assemble_single_layer(grid: BoundaryGrid) -> np.ndarray:
-    n = grid.n
-    t = grid.t
-    pts = grid.points
-    jac = grid.jacobian
-    h = grid.h
-
+    pts, t, h = grid.points, grid.t, grid.h
     diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    dt_half = 0.5 * (t[:, None] - t[None, :])
-    sin2 = 4.0 * np.sin(dt_half) ** 2
+    d2 = _dot(diff, diff)
+    sin2 = 4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
     np.fill_diagonal(d2, 1.0)
     np.fill_diagonal(sin2, 1.0)
     # smooth remainder of the free-space log, diagonal limit ln|x'(t)|
     M = 0.5 * np.log(d2 / sin2)
-    np.fill_diagonal(M, np.log(jac))
-
-    R = kress_log_matrix(n)
-    img2 = _image_log_sq(pts[:, None, :], pts[None, :, :])
-    S = (0.5 * R + (h / (2 * np.pi)) * M
-         + (h / (4 * np.pi)) * np.log(img2)) * jac[None, :]
-    return S
-
-
-def _assemble_np_operator(grid: BoundaryGrid) -> np.ndarray:
-    pts = grid.points
-    nrm = grid.normals
-    jac = grid.jacobian
-    h = grid.h
-
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    np.fill_diagonal(d2, 1.0)
-    kfree = np.sum(diff * nrm[:, None, :], axis=-1) / (2 * np.pi * d2)
-    np.fill_diagonal(kfree, grid.curvature / (4 * np.pi))
-
-    img2 = _image_log_sq(pts[:, None, :], pts[None, :, :])
-    zz = np.sum(pts * pts, axis=-1)
-    vec = zz[None, :, None] * pts[:, None, :] - pts[None, :, :]
-    kimg = np.sum(vec * nrm[:, None, :], axis=-1) / (2 * np.pi * img2)
-
-    return (kfree + kimg) * (h * jac[None, :])
+    np.fill_diagonal(M, np.log(grid.jacobian))
+    img2 = _image(pts[:, None, :], pts[None, :, :])
+    return (0.5 * kress_log_matrix(grid.n) + (h / (2 * np.pi)) * M
+            + (h / (4 * np.pi)) * np.log(img2)) * grid.jacobian[None, :]
 
 
 def assemble(grid: BoundaryGrid) -> KernelMatrices:
     """Discrete S_D and K*_D on an inclusion boundary grid."""
     if grid.n < 32:
         raise ResolutionTooLow(f"need n >= 32 nodes, got {grid.n}")
+    pts = grid.points
+    free, image = _normal_derivative_parts(pts[:, None, :], pts[None, :, :],
+                                           grid.normals[:, None, :])
+    # K* only replaces the free-space diagonal, by its limit kappa/(4pi)
+    np.fill_diagonal(free, grid.curvature / (4 * np.pi))
     return KernelMatrices(S=_assemble_single_layer(grid),
-                          Kstar=_assemble_np_operator(grid), grid=grid)
+                          Kstar=(free + image) * grid.weights[None, :],
+                          grid=grid)
 
 
 def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
@@ -163,25 +161,6 @@ def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
         raise TargetTooClose(
             f"target at distance {dist.min():.3g} inside accuracy zone {zone:.3g}")
     ker = neumann_kernel(targets[:, None, :], grid.points[None, :, :])
-    return ker @ (density * grid.weights)
-
-
-def eval_S_normal_derivative(grid: BoundaryGrid, density, targets,
-                             target_normals) -> np.ndarray:
-    """Directional derivative of S_D[phi] at off-boundary targets."""
-    density = np.asarray(density)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    target_normals = np.atleast_2d(np.asarray(target_normals, dtype=float))
-    diff = targets[:, None, :] - grid.points[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    if np.any(d2 == 0):
-        raise SingularEvaluation("derivative target on the source boundary")
-    gfree = diff / (2 * np.pi * d2)[..., None]
-    img2 = _image_log_sq(targets[:, None, :], grid.points[None, :, :])
-    zz = np.sum(grid.points * grid.points, axis=-1)
-    gimg = (zz[None, :, None] * targets[:, None, :] - grid.points[None, :, :]) \
-        / (2 * np.pi * img2)[..., None]
-    ker = np.sum((gfree + gimg) * target_normals[:, None, :], axis=-1)
     return ker @ (density * grid.weights)
 
 

@@ -108,10 +108,8 @@ class _Objective:
         self.sqrt_w = np.sqrt(self.bgrid_omega.weights)
         M = self.M
         # penalty 1/2 alpha |r''|^2 = 1/2 alpha pi sum m^4 (a_m^2 + b_m^2)
-        pen = np.zeros(2 * M + 1)
-        for m in range(1, M + 1):
-            pen[m] = m * m
-            pen[M + m] = m * m
+        m2 = np.arange(1, M + 1) ** 2.0
+        pen = np.concatenate([[0.0], m2, m2])
         self.pen_scale = math.sqrt(settings.alpha * math.pi) * pen
         self.n_solves = 0
 

@@ -35,7 +35,6 @@ class NPSpectrum:
     lam: np.ndarray             # (k,) eigenvalues in (0,1), |lam-1/2| descending
     densities: np.ndarray       # (n, k) eigen-densities, unit energy
     traces_bd_omega: np.ndarray  # (m, k) traces of w_n on the unit circle
-    traces_bd_d: np.ndarray     # (n, k) traces of w_n on the inclusion boundary
     resonances: np.ndarray      # (k,) k_n = k0 (1 - 1/lambda_n)
     k0: float
     boundary_t: np.ndarray      # (m,) angles of the unit-circle trace grid
@@ -92,10 +91,8 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
     bgrid = unit_circle_grid(n_boundary)
     traces_omega = np.column_stack(
         [eval_S(kernels.grid, V[:, j], bgrid.points) for j in range(lam.size)])
-    traces_d = kernels.S @ V
 
     return NPSpectrum(lam=lam, densities=V, traces_bd_omega=traces_omega,
-                      traces_bd_d=traces_d,
                       resonances=k0 * (1.0 - 1.0 / lam), k0=k0,
                       boundary_t=bgrid.t, n_discarded=n_discarded)
 
@@ -104,18 +101,3 @@ def resonance_bound(shape: StarShape, k0: float = 1.0) -> float:
     """Class-uniform lower bound -k0 (1 + ((r+2)/r)^2) on all resonances."""
     r = r_inf(shape)
     return -k0 * (1.0 + ((r + 2.0) / r) ** 2)
-
-
-def neumann_series_check(spectrum: NPSpectrum, kernels: KernelMatrices,
-                         x, z, n_terms: int | None = None) -> float:
-    """Partial sum -sum_n w_n(x) w_n(z) over the computed modes.
-
-    Equals the energy projection of the Neumann function N(., z) onto the
-    resolved eigenspace; a diagnostic of trace evaluation and energy
-    normalization, not the full kernel identity.
-    """
-    k = spectrum.lam.size if n_terms is None else min(n_terms, spectrum.lam.size)
-    pts = np.array([x, z], dtype=float)
-    vals = np.column_stack(
-        [eval_S(kernels.grid, spectrum.densities[:, j], pts) for j in range(k)])
-    return float(-np.sum(vals[0] * vals[1]))

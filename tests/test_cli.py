@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,3 +140,90 @@ def test_threads_flag_accepted(tmp_path, monkeypatch):
     p = write_cfg(tmp_path, "c.json", inv_cfg)
     assert main(["synth", "--config", p, "--out", str(tmp_path / "o"),
                  "--threads", "2"]) == 0
+
+
+def _corrupt(path, row, col, value):
+    """Overwrite one cell of a CSV file; rows count the header as row 1."""
+    lines = path.read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[col] = value
+    lines[row - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_dataset_exits_2_with_location(tmp_path, capsys, value):
+    assert run("synth", write_cfg(tmp_path, "s.json", BASE), tmp_path / "s") == 0
+    data = tmp_path / "s/dataset.csv"
+    _corrupt(data, row=4, col=5, value=value)
+    ext = {"domain": BASE["domain"], "inputs": {"dataset": str(data)}}
+    assert run("extract", write_cfg(tmp_path, "e.json", ext),
+               tmp_path / "e") == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and "row 4, column re_u1" in err
+
+
+def _invert_cfg(tmp_path, cauchy):
+    inv = {"domain": BASE["domain"], "current": {"cos": [1.0]},
+           "inversion": {"n_fourier_modes": 0, "alpha": 0.0},
+           "inputs": {"cauchy": str(cauchy)}}
+    return write_cfg(tmp_path, "inv.json", inv)
+
+
+def _cauchy_file(tmp_path):
+    f = current_from_fourier([1.0], [], unit_circle_grid(64))
+    path = tmp_path / "u0.csv"
+    path.write_text(solve_u0(circle(R0), f, n=128).to_csv())
+    return path
+
+
+@pytest.mark.parametrize("col,name", [(1, "f"), (2, "u0")])
+def test_nan_cauchy_data_exits_2_with_location(tmp_path, capsys, col, name):
+    cauchy = _cauchy_file(tmp_path)
+    _corrupt(cauchy, row=10, col=col, value="nan")
+    assert run("invert", _invert_cfg(tmp_path, cauchy), tmp_path / "i") == 2
+    err = capsys.readouterr().err
+    assert str(cauchy) in err and f"row 10, column {name}" in err
+
+
+def test_off_grid_theta_exits_2(tmp_path, capsys):
+    cauchy = _cauchy_file(tmp_path)
+    _corrupt(cauchy, row=7, col=0, value="0.3")
+    assert run("invert", _invert_cfg(tmp_path, cauchy), tmp_path / "i") == 2
+    err = capsys.readouterr().err
+    assert str(cauchy) in err and "row 7, column theta" in err
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: (config, command, output directory) in run order; the pipeline configs
+#: read the previous step's outputs below the working directory
+CONFIG_RUNS = [("pipeline/synth.json", "synth", "pipeline_out/synth"),
+               ("pipeline/extract.json", "extract", "pipeline_out/extract"),
+               ("pipeline/invert.json", "invert", "pipeline_out/invert"),
+               ("stability.json", "sweep", "stability_out"),
+               ("stability_trefoil.json", "sweep", "stability_trefoil_out")]
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    found = sorted(str(p.relative_to(CONFIGS)) for p in CONFIGS.rglob("*.json"))
+    assert found == sorted(name for name, _, _ in CONFIG_RUNS)
+    for name, command, out in CONFIG_RUNS:
+        cfg_path = CONFIGS / name
+        if command == "sweep":  # one level and one seed keep the suite fast
+            cfg = json.loads(cfg_path.read_text())
+            cfg.update(noise_levels=cfg["noise_levels"][:1],
+                       seeds=cfg["seeds"][:1])
+            cfg_path = Path(write_cfg(tmp_path, name, cfg))
+        assert main([command, "--config", str(cfg_path), "--out", out]) == 0
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == _sha256(cfg_path)
+        assert manifest["outputs"]
+        for fname, digest in manifest["outputs"].items():
+            assert _sha256(tmp_path / out / fname) == digest
+        for fname, digest in manifest["inputs"].items():
+            assert _sha256(fname) == digest

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from mfeit.errors import (DomainViolation, ResolutionTooLow,
                           SingularEvaluation, TargetTooClose)
 from mfeit.geometry import StarShape, circle, discretize
-from mfeit.potential import (assemble, eval_S, eval_S_normal_derivative,
-                             kress_log_matrix, neumann_kernel, s_inner)
+from mfeit.potential import (assemble, eval_S, kress_log_matrix,
+                             neumann_kernel, neumann_normal_derivative,
+                             s_inner)
 
 R0 = 0.5
 
@@ -133,7 +134,9 @@ def test_jump_relations_richardson():
     # base offsets balance the O(eps^3) extrapolation error against the
     # near-boundary quadrature floor, which differs between the two sides
     for sign, jump, base in [(+1, +0.5, 0.04), (-1, -0.5, 0.08)]:
-        v = [eval_S_normal_derivative(grid, phi, pts + sign * e * nus, nus)
+        v = [neumann_normal_derivative((pts + sign * e * nus)[:, None, :],
+                                       grid.points[None, :, :],
+                                       nus[:, None, :]) @ (phi * grid.weights)
              for e in (base, base / 2, base / 4)]
         rich = (8 * v[2] - 6 * v[1] + v[0]) / 3
         expect = jump * phi[idx] + expect_base
@@ -144,5 +147,21 @@ def test_jump_relations_richardson():
 def test_eval_S_normal_derivative_singular_guard(conc_kernels):
     grid = conc_kernels.grid
     with pytest.raises(SingularEvaluation):
-        eval_S_normal_derivative(grid, np.ones(grid.n), grid.points[:1],
-                                 grid.normals[:1])
+        neumann_normal_derivative(grid.points[:1, None, :],
+                                  grid.points[None, :, :],
+                                  grid.normals[:1, None, :])
+
+
+@pytest.mark.parametrize("z", [[0.23, -0.11], [np.cos(0.4), np.sin(0.4)]])
+def test_neumann_normal_derivative_matches_centred_differences(z):
+    # z inside the disk and on the unit circle, where the harmonic lift
+    # places its sources; the kernel value there comes by symmetry
+    z = np.array(z)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-0.6, 0.6, size=(5, 2))
+    nu = rng.standard_normal((5, 2))
+    eps = 1e-6
+    fd = (neumann_kernel(z, x + eps * nu) - neumann_kernel(z, x - eps * nu)) \
+        / (2 * eps)
+    assert np.allclose(neumann_normal_derivative(x, z, nu), fd,
+                       rtol=1e-7, atol=1e-9)
