@@ -15,7 +15,8 @@ from .potential import KernelMatrices, assemble, eval_S, kress_log_matrix, s_inn
 from .spectrum import NPSpectrum, compute_spectrum, resonance_bound
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       current_from_fourier, solve_forward_direct,
-                      solve_forward_spectral, solve_u0, synthesize)
+                      solve_forward_spectral, solve_u0, synthesize,
+                      u0_shape_derivative)
 from .disentangle import (RationalModel, cauchy_integral_check, extract_u0,
                           fit_rational)
 from .reconstruct import (InversionResult, InversionSettings, SweepResult,
@@ -29,6 +30,7 @@ __all__ = [
     "NPSpectrum", "compute_spectrum", "resonance_bound",
     "CauchyData", "FrequencyProfile", "MultiFreqData", "current_from_fourier",
     "solve_forward_direct", "solve_forward_spectral", "solve_u0", "synthesize",
+    "u0_shape_derivative",
     "RationalModel", "cauchy_integral_check", "extract_u0", "fit_rational",
     "InversionResult", "InversionSettings", "SweepResult", "invert", "misfit",
     "rho_gap", "stability_sweep", "symmetric_difference",

@@ -22,8 +22,8 @@ import numpy as np
 from .disentangle import RationalModel, extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      current_from_fourier, solve_forward_direct, solve_u0,
-                      synthesize)
+                      current_from_fourier, kstar_eigenvalues,
+                      solve_forward_direct, solve_u0, synthesize)
 from .geometry import (DomainConfig, StarShape, build_star_shape, discretize,
                        unit_circle_grid)
 from .potential import assemble
@@ -135,7 +135,9 @@ def cmd_forward(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
     f = _current(cfg, n_measure)
     kvals = np.array([complex(re, im) for re, im in cfg["contrasts"]])
     kernels = assemble(discretize(shape, cfg.get("n_boundary", 256)))
-    cols = [solve_forward_direct(shape, f, kj, domain.k0, kernels=kernels)
+    eigs = kstar_eigenvalues(kernels)
+    cols = [solve_forward_direct(shape, f, kj, domain.k0, kernels=kernels,
+                                 resonance_eigs=eigs)
             for kj in kvals]
     data = MultiFreqData(theta=unit_circle_grid(n_measure).t,
                          omega=np.arange(kvals.size, dtype=float),
@@ -173,7 +175,7 @@ def cmd_invert(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
     if data.f is None:
         data.f = _current(cfg, data.u0.size)
     settings = _inversion_settings(cfg, domain)
-    result = invert(data, settings, threads=threads)
+    result = invert(data, settings)
     _write(out, "shape.json", result.shape.to_json() + "\n", manifest)
     report = {"misfit": result.misfit, "history": result.history,
               "rho": result.rho, "converged": result.converged,

@@ -7,7 +7,7 @@ Three routes to the boundary voltage:
 * ``solve_forward_spectral`` -- truncated resonance expansion
   u = u0/k0 + sum_n c_n w_n / (k0 + lambda_n (k - k0)),
 * ``solve_u0`` -- the perfect-conductor limit, whose Cauchy data drive the
-  shape reconstruction.
+  shape reconstruction; ``u0_shape_derivative`` is its domain derivative.
 
 All boundary voltages are recentered to zero mean on the measurement circle.
 """
@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, discretize, fourier_series,
@@ -43,7 +44,9 @@ def _check_zero_mean(f: np.ndarray, bgrid: BoundaryGrid, what: str) -> None:
 
 
 def _recenter(values: np.ndarray, bgrid: BoundaryGrid) -> np.ndarray:
-    return values - np.sum(values * bgrid.weights) / bgrid.perimeter
+    """Subtract the boundary mean of each column."""
+    w = bgrid.weights.reshape((-1,) + (1,) * (values.ndim - 1))
+    return values - np.sum(values * w, axis=0) / bgrid.perimeter
 
 
 @dataclass(frozen=True)
@@ -81,18 +84,38 @@ class FrequencyProfile:
         return cls(model=d.pop("model"), params=d)
 
 
+def _parse_cell(value: str, row: int, column: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"row {row}, column {column}: not a number: "
+                         f"{value!r}") from None
+
+
 def _read_table(text: str, optional: int | None = None) -> np.ndarray:
-    """Numeric CSV body, all finite bar an all-NaN (unrecorded) ``optional``."""
+    """Numeric CSV body, all finite bar an all-NaN (unrecorded) ``optional``.
+
+    Errors name the row (the header is row 1) and the column.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 2:
         raise ValueError("no data rows")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    header = rows[0]
+    values = []
+    for i, row in enumerate(rows[1:], 2):
+        if len(row) < len(header):
+            raise ValueError(f"row {i}, column {header[len(row)]}: missing")
+        if len(row) > len(header):
+            raise ValueError(f"row {i}, column {len(header) + 1}: beyond the "
+                             f"{len(header)} header columns")
+        values.append([_parse_cell(v, i, name) for v, name in zip(row, header)])
+    data = np.array(values)
     bad = ~np.isfinite(data)
     if optional is not None and np.all(np.isnan(data[:, optional])):
         bad[:, optional] = False
     if np.any(bad):
         i, j = np.argwhere(bad)[0]  # the header is row 1
-        raise ValueError(f"row {i + 2}, column {rows[0][j]}: not finite")
+        raise ValueError(f"row {i + 2}, column {header[j]}: not finite")
     return data
 
 
@@ -104,6 +127,9 @@ class CauchyData:
     f: np.ndarray | None
     u0: np.ndarray
     rho: float | None = None
+    #: density of a solve on the inclusion grid; by the jump relation the
+    #: outer normal derivative of u0 there (None for data read from files)
+    psi: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -162,6 +188,11 @@ class MultiFreqData:
     def from_csv(cls, text: str, eta: float = 0.0,
                  seed: int | None = None) -> "MultiFreqData":
         data = _read_table(text)
+        if data.shape[1] < 5 or data.shape[1] % 2 == 0:
+            header = text.partition("\n")[0].split(",")
+            raise ValueError(f"row 1, column {header[-1]}: need omega, re_k, "
+                             f"im_k and re/im pairs, got {data.shape[1]} "
+                             f"columns")
         m = (data.shape[1] - 3) // 2
         omega = data[:, 0]
         k = data[:, 1] + 1j * data[:, 2]
@@ -199,6 +230,26 @@ def harmonic_lift_normal_derivative(f: np.ndarray, bgrid_omega: BoundaryGrid,
     return -(ker @ (f * bgrid_omega.weights))
 
 
+def _solve_saddle(grid: BoundaryGrid, S: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve [S -1; w^T 0] [psi; rho] = rhs (constant trace, zero total density).
+
+    ``rhs`` has nd + 1 rows and any number of columns.
+    """
+    nd = grid.n
+    A = np.zeros((nd + 1, nd + 1))
+    A[:nd, :nd] = S
+    A[:nd, nd] = -1.0
+    A[nd, :nd] = grid.weights
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularSystem("non-finite solution of the saddle system")
+    return sol
+
+
 def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
              bgrid_omega: BoundaryGrid | None = None,
              grid: BoundaryGrid | None = None,
@@ -219,24 +270,39 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
 
     frak_d = harmonic_lift_interior(f, bgrid_omega, grid.points)
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
-
-    nd = grid.n
-    A = np.zeros((nd + 1, nd + 1))
-    A[:nd, :nd] = S
-    A[:nd, nd] = -1.0
-    A[nd, :nd] = grid.weights
-    rhs = np.concatenate([-frak_d, [0.0]])
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("non-finite solution of the saddle system")
-    psi, rho = sol[:nd], float(sol[nd])
+    sol = _solve_saddle(grid, S, np.concatenate([-frak_d, [0.0]]))
+    psi, rho = sol[:grid.n], float(sol[grid.n])
 
     trace = frak_omega + eval_S(grid, psi, bgrid_omega.points)
     trace = _recenter(trace, bgrid_omega)
-    return CauchyData(theta=bgrid_omega.t, f=f, u0=trace, rho=rho)
+    return CauchyData(theta=bgrid_omega.t, f=f, u0=trace, rho=rho, psi=psi)
+
+
+def u0_shape_derivative(grid: BoundaryGrid, S: np.ndarray, psi: np.ndarray,
+                        velocity: np.ndarray,
+                        bgrid_omega: BoundaryGrid) -> np.ndarray:
+    """Domain derivative of the perfect-conductor trace on the unit circle.
+
+    For a boundary perturbation with normal velocity v = h . nu on dD the
+    derivative u0' is harmonic in Omega minus D, has zero Neumann data on
+    the circle and zero flux through dD, and equals rho' - v d_nu u0 on dD
+    (Kirsch, Inverse Problems 9, 1993; Hettlich & Rundell, Inverse
+    Problems 14, 1998). The jump relation of the single layer gives
+    d_nu u0 = psi from outside, so u0' = S_D[psi'] with
+    [S -1; w^T 0] [psi'; rho'] = [-v psi; 0], the saddle system of
+    ``solve_u0`` on the same ``grid``, ``S`` and ``psi``.
+
+    ``velocity`` holds one normal velocity per column, sampled at the grid
+    nodes; returns one recentered trace per column.
+    """
+    rhs = np.vstack([-velocity * psi[:, None], np.zeros((1, velocity.shape[1]))])
+    dpsi = _solve_saddle(grid, S, rhs)[:grid.n]
+    return _recenter(eval_S(grid, dpsi, bgrid_omega.points), bgrid_omega)
+
+
+def kstar_eigenvalues(kernels: KernelMatrices) -> np.ndarray:
+    """Real parts of the eigenvalues of K*, the resonances of the direct solve."""
+    return sla.eigvals(kernels.Kstar).real
 
 
 def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
@@ -309,10 +375,15 @@ def synthesize(shape: StarShape, f: np.ndarray, profile: FrequencyProfile,
                                  kernels=kernels,
                                  resonance_eigs=resonance_eigs)
             for kj in kvals]
-    U = np.column_stack(cols)
-    if eta > 0:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape)
-        U = U + raw * (eta / np.max(np.abs(raw)))
     return MultiFreqData(theta=bgrid_omega.t, omega=omega_grid, k=kvals,
-                         U=U, eta=eta, seed=seed)
+                         U=_add_noise(np.column_stack(cols), eta, seed),
+                         eta=eta, seed=seed)
+
+
+def _add_noise(U: np.ndarray, eta: float, seed: int | None) -> np.ndarray:
+    """U plus complex Gaussian noise scaled to sup magnitude exactly eta."""
+    if eta <= 0:
+        return U
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape)
+    return U + raw * (eta / np.max(np.abs(raw)))

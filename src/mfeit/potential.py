@@ -150,7 +150,8 @@ def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
     """S_D[phi] at off-boundary targets by plain trapezoid (kernel smooth).
 
     Targets must keep a distance of at least one local grid spacing
-    2 pi max|x'| / n from the boundary.
+    2 pi max|x'| / n from the boundary. ``density`` may hold one density
+    per column.
     """
     density = np.asarray(density)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -161,7 +162,8 @@ def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
         raise TargetTooClose(
             f"target at distance {dist.min():.3g} inside accuracy zone {zone:.3g}")
     ker = neumann_kernel(targets[:, None, :], grid.points[None, :, :])
-    return ker @ (density * grid.weights)
+    w = grid.weights.reshape((-1,) + (1,) * (density.ndim - 1))
+    return ker @ (density * w)
 
 
 def s_inner(kernels: KernelMatrices, phi, psi) -> float:

@@ -3,10 +3,18 @@
 A single zero-mean current f and the trace u0 of the perfect-conductor
 voltage on the unit circle determine a star-shaped inclusion uniquely; the
 inverter here is a damped Gauss-Newton iteration on the radial Fourier
-coefficients with a curvature penalty, finite-difference derivatives, and
-radial projection back into the admissible band. Errors between shapes are
-measured by the area of the symmetric difference, which for star shapes
-about the origin reduces to a 1D integral of |r_a^2 - r_b^2| / 2.
+coefficients with a curvature penalty and radial projection back into the
+admissible band. Its Jacobian is the domain derivative of the perfect
+conductor (Kirsch, Inverse Problems 9, 1993; Hettlich & Rundell, Inverse
+Problems 14, 1998): for the radial velocity h = phi_j e_r of Fourier mode j,
+u0' is harmonic outside D with zero Neumann data on the circle and zero flux,
+and u0' = rho' - (h . nu) d_nu u0 on dD. The jump relation of the single
+layer gives d_nu u0 = psi from outside, psi being the density that
+``solve_u0`` solves for, so all 2M + 1 columns come from one more solve of
+its saddle system (``forward.u0_shape_derivative``). The central-difference
+Jacobian ``_Objective.fd_jacobian`` stays as the test oracle. Errors between
+shapes are measured by the area of the symmetric difference, which for star
+shapes about the origin reduces to a 1D integral of |r_a^2 - r_b^2| / 2.
 """
 from __future__ import annotations
 
@@ -15,16 +23,17 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .disentangle import extract_u0, fit_rational
 from .errors import Diverged, MfeitError
-from .forward import (CauchyData, FrequencyProfile, current_from_fourier,
-                      solve_u0, synthesize)
+from .forward import (CauchyData, FrequencyProfile, _add_noise,
+                      current_from_fourier, kstar_eigenvalues, solve_u0,
+                      synthesize, u0_shape_derivative)
 from .geometry import DomainConfig, StarShape, discretize, unit_circle_grid
-from .potential import _assemble_single_layer
+from .potential import _assemble_single_layer, assemble
 
 _FD_BASE_STEP = 1e-6
 
@@ -111,15 +120,21 @@ class _Objective:
         m2 = np.arange(1, M + 1) ** 2.0
         pen = np.concatenate([[0.0], m2, m2])
         self.pen_scale = math.sqrt(settings.alpha * math.pi) * pen
-        self.n_solves = 0
+        self._last = None  # (x, grid, S, u0 solve) of the latest point
+
+    def _solve(self, x: np.ndarray):
+        """Grid, S and perfect-conductor solve at x; the latest is kept."""
+        if self._last is None or not np.array_equal(self._last[0], x):
+            shape = _params_to_shape(x, self.M)
+            grid = discretize(shape, self.settings.n_boundary)
+            S = _assemble_single_layer(grid)
+            sim = solve_u0(shape, self.data.f, bgrid_omega=self.bgrid_omega,
+                           grid=grid, S=S)
+            self._last = (x.copy(), grid, S, sim)
+        return self._last[1:]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        shape = _params_to_shape(x, self.M)
-        grid = discretize(shape, self.settings.n_boundary)
-        S = _assemble_single_layer(grid)
-        sim = solve_u0(shape, self.data.f, bgrid_omega=self.bgrid_omega,
-                       grid=grid, S=S)
-        self.n_solves += 1
+        sim = self._solve(x)[2]
         r_data = self.sqrt_w * (sim.u0 - self.data.u0)
         return np.concatenate([r_data, self.pen_scale * x])
 
@@ -127,26 +142,33 @@ class _Objective:
         r = self.residual(x)
         return 0.5 * float(r @ r)
 
-    def jacobian(self, x: np.ndarray, threads: int = 1) -> np.ndarray:
-        steps = _FD_BASE_STEP * np.maximum(np.abs(x), 1.0)
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Analytic Jacobian from the domain derivative, reusing the solve at x."""
+        grid, S, sim = self._solve(x)
+        # normal velocity of mode j: phi_j(t) (e_r . nu), phi = 1, cos mt, sin mt
+        mt = np.outer(grid.t, np.arange(1, self.M + 1))
+        modes = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
+        er_nu = (np.cos(grid.t) * grid.normals[:, 0]
+                 + np.sin(grid.t) * grid.normals[:, 1])
+        du = u0_shape_derivative(grid, S, sim.psi, modes * er_nu[:, None],
+                                 self.bgrid_omega)
+        return np.vstack([self.sqrt_w[:, None] * du, np.diag(self.pen_scale)])
 
-        def column(i):
+    def fd_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Central-difference Jacobian, 2 (2M + 1) solves: the test oracle."""
+        steps = _FD_BASE_STEP * np.maximum(np.abs(x), 1.0)
+        cols = []
+        for i in range(x.size):
             e = np.zeros_like(x)
             e[i] = steps[i]
-            return (self.residual(x + e) - self.residual(x - e)) / (2 * steps[i])
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                cols = list(ex.map(column, range(x.size)))
-        else:
-            cols = [column(i) for i in range(x.size)]
+            cols.append((self.residual(x + e) - self.residual(x - e))
+                        / (2 * steps[i]))
         return np.column_stack(cols)
 
 
 def misfit(shape: StarShape, data: CauchyData,
-           settings: InversionSettings | None = None,
-           threads: int = 1) -> tuple[float, np.ndarray]:
-    """Objective J and its finite-difference gradient in the Fourier coefficients.
+           settings: InversionSettings | None = None) -> tuple[float, np.ndarray]:
+    """Objective J and its gradient in the Fourier coefficients.
 
     J = 1/2 ||u0(shape) - u0_meas||^2_{L2(circle)} + alpha/2 ||r''||^2.
     """
@@ -156,12 +178,12 @@ def misfit(shape: StarShape, data: CauchyData,
     obj = _Objective(data, settings)
     x = _shape_to_params(shape, M)
     r = obj.residual(x)
-    Jac = obj.jacobian(x, threads=threads)
+    Jac = obj.jacobian(x)
     return 0.5 * float(r @ r), Jac.T @ r
 
 
-def invert(data: CauchyData, settings: InversionSettings | None = None,
-           threads: int = 1) -> InversionResult:
+def invert(data: CauchyData,
+           settings: InversionSettings | None = None) -> InversionResult:
     """Damped Gauss-Newton recovery of the inclusion from Cauchy data."""
     if settings is None:
         settings = InversionSettings()
@@ -173,14 +195,14 @@ def invert(data: CauchyData, settings: InversionSettings | None = None,
     x = _shape_to_params(StarShape(cos=(r0,)), M)
 
     obj = _Objective(data, settings)
-    J = obj.value(x)
+    r = obj.residual(x)
+    J = 0.5 * float(r @ r)
     history = [J]
     hit = False
     converged = False
     it = 0
     for it in range(1, settings.max_iter + 1):
-        r = obj.residual(x)
-        Jac = obj.jacobian(x, threads=threads)
+        Jac = obj.jacobian(x)
         grad = Jac.T @ r
         if np.linalg.norm(grad) < settings.grad_tol:
             converged = True
@@ -193,9 +215,10 @@ def invert(data: CauchyData, settings: InversionSettings | None = None,
         s = 1.0
         for _ in range(settings.max_backtracks):
             x_try, hit_try = _project_band(x + s * step, M, cfg)
-            J_try = obj.value(x_try)
+            r_try = obj.residual(x_try)
+            J_try = 0.5 * float(r_try @ r_try)
             if J_try < J:
-                x, J = x_try, J_try
+                x, r, J = x_try, r_try, J_try
                 hit = hit or hit_try
                 history.append(J)
                 accepted = True
@@ -208,21 +231,21 @@ def invert(data: CauchyData, settings: InversionSettings | None = None,
             if np.linalg.norm(grad) < 1e-6 * math.sqrt(scale) + settings.grad_tol:
                 converged = True
                 break
-            best = _finalize(x, J, history, hit, False, it, data, settings)
+            best = _finalize(obj, x, J, history, hit, False, it)
             raise Diverged("no descent direction found", result=best)
         if len(history) >= 2 and abs(history[-2] - history[-1]) \
                 < 1e-15 * max(1.0, history[-2]):
             converged = True
             break
 
-    return _finalize(x, J, history, hit, converged, it, data, settings)
+    return _finalize(obj, x, J, history, hit, converged, it)
 
 
-def _finalize(x, J, history, hit, converged, it, data, settings):
-    shape = _params_to_shape(x, settings.n_fourier_modes)
-    rec = solve_u0(shape, data.f, n=settings.n_boundary)
-    return InversionResult(shape=shape, misfit=J, history=history, rho=rec.rho,
-                           hit_constraint=hit, converged=converged, n_iter=it)
+def _finalize(obj, x, J, history, hit, converged, it):
+    shape = _params_to_shape(x, obj.M)
+    return InversionResult(shape=shape, misfit=J, history=history,
+                           rho=obj._solve(x)[2].rho, hit_constraint=hit,
+                           converged=converged, n_iter=it)
 
 
 def symmetric_difference(shape_a: StarShape, shape_b: StarShape,
@@ -277,10 +300,10 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
                     allow_degenerate: bool = False) -> SweepResult:
     """Noise-to-error curve of the full pipeline, with fitted stability laws.
 
-    Per (level, seed): synthesize multifrequency data, fit the shared-pole
-    rational model, extract u0, invert, and compare with the truth by
-    symmetric difference. Fits |D delta D~| = C (1/ln eps^-1)^tau and
-    C' eps^tau' over the noisy levels.
+    Synthesizes the clean multifrequency data once; per (level, seed): add
+    noise, fit the shared-pole rational model, extract u0, invert, and
+    compare with the truth by symmetric difference. Fits
+    |D delta D~| = C (1/ln eps^-1)^tau and C' eps^tau' over the noisy levels.
     """
     noise_levels = sorted(float(v) for v in noise_levels)
     if not allow_degenerate:
@@ -293,13 +316,11 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     omega_grid = np.asarray(omega_grid, dtype=float)
     bgrid_omega = unit_circle_grid(n_measure)
 
-    from .potential import assemble
-    import scipy.linalg as sla
     kernels = assemble(discretize(truth, n_forward))
-    eigs = np.sort(sla.eigvals(kernels.Kstar).real)
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
     clean = synthesize(truth, f, profile, omega_grid, eta=0.0, seed=None,
-                       kernels=kernels, resonance_eigs=eigs)
+                       kernels=kernels,
+                       resonance_eigs=kstar_eigenvalues(kernels))
 
     jobs = [(lv, sd) for lv in noise_levels
             for sd in (seeds if lv > 0 else [seeds[0]])]
@@ -308,9 +329,8 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
         level, seed = job
         eps = float("nan")
         try:
-            data = synthesize(truth, f, profile, omega_grid, eta=level,
-                              seed=seed if level > 0 else None,
-                              kernels=kernels, resonance_eigs=eigs)
+            data = replace(clean, U=_add_noise(clean.U, level, seed), eta=level,
+                           seed=seed if level > 0 else None)
             eps = float(np.max(np.abs(data.U - clean.U)))
             # fit down to the noise floor, never below quadrature accuracy
             tol = max(level / max(float(np.max(np.abs(data.U))), 1e-300), 1e-11)

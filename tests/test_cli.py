@@ -10,7 +10,7 @@ from mfeit.forward import CauchyData, solve_u0
 from mfeit.geometry import circle, unit_circle_grid
 from mfeit.forward import current_from_fourier
 
-from conftest import R0
+from conftest import R0, TREFOIL
 
 BASE = {
     "domain": {"b0": 0.2, "delta": 0.1},
@@ -84,6 +84,15 @@ def test_forward_command(tmp_path):
     out = tmp_path / "fwd"
     assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 0
     assert (out / "forward.csv").read_text().startswith("omega,re_k,im_k")
+
+
+def test_forward_at_resonance_exits_3(tmp_path, capsys):
+    # c = (1 + k) / (2 (1 - k)) = 1/8 = r^2 / 2, a K* eigenvalue of the circle
+    cfg = dict(BASE, contrasts=[[2.0, 0.0], [-0.6, 1e-12]])
+    out = tmp_path / "fwd"
+    assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 3
+    assert "NearResonance" in capsys.readouterr().err
+    assert not (out / "forward.csv").exists()
 
 
 def test_synth_byte_determinism(tmp_path):
@@ -163,6 +172,37 @@ def test_non_finite_dataset_exits_2_with_location(tmp_path, capsys, value):
     assert str(data) in err and "row 4, column re_u1" in err
 
 
+def _drop_cell(path, row, col):
+    lines = path.read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    del cells[col]
+    lines[row - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_last_column(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln.rsplit(",", 1)[0] for ln in lines) + "\n")
+
+
+@pytest.mark.parametrize("corrupt,where", [
+    (lambda p: _corrupt(p, row=4, col=5, value="abc"),
+     "row 4, column re_u1: not a number"),
+    (lambda p: _drop_cell(p, row=5, col=7), "row 5, column im_u63: missing"),
+    (_drop_last_column, "row 1, column re_u63: need omega"),
+], ids=["non-numeric", "ragged", "odd-re-im"])
+def test_malformed_dataset_exits_2_with_location(tmp_path, capsys, corrupt,
+                                                 where):
+    assert run("synth", write_cfg(tmp_path, "s.json", BASE), tmp_path / "s") == 0
+    data = tmp_path / "s/dataset.csv"
+    corrupt(data)
+    ext = {"domain": BASE["domain"], "inputs": {"dataset": str(data)}}
+    assert run("extract", write_cfg(tmp_path, "e.json", ext),
+               tmp_path / "e") == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and where in err
+
+
 def _invert_cfg(tmp_path, cauchy):
     inv = {"domain": BASE["domain"], "current": {"cos": [1.0]},
            "inversion": {"n_fourier_modes": 0, "alpha": 0.0},
@@ -227,3 +267,19 @@ def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
             assert _sha256(tmp_path / out / fname) == digest
         for fname, digest in manifest["inputs"].items():
             assert _sha256(fname) == digest
+
+
+def test_invert_identical_across_threads(tmp_path):
+    f = current_from_fourier([1.0], [], unit_circle_grid(64))
+    cauchy = tmp_path / "u0.csv"
+    cauchy.write_text(solve_u0(TREFOIL, f, n=128).to_csv())
+    inv = {"domain": BASE["domain"], "shape": {"cos": list(TREFOIL.cos)},
+           "inversion": {"n_fourier_modes": 3, "alpha": 1e-7},
+           "inputs": {"cauchy": str(cauchy)}}
+    p = write_cfg(tmp_path, "inv.json", inv)
+    for threads in ("1", "2"):
+        assert main(["invert", "--config", p, "--out",
+                     str(tmp_path / threads), "--threads", threads]) == 0
+    for name in ("shape.json", "inversion.json", "manifest.json"):
+        assert (tmp_path / "1" / name).read_bytes() \
+            == (tmp_path / "2" / name).read_bytes()

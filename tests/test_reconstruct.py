@@ -61,6 +61,30 @@ def test_gradient_finite_difference_consistency(tre_data):
     assert np.max(np.abs(fwd - grad)) / np.max(np.abs(grad)) < 1e-4
 
 
+def test_analytic_jacobian_matches_fd_oracle(tre_data):
+    settings_ = InversionSettings(n_fourier_modes=8, alpha=1e-7)
+    shape = StarShape(cos=(0.52, 0.01, 0.0, 0.06, 0.01),
+                      sin=(0.02, -0.01, 0.015))
+    obj = _Objective(tre_data, settings_)
+    x = _shape_to_params(shape, 8)
+    analytic = obj.jacobian(x)
+    fd = obj.fd_jacobian(x)
+    assert analytic.shape == fd.shape == (64 + 17, 17)
+    assert np.max(np.abs(analytic - fd)) / np.max(np.abs(fd)) < 1e-7
+
+
+def test_shape_derivative_concentric_closed_form(conc_data):
+    # u0 = g(a0) cos(theta) on the circle, so du0/da0 = g'(a0) cos(theta)
+    dg = -4 * R0 / (1 + R0 * R0) ** 2
+    h = 1e-5
+    assert np.isclose(dg, (g_two_phase(R0 + h) - g_two_phase(R0 - h)) / (2 * h),
+                      rtol=1e-8)
+    obj = _Objective(conc_data, InversionSettings(n_fourier_modes=0, alpha=0.0,
+                                                  n_boundary=256))
+    du = obj.jacobian(np.array([R0]))[:64, 0] / obj.sqrt_w
+    assert np.max(np.abs(du - dg * np.cos(conc_data.theta))) < 1e-10
+
+
 def test_invert_circle_radius_only(conc_data):
     st0 = InversionSettings(n_fourier_modes=0, alpha=0.0)
     res = invert(conc_data, st0)
