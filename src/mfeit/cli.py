@@ -22,8 +22,7 @@ import numpy as np
 from .disentangle import RationalModel, extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      current_from_fourier, kstar_eigenvalues,
-                      solve_forward_direct, solve_u0, synthesize)
+                      current_from_fourier, solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, StarShape, build_star_shape, discretize,
                        unit_circle_grid)
 from .potential import assemble
@@ -135,13 +134,10 @@ def cmd_forward(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
     f = _current(cfg, n_measure)
     kvals = np.array([complex(re, im) for re, im in cfg["contrasts"]])
     kernels = assemble(discretize(shape, cfg.get("n_boundary", 256)))
-    eigs = kstar_eigenvalues(kernels)
-    cols = [solve_forward_direct(shape, f, kj, domain.k0, kernels=kernels,
-                                 resonance_eigs=eigs)
-            for kj in kvals]
+    U = solve_forward_batched(kernels, f, kvals, domain.k0)
     data = MultiFreqData(theta=unit_circle_grid(n_measure).t,
                          omega=np.arange(kvals.size, dtype=float),
-                         k=kvals, U=np.column_stack(cols), eta=0.0, seed=None)
+                         k=kvals, U=U, eta=0.0, seed=None)
     _write(out, "forward.csv", data.to_csv(), manifest)
 
 

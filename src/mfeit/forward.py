@@ -1,9 +1,15 @@
 """Forward mfEIT solvers and multifrequency dataset synthesis.
 
-Three routes to the boundary voltage:
+Four routes to the boundary voltage:
 
-* ``solve_forward_direct`` -- second-kind integral equation in the contrast
-  k (ground truth at any admissible complex contrast),
+* ``solve_forward_batched`` -- the second-kind integral equation in the
+  contrast k, (c + K*) phi = -d_nu frak / k0 with c = (k0 + k) / (2 (k0 - k)),
+  diagonalized in the energy eigenbasis of K* that the shape's
+  ``KernelMatrices`` computes once: every contrast of a sweep costs one
+  diagonal solve, and the distance min|c + mu| to the nearest resonance is
+  checked for free. ``synthesize`` and ``mfeit forward`` use it.
+* ``solve_forward_direct`` -- the same equation by one dense LU per contrast,
+  kept as the independent oracle for the batched route and the spectral one,
 * ``solve_forward_spectral`` -- truncated resonance expansion
   u = u0/k0 + sum_n c_n w_n / (k0 + lambda_n (k - k0)),
 * ``solve_u0`` -- the perfect-conductor limit, whose Cauchy data drive the
@@ -19,13 +25,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, discretize, fourier_series,
                        unit_circle_grid)
 from .potential import (KernelMatrices, assemble, eval_S, kress_log_matrix,
-                        neumann_kernel, neumann_normal_derivative)
+                        neumann_kernel, neumann_normal_derivative,
+                        trace_matrix)
 from .spectrum import NPSpectrum
 
 _ZERO_MEAN_TOL = 1e-10
@@ -300,18 +306,19 @@ def u0_shape_derivative(grid: BoundaryGrid, S: np.ndarray, psi: np.ndarray,
     return _recenter(eval_S(grid, dpsi, bgrid_omega.points), bgrid_omega)
 
 
-def kstar_eigenvalues(kernels: KernelMatrices) -> np.ndarray:
-    """Real parts of the eigenvalues of K*, the resonances of the direct solve."""
-    return sla.eigvals(kernels.Kstar).real
+def _contrast_c(k, k0: float):
+    """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k."""
+    return (k0 + k) / (2.0 * (k0 - k))
 
 
 def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
                          k0: float = 1.0, *, n: int = 256,
                          bgrid_omega: BoundaryGrid | None = None,
-                         kernels: KernelMatrices | None = None,
-                         resonance_eigs: np.ndarray | None = None,
-                         tol: float = 1e-10) -> np.ndarray:
-    """Boundary voltage from the second-kind integral equation in k."""
+                         kernels: KernelMatrices | None = None) -> np.ndarray:
+    """Boundary voltage from the second-kind integral equation in k, by LU.
+
+    The oracle for ``solve_forward_batched``; it has no resonance guard.
+    """
     if bgrid_omega is None:
         bgrid_omega = unit_circle_grid(f.size)
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
@@ -321,18 +328,48 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
         kernels = assemble(discretize(shape, n))
     grid = kernels.grid
 
-    c = (k0 + k) / (2.0 * (k0 - k))
-    if resonance_eigs is not None:
-        # system is singular where c equals lambda - 1/2 = -mu
-        gap = np.min(np.abs(c + resonance_eigs))
-        if gap < tol:
-            raise NearResonance(k, float(gap))
     dn_frak = harmonic_lift_normal_derivative(f, bgrid_omega, grid.points,
                                               grid.normals)
-    A = c * np.eye(grid.n) + kernels.Kstar
+    A = _contrast_c(k, k0) * np.eye(grid.n) + kernels.Kstar
     phi = np.linalg.solve(A.astype(complex), -dn_frak.astype(complex) / k0)
     u = frak_omega / k0 + eval_S(grid, phi, bgrid_omega.points)
     return _recenter(u, bgrid_omega)
+
+
+def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
+                          k0: float = 1.0, *,
+                          bgrid_omega: BoundaryGrid | None = None,
+                          tol: float = 1e-10) -> np.ndarray:
+    """Boundary voltages at all contrasts ``kvals``, one column each.
+
+    With K* = V diag(mu) V^T B (``kernels.eig``) the equation
+    (c_j + K*) phi_j = g, g = -d_nu frak / k0, has the solution
+    phi_j = V diag(1 / (c_j + mu)) V^T B g, so the lift terms, the trace
+    matrix T and q = V^T B g are built once and U = frak / k0 + (T V) Q with
+    Q_ij = q_i / (c_j + mu_i). Raises ``NearResonance`` where
+    min|c_j + mu| < tol, the distance of the system from singularity.
+    """
+    kvals = np.asarray(kvals, dtype=complex)
+    if bgrid_omega is None:
+        bgrid_omega = unit_circle_grid(f.size)
+    grid = kernels.grid
+    mu, V = kernels.eig
+    frak_omega = harmonic_lift_trace(f, bgrid_omega)
+    U = np.tile((frak_omega / k0)[:, None], (1, kvals.size)).astype(complex)
+    live = kvals != k0  # at k = k0 the inclusion is invisible
+    if np.any(live):
+        denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
+        gap = np.min(np.abs(denom), axis=0)
+        near = np.flatnonzero(gap < tol)
+        if near.size:
+            raise NearResonance(complex(kvals[live][near[0]]),
+                                float(gap[near[0]]))
+        dn_frak = harmonic_lift_normal_derivative(f, bgrid_omega, grid.points,
+                                                  grid.normals)
+        q = V.T @ (kernels.B @ (-dn_frak / k0))
+        TV = trace_matrix(grid, bgrid_omega.points) @ V
+        U[:, live] += TV @ (q[:, None] / denom)
+    return _recenter(U, bgrid_omega)
 
 
 def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
@@ -358,12 +395,12 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
 def synthesize(shape: StarShape, f: np.ndarray, profile: FrequencyProfile,
                omega_grid, eta: float, seed: int | None, *, n: int = 256,
                k0: float = 1.0,
-               kernels: KernelMatrices | None = None,
-               resonance_eigs: np.ndarray | None = None) -> MultiFreqData:
-    """Multifrequency dataset from the direct solver plus calibrated noise.
+               kernels: KernelMatrices | None = None) -> MultiFreqData:
+    """Multifrequency dataset from the batched solver plus calibrated noise.
 
     Additive complex Gaussian noise rescaled so its sup magnitude over all
-    entries equals eta exactly.
+    entries equals eta exactly. Raises ``NearResonance`` if a contrast of
+    the sweep is within the solver tolerance of a resonance.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     profile.validate(omega_grid)
@@ -371,13 +408,9 @@ def synthesize(shape: StarShape, f: np.ndarray, profile: FrequencyProfile,
     bgrid_omega = unit_circle_grid(f.size)
     if kernels is None:
         kernels = assemble(discretize(shape, n))
-    cols = [solve_forward_direct(shape, f, kj, k0, bgrid_omega=bgrid_omega,
-                                 kernels=kernels,
-                                 resonance_eigs=resonance_eigs)
-            for kj in kvals]
+    U = solve_forward_batched(kernels, f, kvals, k0, bgrid_omega=bgrid_omega)
     return MultiFreqData(theta=bgrid_omega.t, omega=omega_grid, k=kvals,
-                         U=_add_noise(np.column_stack(cols), eta, seed),
-                         eta=eta, seed=seed)
+                         U=_add_noise(U, eta, seed), eta=eta, seed=seed)
 
 
 def _add_noise(U: np.ndarray, eta: float, seed: int | None) -> np.ndarray:

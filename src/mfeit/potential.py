@@ -13,12 +13,17 @@ The single layer S_D and the Neumann-Poincare operator K*_D are assembled
 with the classical periodic log-kernel product rule (spectrally accurate
 for smooth boundaries); the normal-derivative kernel takes its smooth
 diagonal limit kappa/(4pi) plus the image contribution evaluated directly.
+Each ``KernelMatrices`` also carries, computed once on first use, the
+eigendecomposition of K*_D in the energy inner product, which diagonalizes
+every forward solve on that shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (DomainViolation, ResolutionTooLow, SingularEvaluation,
                      TargetTooClose)
@@ -96,18 +101,29 @@ class KernelMatrices:
     ``S`` and ``Kstar`` act on nodal density values and return boundary
     traces / normal derivatives at the same nodes (quadrature weights are
     folded in). ``B = -W S`` is the symmetric positive definite Gram matrix
-    of the energy inner product <-S phi, psi>.
+    of the energy inner product <-S phi, psi>; ``B`` and ``eig`` are computed
+    on first use and kept.
     """
 
     S: np.ndarray
     Kstar: np.ndarray
     grid: BoundaryGrid
 
-    @property
+    @cached_property
     def B(self) -> np.ndarray:
         W = self.grid.weights
         M = -(W[:, None] * self.S)
         return 0.5 * (M + M.T)
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, V) with sym(B K*) V = B V diag(mu) and V^T B V = I.
+
+        K* is self-adjoint in the energy inner product up to the Calderon
+        residual, so K* = V diag(mu) V^T B on the discrete level.
+        """
+        A = self.B @ self.Kstar
+        return sla.eigh(0.5 * (A + A.T), self.B)
 
     def calderon_residual(self) -> float:
         """Relative asymmetry of K* in the -S inner product (-> 0 with n)."""
@@ -146,14 +162,12 @@ def assemble(grid: BoundaryGrid) -> KernelMatrices:
                           grid=grid)
 
 
-def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
-    """S_D[phi] at off-boundary targets by plain trapezoid (kernel smooth).
+def trace_matrix(grid: BoundaryGrid, targets) -> np.ndarray:
+    """Matrix of S_D from nodal densities to off-boundary targets (trapezoid).
 
     Targets must keep a distance of at least one local grid spacing
-    2 pi max|x'| / n from the boundary. ``density`` may hold one density
-    per column.
+    2 pi max|x'| / n from the boundary, where the kernel is smooth enough.
     """
-    density = np.asarray(density)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     dist = np.sqrt(np.min(np.sum(
         (targets[:, None, :] - grid.points[None, :, :]) ** 2, axis=-1), axis=1))
@@ -161,9 +175,13 @@ def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
     if np.any(dist <= zone):
         raise TargetTooClose(
             f"target at distance {dist.min():.3g} inside accuracy zone {zone:.3g}")
-    ker = neumann_kernel(targets[:, None, :], grid.points[None, :, :])
-    w = grid.weights.reshape((-1,) + (1,) * (density.ndim - 1))
-    return ker @ (density * w)
+    return (neumann_kernel(targets[:, None, :], grid.points[None, :, :])
+            * grid.weights[None, :])
+
+
+def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
+    """S_D[phi] at off-boundary targets; one density per column allowed."""
+    return trace_matrix(grid, targets) @ np.asarray(density)
 
 
 def s_inner(kernels: KernelMatrices, phi, psi) -> float:

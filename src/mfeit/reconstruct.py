@@ -30,10 +30,10 @@ import numpy as np
 from .disentangle import extract_u0, fit_rational
 from .errors import Diverged, MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
-                      current_from_fourier, kstar_eigenvalues, solve_u0,
-                      synthesize, u0_shape_derivative)
+                      current_from_fourier, solve_u0, synthesize,
+                      u0_shape_derivative)
 from .geometry import DomainConfig, StarShape, discretize, unit_circle_grid
-from .potential import _assemble_single_layer, assemble
+from .potential import _assemble_single_layer
 
 _FD_BASE_STEP = 1e-6
 
@@ -316,11 +316,9 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     omega_grid = np.asarray(omega_grid, dtype=float)
     bgrid_omega = unit_circle_grid(n_measure)
 
-    kernels = assemble(discretize(truth, n_forward))
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
     clean = synthesize(truth, f, profile, omega_grid, eta=0.0, seed=None,
-                       kernels=kernels,
-                       resonance_eigs=kstar_eigenvalues(kernels))
+                       n=n_forward)
 
     jobs = [(lv, sd) for lv in noise_levels
             for sd in (seeds if lv > 0 else [seeds[0]])]
@@ -357,16 +355,18 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     else:
         rows = [run(job) for job in jobs]
 
-    # per-level medians over seeds, noisy levels only, for the stability fits
-    eps_med, dif_med = [], []
+    # per-level medians over seeds, noisy levels only, for the stability fits;
+    # n_ok counts the rows each level's median rests on
+    eps_med, dif_med, n_ok = [], [], []
     for lv in noise_levels:
         ok = [r for r in rows if r["level"] == lv and r["status"] == "ok"
               and np.isfinite(r["sym_diff"])]
+        n_ok.append(len(ok))
         if lv > 0 and ok:
             eps_med.append(float(np.median([r["eps_measured"] for r in ok])))
             dif_med.append(float(np.median([r["sym_diff"] for r in ok])))
-    summary: dict = {"levels": noise_levels, "eps_median": eps_med,
-                     "sym_diff_median": dif_med}
+    summary: dict = {"levels": noise_levels, "n_ok": n_ok,
+                     "eps_median": eps_med, "sym_diff_median": dif_med}
     if len(eps_med) >= 2 and all(d > 0 for d in dif_med):
         eps = np.array(eps_med)
         dif = np.array(dif_med)

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotConverged
 from .geometry import StarShape, unit_circle_grid, r_inf
@@ -69,10 +68,7 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
     n = kernels.grid.n
     if n_modes > n // 4:
         raise NotConverged(f"{n_modes} modes not resolvable on {n} nodes")
-    B = kernels.B
-    A = B @ kernels.Kstar
-    A = 0.5 * (A + A.T)
-    mu, V = sla.eigh(A, B)  # columns are B-orthonormal: unit energy
+    mu, V = kernels.eig  # columns are B-orthonormal: unit energy
     lam = 0.5 - mu
 
     keep = lam > _ZERO_MODE_TOL
@@ -89,10 +85,8 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
     lam, V = lam[:n_modes], V[:, :n_modes]
 
     bgrid = unit_circle_grid(n_boundary)
-    traces_omega = np.column_stack(
-        [eval_S(kernels.grid, V[:, j], bgrid.points) for j in range(lam.size)])
-
-    return NPSpectrum(lam=lam, densities=V, traces_bd_omega=traces_omega,
+    return NPSpectrum(lam=lam, densities=V,
+                      traces_bd_omega=eval_S(kernels.grid, V, bgrid.points),
                       resonances=k0 * (1.0 - 1.0 / lam), k0=k0,
                       boundary_t=bgrid.t, n_discarded=n_discarded)
 

@@ -95,6 +95,17 @@ def test_forward_at_resonance_exits_3(tmp_path, capsys):
     assert not (out / "forward.csv").exists()
 
 
+def test_synth_at_resonance_exits_3(tmp_path, capsys):
+    # k = -0.6 + i c omega with c = 1e-12 sits on the resonance of
+    # test_forward_at_resonance_exits_3 up to 2e-12
+    cfg = dict(BASE, profile={"model": "affine", "k_r": -0.6, "c": 1e-12},
+               omega=[1.0, 2.0])
+    out = tmp_path / "syn"
+    assert run("synth", write_cfg(tmp_path, "c.json", cfg), out) == 3
+    assert "NearResonance" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_synth_byte_determinism(tmp_path):
     cfg = dict(BASE, eta=1e-3, seed=42)
     p = write_cfg(tmp_path, "c.json", cfg)
@@ -141,6 +152,17 @@ def test_degenerate_sweep_emits_one_row(tmp_path):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header + one row
     assert lines[1].endswith("ok")
+
+
+def test_sweep_summary_counts_ok_rows(tmp_path):
+    cfg = dict(BASE, noise_levels=[0.0, 1e-4, 1e-2], seeds=[1, 2],
+               max_poles=4, inversion={"n_fourier_modes": 0, "alpha": 0.0})
+    out = tmp_path / "sw"
+    assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["n_ok"]) == len(summary["levels"])
+    assert sum(summary["n_ok"]) == sum(r.endswith(",ok") for r in rows)
 
 
 def test_threads_flag_accepted(tmp_path, monkeypatch):

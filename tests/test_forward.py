@@ -4,8 +4,9 @@ import pytest
 from mfeit.errors import NearResonance
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
                            current_from_fourier, harmonic_lift_interior,
-                           harmonic_lift_trace, solve_forward_direct,
-                           solve_forward_spectral, solve_u0, synthesize)
+                           harmonic_lift_trace, solve_forward_batched,
+                           solve_forward_direct, solve_forward_spectral,
+                           solve_u0, synthesize)
 from mfeit.geometry import StarShape, circle, unit_circle_grid
 
 from conftest import R0, TREFOIL, g_two_phase
@@ -90,11 +91,27 @@ def test_large_contrast_approaches_perfect_conductor(bgrid64, f_cos,
 
 
 def test_near_resonance_guard(f_cos, conc_kernels):
-    import scipy.linalg as sla
-    eigs = np.sort(sla.eigvals(conc_kernels.Kstar).real)
     with pytest.raises(NearResonance):
-        solve_forward_direct(circle(R0), f_cos, -0.6 + 1e-13,
-                             kernels=conc_kernels, resonance_eigs=eigs)
+        solve_forward_batched(conc_kernels, f_cos, [-0.6 + 1e-13])
+
+
+@pytest.mark.parametrize("shape, kernels_name", [(TREFOIL, "tre_kernels"),
+                                                 (circle(R0), "conc_kernels")])
+def test_batched_matches_direct_oracle(request, shape, kernels_name, f_cos):
+    # eigenbasis solve against one LU per contrast: affine and Debye sweeps,
+    # a near perfect conductor, and k = k0 where the inclusion is invisible;
+    # relative to the sweep's voltage scale (every column is O(1) here)
+    kernels = request.getfixturevalue(kernels_name)
+    omega = np.linspace(1.0, 50.0, 7)
+    kvals = np.concatenate([
+        FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05}).contrast(omega),
+        FrequencyProfile("debye", {"k_inf": 0.3, "k_s": 4.0, "tau": 0.2}
+                         ).contrast(omega),
+        [1e6, 1.0]])
+    U = solve_forward_batched(kernels, f_cos, kvals)
+    Ud = np.column_stack([solve_forward_direct(shape, f_cos, k, kernels=kernels)
+                          for k in kvals])
+    assert np.max(np.abs(U - Ud)) <= 1e-12 * np.max(np.abs(Ud))
 
 
 def test_frequency_profiles():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfeit.errors import NotConverged
-from mfeit.geometry import StarShape, circle, discretize
+from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import assemble, eval_S
 from mfeit.spectrum import compute_spectrum, resonance_bound
 
@@ -130,3 +130,11 @@ def test_neumann_series_partial_sum_oracle(conc_kernels):
     val = -np.sum(w[0] * w[1])
     assert np.isclose(val, -(0.1 * 0.1 * np.cos(0.7)) / (0.4 * np.pi),
                       atol=1e-12)
+
+
+def test_traces_match_per_mode_eval_S(tre_kernels, tre_spectrum):
+    # one trace-matrix product for all modes against one eval_S per mode
+    bg = unit_circle_grid(tre_spectrum.boundary_t.size)
+    W = np.column_stack([eval_S(tre_kernels.grid, v, bg.points)
+                         for v in tre_spectrum.densities.T])
+    assert np.max(np.abs(tre_spectrum.traces_bd_omega - W)) <= 1e-14
