@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .disentangle import RationalModel, extract_u0, fit_rational
+from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       current_from_fourier, solve_forward_batched, synthesize)
@@ -71,7 +70,7 @@ def _read_input(cfg: dict, key: str, cls, manifest: dict):
 
 
 def _domain(cfg: dict) -> DomainConfig:
-    return DomainConfig.from_dict(cfg.get("domain", {"b0": 0.2, "delta": 0.1}))
+    return DomainConfig.from_dict(cfg.get("domain", {}))
 
 
 def _shape(cfg: dict, domain: DomainConfig) -> StarShape:
@@ -93,15 +92,7 @@ def _omega(cfg: dict) -> np.ndarray:
 
 
 def _inversion_settings(cfg: dict, domain: DomainConfig) -> InversionSettings:
-    d = dict(cfg.get("inversion", {}))
-    return InversionSettings(
-        n_fourier_modes=d.get("n_fourier_modes", 8),
-        alpha=d.get("alpha", 1e-6),
-        max_iter=d.get("max_iter", 60),
-        grad_tol=d.get("grad_tol", 1e-10),
-        n_boundary=d.get("n_boundary", 128),
-        initial_radius=d.get("initial_radius"),
-        config=domain)
+    return InversionSettings(**cfg.get("inversion", {}), config=domain)
 
 
 def _write(out: Path, name: str, text: str, manifest: dict) -> None:
@@ -215,13 +206,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: MFEIT_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads of sweep (default: 1)")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MFEIT_THREADS", "1"))
 
     try:
         cfg = _load_config(args.config)
@@ -230,7 +217,7 @@ def main(argv=None) -> int:
         manifest = {"command": args.command,
                     "config_sha256": _sha256(Path(args.config)),
                     "inputs": {}, "outputs": {}, "seeds": []}
-        _COMMANDS[args.command](cfg, out, manifest, threads)
+        _COMMANDS[args.command](cfg, out, manifest, args.threads)
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     except MissingInput as exc:

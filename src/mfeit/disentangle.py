@@ -19,8 +19,11 @@ import scipy.linalg as sla
 from .errors import (ContourCrossesPole, FitDiverged, InsufficientFrequencies,
                      NonRealLimit)
 from .forward import CauchyData, MultiFreqData
-from .geometry import DomainConfig, StarShape, circle
+from .geometry import DomainConfig, circle
 from .spectrum import resonance_bound
+
+#: quadrature nodes on the contour of ``cauchy_integral_check``
+_N_CONTOUR = 4096
 
 
 @dataclass(frozen=True)
@@ -177,15 +180,14 @@ def fit_rational(data: MultiFreqData, max_poles: int = 8, tol: float = 1e-9,
                          residues=X[1:].T.copy(), residual=resid, scale=scale)
 
 
-def extract_u0(model: RationalModel, k0: float,
-               imag_tol: float | None = None,
-               theta: np.ndarray | None = None) -> CauchyData:
+def extract_u0(model: RationalModel, k0: float) -> CauchyData:
     """Frequency-free voltage u0 = k0 * alpha(infinity), recentered.
 
-    The constant value rho on the inclusion is not observable here.
+    alpha(infinity) must be real up to 50 times the relative fit residual
+    (at least 1e-8). The constant value rho on the inclusion is not
+    observable here; the voltages sit on the equispaced angles 2 pi i / m.
     """
-    if imag_tol is None:
-        imag_tol = max(1e-8, 50 * model.residual / max(model.scale, 1e-300))
+    imag_tol = max(1e-8, 50 * model.residual / max(model.scale, 1e-300))
     alpha = model.alpha_inf
     scale = max(float(np.max(np.abs(alpha))), 1e-300)
     worst = float(np.max(np.abs(alpha.imag))) / scale
@@ -195,14 +197,13 @@ def extract_u0(model: RationalModel, k0: float,
     u0 = k0 * alpha.real
     u0 = u0 - np.mean(u0)
     m = u0.size
-    if theta is None:
-        theta = 2 * np.pi * np.arange(m) / m
-    return CauchyData(theta=theta, f=None, u0=u0, rho=None)
+    return CauchyData(theta=2 * np.pi * np.arange(m) / m, f=None, u0=u0,
+                      rho=None)
 
 
 def cauchy_integral_check(model: RationalModel, radius: float, k_eval: complex,
-                          index: int = 0, center: complex | None = None,
-                          n_quad: int = 4096) -> complex:
+                          index: int = 0,
+                          center: complex | None = None) -> complex:
     """Frequency part at an exterior contrast via the contour representation.
 
     Integrates the fitted model's pole part over a circle enclosing all
@@ -216,10 +217,10 @@ def cauchy_integral_check(model: RationalModel, radius: float, k_eval: complex,
             raise ContourCrossesPole("a model pole lies on or outside the contour")
     if abs(k_eval - center) <= radius:
         raise ContourCrossesPole("evaluation point inside the contour")
-    t = 2 * np.pi * np.arange(n_quad) / n_quad
+    t = 2 * np.pi * np.arange(_N_CONTOUR) / _N_CONTOUR
     kq = center + radius * np.exp(1j * t)
-    dk = 1j * radius * np.exp(1j * t) * (2 * np.pi / n_quad)
-    pole_part = np.zeros(n_quad, dtype=complex)
+    dk = 1j * radius * np.exp(1j * t) * (2 * np.pi / _N_CONTOUR)
+    pole_part = np.zeros(_N_CONTOUR, dtype=complex)
     for p, r in zip(model.poles, model.residues[index]):
         pole_part += r / (kq - p)
     integral = np.sum(pole_part / (kq - k_eval) * dk) / (2j * np.pi)

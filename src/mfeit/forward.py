@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +28,13 @@ import numpy as np
 from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, discretize, fourier_series,
                        unit_circle_grid)
-from .potential import (KernelMatrices, assemble, eval_S, kress_log_matrix,
-                        neumann_kernel, neumann_normal_derivative,
-                        trace_matrix)
+from .potential import (KernelMatrices, _assemble_single_layer, assemble,
+                        eval_S, kress_log_matrix, neumann_kernel,
+                        neumann_normal_derivative, trace_matrix)
 from .spectrum import NPSpectrum
 
-_ZERO_MEAN_TOL = 1e-10
+#: smallest admitted distance of a forward system from singularity
+_RESONANCE_TOL = 1e-10
 
 
 def current_from_fourier(cos_coeffs, sin_coeffs, bgrid: BoundaryGrid) -> np.ndarray:
@@ -257,7 +257,6 @@ def _solve_saddle(grid: BoundaryGrid, S: np.ndarray,
 
 
 def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
-             bgrid_omega: BoundaryGrid | None = None,
              grid: BoundaryGrid | None = None,
              S: np.ndarray | None = None) -> CauchyData:
     """Perfect-conductor solution: u0 constant on the inclusion, flux f.
@@ -266,12 +265,10 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
     a constant trace (unknown rho) on the inclusion boundary and zero total
     density.
     """
-    if bgrid_omega is None:
-        bgrid_omega = unit_circle_grid(f.size)
+    bgrid_omega = unit_circle_grid(f.size)
     if grid is None:
         grid = discretize(shape, n)
     if S is None:
-        from .potential import _assemble_single_layer
         S = _assemble_single_layer(grid)
 
     frak_d = harmonic_lift_interior(f, bgrid_omega, grid.points)
@@ -313,14 +310,12 @@ def _contrast_c(k, k0: float):
 
 def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
                          k0: float = 1.0, *, n: int = 256,
-                         bgrid_omega: BoundaryGrid | None = None,
                          kernels: KernelMatrices | None = None) -> np.ndarray:
     """Boundary voltage from the second-kind integral equation in k, by LU.
 
     The oracle for ``solve_forward_batched``; it has no resonance guard.
     """
-    if bgrid_omega is None:
-        bgrid_omega = unit_circle_grid(f.size)
+    bgrid_omega = unit_circle_grid(f.size)
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
     if k == k0:
         return _recenter(frak_omega / k0, bgrid_omega)
@@ -337,9 +332,7 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
 
 
 def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
-                          k0: float = 1.0, *,
-                          bgrid_omega: BoundaryGrid | None = None,
-                          tol: float = 1e-10) -> np.ndarray:
+                          k0: float = 1.0) -> np.ndarray:
     """Boundary voltages at all contrasts ``kvals``, one column each.
 
     With K* = V diag(mu) V^T B (``kernels.eig``) the equation
@@ -347,11 +340,10 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     phi_j = V diag(1 / (c_j + mu)) V^T B g, so the lift terms, the trace
     matrix T and q = V^T B g are built once and U = frak / k0 + (T V) Q with
     Q_ij = q_i / (c_j + mu_i). Raises ``NearResonance`` where
-    min|c_j + mu| < tol, the distance of the system from singularity.
+    min|c_j + mu| < 1e-10, the distance of the system from singularity.
     """
     kvals = np.asarray(kvals, dtype=complex)
-    if bgrid_omega is None:
-        bgrid_omega = unit_circle_grid(f.size)
+    bgrid_omega = unit_circle_grid(f.size)
     grid = kernels.grid
     mu, V = kernels.eig
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
@@ -360,7 +352,7 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     if np.any(live):
         denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
         gap = np.min(np.abs(denom), axis=0)
-        near = np.flatnonzero(gap < tol)
+        near = np.flatnonzero(gap < _RESONANCE_TOL)
         if near.size:
             raise NearResonance(complex(kvals[live][near[0]]),
                                 float(gap[near[0]]))
@@ -373,19 +365,19 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
 
 
 def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
-                           k0: float, u0: CauchyData,
-                           n_modes: int | None = None,
-                           tol: float = 1e-10) -> np.ndarray:
-    """Boundary voltage from the truncated resonance expansion."""
+                           k0: float, u0: CauchyData) -> np.ndarray:
+    """Boundary voltage from the truncated resonance expansion.
+
+    The expansion runs over every mode that ``spectrum`` holds.
+    """
     bgrid_omega = unit_circle_grid(f.size)
     if spectrum.boundary_t.size != f.size:
         raise ValueError("current sampled on a different grid than the traces")
-    nm = spectrum.lam.size if n_modes is None else min(n_modes, spectrum.lam.size)
-    lam = spectrum.lam[:nm]
-    W = spectrum.traces_bd_omega[:, :nm]
+    lam = spectrum.lam
+    W = spectrum.traces_bd_omega
     denom = k0 + lam * (k - k0)
     gap = np.min(np.abs(denom))
-    if gap < tol:
+    if gap < _RESONANCE_TOL:
         raise NearResonance(k, float(gap))
     c_n = (f * bgrid_omega.weights) @ W
     u = u0.u0 / k0 + W @ (c_n / denom)
@@ -405,12 +397,12 @@ def synthesize(shape: StarShape, f: np.ndarray, profile: FrequencyProfile,
     omega_grid = np.asarray(omega_grid, dtype=float)
     profile.validate(omega_grid)
     kvals = profile.contrast(omega_grid)
-    bgrid_omega = unit_circle_grid(f.size)
     if kernels is None:
         kernels = assemble(discretize(shape, n))
-    U = solve_forward_batched(kernels, f, kvals, k0, bgrid_omega=bgrid_omega)
-    return MultiFreqData(theta=bgrid_omega.t, omega=omega_grid, k=kvals,
-                         U=_add_noise(U, eta, seed), eta=eta, seed=seed)
+    U = solve_forward_batched(kernels, f, kvals, k0)
+    return MultiFreqData(theta=unit_circle_grid(f.size).t, omega=omega_grid,
+                         k=kvals, U=_add_noise(U, eta, seed), eta=eta,
+                         seed=seed)
 
 
 def _add_noise(U: np.ndarray, eta: float, seed: int | None) -> np.ndarray:

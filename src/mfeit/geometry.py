@@ -20,6 +20,8 @@ from .errors import ConstraintViolation, InvalidResolution
 
 #: number of sample angles used for constraint checks
 N_CHECK = 1024
+#: number of sample angles over which ``r_inf`` takes its minimum
+_N_R_INF = 100_000
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class DomainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainConfig":
-        return cls(b0=d["b0"], b1=d.get("b1", 1.0), delta=d["delta"],
-                   m=d.get("m", 50.0), k0=d.get("k0", 1.0))
+        """Keys are the field names; an unknown key raises ``TypeError``."""
+        return cls(**d)
 
 
 def fourier_series(cos, sin, theta):
@@ -200,11 +202,11 @@ def unit_circle_grid(n: int) -> BoundaryGrid:
     return discretize(circle(1.0), n)
 
 
-def r_inf(shape: StarShape, n_samples: int = 100_000) -> float:
+def r_inf(shape: StarShape) -> float:
     """inf over the boundary of x . nu(x); strictly positive for star shapes.
 
     Equals r^2 / sqrt(r^2 + r'^2) pointwise for a radial parametrization.
     """
-    theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, _N_R_INF, endpoint=False)
     r, r1, _ = fourier_series(shape.cos, shape.sin, theta)
     return float(np.min(r * r / np.sqrt(r * r + r1 * r1)))

@@ -36,21 +36,31 @@ from .geometry import DomainConfig, StarShape, discretize, unit_circle_grid
 from .potential import _assemble_single_layer
 
 _FD_BASE_STEP = 1e-6
+#: Gauss-Newton iteration cap and gradient-norm stopping tolerance
+_MAX_ITER = 60
+_GRAD_TOL = 1e-10
+#: line search: step shrink factor and number of tries per iterate
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 25
+#: floor damping of the normal equations, relative to their mean diagonal
+_LEVENBERG = 1e-10
+#: strict distance projected iterates keep from the radial band's edges
+_BAND_MARGIN = 1e-3
+#: quadrature nodes of the symmetric-difference integral
+_N_QUAD = 8192
 
 
 @dataclass(frozen=True)
 class InversionSettings:
-    """Knobs of the Gauss-Newton shape inverter."""
+    """Settings of the Gauss-Newton shape inverter.
+
+    The iteration starts from the circle of radius (b0 + b1 - delta) / 2,
+    the middle of the admissible band of ``config``.
+    """
 
     n_fourier_modes: int = 8      # M; unknowns are a0, a1..aM, b1..bM
     alpha: float = 1e-6           # curvature penalty weight
-    max_iter: int = 60
-    grad_tol: float = 1e-10
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 25
-    levenberg: float = 1e-10      # floor damping of the normal equations
     n_boundary: int = 128         # inclusion quadrature nodes per solve
-    initial_radius: float | None = None  # default (b0 + b1 - delta) / 2
     config: DomainConfig = field(default_factory=DomainConfig)
 
     def __post_init__(self):
@@ -81,15 +91,15 @@ def _shape_to_params(shape: StarShape, M: int) -> np.ndarray:
     return np.array(cos[:M + 1] + sin[:M], dtype=float)
 
 
-def _project_band(x: np.ndarray, M: int, config: DomainConfig,
-                  margin: float = 1e-3) -> tuple[np.ndarray, bool]:
+def _project_band(x: np.ndarray, M: int,
+                  config: DomainConfig) -> tuple[np.ndarray, bool]:
     """Pull the radius into (b0, b1 - delta) by shrinking toward the band center.
 
     Scales the oscillatory part and blends a0 toward the midpoint just enough
     to restore a strict margin; a no-op for feasible iterates.
     """
-    lo = config.b0 + margin
-    hi = config.b1 - config.delta - margin
+    lo = config.b0 + _BAND_MARGIN
+    hi = config.b1 - config.delta - _BAND_MARGIN
     mid = 0.5 * (lo + hi)
     theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
     x = x.copy()
@@ -128,8 +138,7 @@ class _Objective:
             shape = _params_to_shape(x, self.M)
             grid = discretize(shape, self.settings.n_boundary)
             S = _assemble_single_layer(grid)
-            sim = solve_u0(shape, self.data.f, bgrid_omega=self.bgrid_omega,
-                           grid=grid, S=S)
+            sim = solve_u0(shape, self.data.f, grid=grid, S=S)
             self._last = (x.copy(), grid, S, sim)
         return self._last[1:]
 
@@ -189,9 +198,7 @@ def invert(data: CauchyData,
         settings = InversionSettings()
     cfg = settings.config
     M = settings.n_fourier_modes
-    r0 = settings.initial_radius
-    if r0 is None:
-        r0 = 0.5 * (cfg.b0 + cfg.b1 - cfg.delta)
+    r0 = 0.5 * (cfg.b0 + cfg.b1 - cfg.delta)
     x = _shape_to_params(StarShape(cos=(r0,)), M)
 
     obj = _Objective(data, settings)
@@ -201,19 +208,19 @@ def invert(data: CauchyData,
     hit = False
     converged = False
     it = 0
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         Jac = obj.jacobian(x)
         grad = Jac.T @ r
-        if np.linalg.norm(grad) < settings.grad_tol:
+        if np.linalg.norm(grad) < _GRAD_TOL:
             converged = True
             break
         H = Jac.T @ Jac
-        nu = settings.levenberg * max(np.trace(H).real / H.shape[0], 1.0)
+        nu = _LEVENBERG * max(np.trace(H).real / H.shape[0], 1.0)
         step = np.linalg.solve(H + nu * np.eye(H.shape[0]), -grad)
 
         accepted = False
         s = 1.0
-        for _ in range(settings.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_try, hit_try = _project_band(x + s * step, M, cfg)
             r_try = obj.residual(x_try)
             J_try = 0.5 * float(r_try @ r_try)
@@ -223,12 +230,12 @@ def invert(data: CauchyData,
                 history.append(J)
                 accepted = True
                 break
-            s *= settings.backtrack_factor
+            s *= _BACKTRACK
         if not accepted:
             # stationary up to line-search resolution: treat tiny gradients
             # relative to the data scale as convergence, else report divergence
             scale = max(J, 1e-300)
-            if np.linalg.norm(grad) < 1e-6 * math.sqrt(scale) + settings.grad_tol:
+            if np.linalg.norm(grad) < 1e-6 * math.sqrt(scale) + _GRAD_TOL:
                 converged = True
                 break
             best = _finalize(obj, x, J, history, hit, False, it)
@@ -248,13 +255,12 @@ def _finalize(obj, x, J, history, hit, converged, it):
                            converged=converged, n_iter=it)
 
 
-def symmetric_difference(shape_a: StarShape, shape_b: StarShape,
-                         n_quad: int = 8192) -> float:
+def symmetric_difference(shape_a: StarShape, shape_b: StarShape) -> float:
     """Area of the symmetric difference of two star-shaped sets about 0."""
-    theta = np.linspace(0.0, 2 * np.pi, n_quad, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, _N_QUAD, endpoint=False)
     ra = shape_a.radius(theta)
     rb = shape_b.radius(theta)
-    return float(np.sum(np.abs(ra * ra - rb * rb)) * (np.pi / n_quad))
+    return float(np.sum(np.abs(ra * ra - rb * rb)) * (np.pi / _N_QUAD))
 
 
 def rho_gap(data_a: CauchyData, data_b: CauchyData) -> float:
@@ -318,7 +324,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
 
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
     clean = synthesize(truth, f, profile, omega_grid, eta=0.0, seed=None,
-                       n=n_forward)
+                       n=n_forward, k0=settings.config.k0)
 
     jobs = [(lv, sd) for lv in noise_levels
             for sd in (seeds if lv > 0 else [seeds[0]])]

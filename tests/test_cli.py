@@ -165,8 +165,7 @@ def test_sweep_summary_counts_ok_rows(tmp_path):
     assert sum(summary["n_ok"]) == sum(r.endswith(",ok") for r in rows)
 
 
-def test_threads_flag_accepted(tmp_path, monkeypatch):
-    monkeypatch.setenv("MFEIT_THREADS", "2")
+def test_threads_flag_accepted(tmp_path):
     inv_cfg = dict(BASE)
     p = write_cfg(tmp_path, "c.json", inv_cfg)
     assert main(["synth", "--config", p, "--out", str(tmp_path / "o"),
@@ -254,6 +253,21 @@ def test_off_grid_theta_exits_2(tmp_path, capsys):
     assert run("invert", _invert_cfg(tmp_path, cauchy), tmp_path / "i") == 2
     err = capsys.readouterr().err
     assert str(cauchy) in err and "row 7, column theta" in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("inversion", "n_fourer_modes", 4),  # misspelt
+    ("domain", "bo", 0.3),               # misspelt
+    ("inversion", "max_iter", 10),       # a constant of the inverter
+])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, section, key,
+                                              value):
+    p = _invert_cfg(tmp_path, _cauchy_file(tmp_path))
+    cfg = json.loads(Path(p).read_text())
+    cfg[section][key] = value
+    Path(p).write_text(json.dumps(cfg))
+    assert run("invert", p, tmp_path / "i") == 2
+    assert key in capsys.readouterr().err
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

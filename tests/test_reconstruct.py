@@ -163,3 +163,18 @@ def test_stability_sweep_validates_inputs():
     with pytest.raises(ValueError):
         stability_sweep(circle(R0), ([1.0], []), prof, [1, 2],
                         [0.0, 1e-4, 1e-3, 1e-2], st0, seeds=[1])
+
+
+def test_stability_sweep_synthesizes_at_the_background_k0():
+    """Synthesis and extraction share k0 = 2: the near-clean row recovers."""
+    from mfeit.forward import FrequencyProfile
+    from mfeit.geometry import DomainConfig
+    prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
+    st0 = InversionSettings(n_fourier_modes=0, alpha=0.0,
+                            config=DomainConfig(k0=2.0))
+    res = stability_sweep(circle(R0), ([1.0], []), prof,
+                          np.linspace(10.0, 50.0, 40), [1e-5], st0, seeds=[1],
+                          max_poles=6, n_forward=128, allow_degenerate=True)
+    (row,) = res.rows
+    assert row["status"] == "ok"
+    assert row["sym_diff"] < 1e-4
