@@ -11,7 +11,7 @@ from .errors import MfeitError
 from .geometry import (BoundaryGrid, DomainConfig, StarShape,
                        build_star_shape, circle, discretize, r_inf,
                        unit_circle_grid)
-from .potential import KernelMatrices, assemble, eval_S, kress_log_matrix, s_inner
+from .potential import KernelMatrices, assemble, eval_S, kress_log_matrix
 from .spectrum import NPSpectrum, compute_spectrum, resonance_bound
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       current_from_fourier, solve_forward_direct,
@@ -20,20 +20,20 @@ from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
 from .disentangle import (RationalModel, cauchy_integral_check, extract_u0,
                           fit_rational)
 from .reconstruct import (InversionResult, InversionSettings, SweepResult,
-                          invert, misfit, rho_gap, stability_sweep,
+                          invert, misfit, stability_sweep,
                           symmetric_difference)
 
 __all__ = [
     "MfeitError", "BoundaryGrid", "DomainConfig", "StarShape",
     "build_star_shape", "circle", "discretize", "r_inf", "unit_circle_grid",
-    "KernelMatrices", "assemble", "eval_S", "kress_log_matrix", "s_inner",
+    "KernelMatrices", "assemble", "eval_S", "kress_log_matrix",
     "NPSpectrum", "compute_spectrum", "resonance_bound",
     "CauchyData", "FrequencyProfile", "MultiFreqData", "current_from_fourier",
     "solve_forward_direct", "solve_forward_spectral", "solve_u0", "synthesize",
     "u0_shape_derivative",
     "RationalModel", "cauchy_integral_check", "extract_u0", "fit_rational",
     "InversionResult", "InversionSettings", "SweepResult", "invert", "misfit",
-    "rho_gap", "stability_sweep", "symmetric_difference",
+    "stability_sweep", "symmetric_difference",
 ]
 
 __version__ = "0.1.0"

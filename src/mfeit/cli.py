@@ -22,7 +22,7 @@ from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       current_from_fourier, solve_forward_batched, synthesize)
-from .geometry import (DomainConfig, StarShape, build_star_shape, discretize,
+from .geometry import (DomainConfig, build_star_shape, discretize,
                        unit_circle_grid)
 from .potential import assemble
 from .reconstruct import (InversionSettings, invert, stability_sweep,
@@ -54,11 +54,8 @@ def _load_config(path: str) -> dict:
             f"{exc.msg}") from exc
 
 
-def _read_input(cfg: dict, key: str, cls, manifest: dict):
-    """Load the CSV file named by inputs.<key> as ``cls`` and hash it."""
-    rel = cfg.get("inputs", {}).get(key)
-    if rel is None:
-        raise ValueError(f"config is missing inputs.{key}")
+def _read_input(rel: str, cls, manifest: dict):
+    """Load the CSV file ``rel`` as ``cls`` and hash it."""
     p = Path(rel)
     if not p.is_file():
         raise MissingInput(f"input file not found: {p}")
@@ -69,30 +66,20 @@ def _read_input(cfg: dict, key: str, cls, manifest: dict):
         raise ValueError(f"{p}: {exc}") from exc
 
 
-def _domain(cfg: dict) -> DomainConfig:
-    return DomainConfig.from_dict(cfg.get("domain", {}))
+def _fourier(cos=(), sin=()):
+    """(cos, sin) coefficients of a ``shape`` or ``current`` section."""
+    return cos, sin
 
 
-def _shape(cfg: dict, domain: DomainConfig) -> StarShape:
-    s = cfg["shape"]
-    return build_star_shape(s["cos"], s.get("sin", ()), domain)
+def _linspace(start, stop, count):
+    return np.linspace(start, stop, count)
 
 
-def _current(cfg: dict, n_measure: int) -> np.ndarray:
-    c = cfg["current"]
-    return current_from_fourier(c.get("cos", ()), c.get("sin", ()),
-                                unit_circle_grid(n_measure))
-
-
-def _omega(cfg: dict) -> np.ndarray:
-    om = cfg["omega"]
-    if isinstance(om, dict):
-        return np.linspace(om["start"], om["stop"], om["count"])
-    return np.asarray(om, dtype=float)
-
-
-def _inversion_settings(cfg: dict, domain: DomainConfig) -> InversionSettings:
-    return InversionSettings(**cfg.get("inversion", {}), config=domain)
+def _omega(omega) -> np.ndarray:
+    """A list of frequencies, or ``{"start", "stop", "count"}``."""
+    if isinstance(omega, dict):
+        return _linspace(**omega)
+    return np.asarray(omega, dtype=float)
 
 
 def _write(out: Path, name: str, text: str, manifest: dict) -> None:
@@ -101,14 +88,19 @@ def _write(out: Path, name: str, text: str, manifest: dict) -> None:
     manifest["outputs"][name] = hashlib.sha256(text.encode()).hexdigest()
 
 
-def cmd_spectrum(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
-    domain = _domain(cfg)
-    shape = _shape(cfg, domain)
-    n = cfg.get("n_boundary", 256)
-    kernels = assemble(discretize(shape, n))
-    spec = compute_spectrum(kernels, cfg.get("n_modes", 12), k0=domain.k0,
-                            n_boundary=cfg.get("n_measure", 256),
-                            tail=cfg.get("tail", DEFAULT_TAIL))
+# Each command's keyword-only parameters are its config keys: a key without
+# a default is required, and an unknown or missing key is a TypeError naming
+# it. Each section is unpacked into the callable that consumes it, so its
+# keys are checked the same way; ``inputs`` into a one-argument lambda.
+
+def cmd_spectrum(out: Path, manifest: dict, threads: int, *, shape,
+                 domain=None, n_boundary=256, n_modes=12, n_measure=256,
+                 tail=DEFAULT_TAIL) -> None:
+    domain = DomainConfig(**(domain or {}))
+    shape = build_star_shape(*_fourier(**shape), domain)
+    kernels = assemble(discretize(shape, n_boundary))
+    spec = compute_spectrum(kernels, n_modes, k0=domain.k0,
+                            n_boundary=n_measure, tail=tail)
     bound = resonance_bound(shape, domain.k0)
     _write(out, "spectrum.json", spec.report_json(bound) + "\n", manifest)
     lines = ["theta," + ",".join(f"w{j}" for j in range(spec.lam.size))]
@@ -118,37 +110,41 @@ def cmd_spectrum(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
     _write(out, "traces.csv", "\n".join(lines) + "\n", manifest)
 
 
-def cmd_forward(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
-    domain = _domain(cfg)
-    shape = _shape(cfg, domain)
-    n_measure = cfg.get("n_measure", 64)
-    f = _current(cfg, n_measure)
-    kvals = np.array([complex(re, im) for re, im in cfg["contrasts"]])
-    kernels = assemble(discretize(shape, cfg.get("n_boundary", 256)))
+def cmd_forward(out: Path, manifest: dict, threads: int, *, shape, current,
+                contrasts, domain=None, n_measure=64,
+                n_boundary=256) -> None:
+    domain = DomainConfig(**(domain or {}))
+    shape = build_star_shape(*_fourier(**shape), domain)
+    bgrid = unit_circle_grid(n_measure)
+    f = current_from_fourier(*_fourier(**current), bgrid)
+    kvals = np.array([complex(re, im) for re, im in contrasts])
+    kernels = assemble(discretize(shape, n_boundary))
     U = solve_forward_batched(kernels, f, kvals, domain.k0)
-    data = MultiFreqData(theta=unit_circle_grid(n_measure).t,
+    data = MultiFreqData(theta=bgrid.t,
                          omega=np.arange(kvals.size, dtype=float),
                          k=kvals, U=U, eta=0.0, seed=None)
     _write(out, "forward.csv", data.to_csv(), manifest)
 
 
-def cmd_synth(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
-    domain = _domain(cfg)
-    shape = _shape(cfg, domain)
-    f = _current(cfg, cfg.get("n_measure", 64))
-    profile = FrequencyProfile.from_dict(cfg["profile"])
-    seed = cfg.get("seed")
+def cmd_synth(out: Path, manifest: dict, threads: int, *, shape, current,
+              profile, omega, domain=None, n_measure=64, eta=0.0, seed=None,
+              n_boundary=256) -> None:
+    domain = DomainConfig(**(domain or {}))
+    shape = build_star_shape(*_fourier(**shape), domain)
+    f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
     manifest["seeds"] = [seed] if seed is not None else []
-    data = synthesize(shape, f, profile, _omega(cfg), eta=cfg.get("eta", 0.0),
-                      seed=seed, n=cfg.get("n_boundary", 256), k0=domain.k0)
+    data = synthesize(shape, f, FrequencyProfile.from_dict(profile),
+                      _omega(omega), eta=eta, seed=seed, n=n_boundary,
+                      k0=domain.k0)
     _write(out, "dataset.csv", data.to_csv(), manifest)
 
 
-def cmd_extract(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
-    domain = _domain(cfg)
-    data = _read_input(cfg, "dataset", MultiFreqData, manifest)
-    model = fit_rational(data, max_poles=cfg.get("max_poles", 6),
-                         tol=cfg.get("fit_tol", 1e-9), config=domain)
+def cmd_extract(out: Path, manifest: dict, threads: int, *, inputs,
+                domain=None, max_poles=6, fit_tol=1e-9) -> None:
+    domain = DomainConfig(**(domain or {}))
+    data = _read_input((lambda dataset: dataset)(**inputs), MultiFreqData,
+                       manifest)
+    model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
     u0 = extract_u0(model, domain.k0)
     _write(out, "model.json", model.to_json() + "\n", manifest)
     _write(out, "u0.csv", u0.to_csv(), manifest)
@@ -156,38 +152,47 @@ def cmd_extract(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
            manifest)
 
 
-def cmd_invert(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
-    domain = _domain(cfg)
-    data = _read_input(cfg, "cauchy", CauchyData, manifest)
+def cmd_invert(out: Path, manifest: dict, threads: int, *, inputs,
+               domain=None, shape=None, current=None,
+               inversion=None) -> None:
+    """``shape`` is the truth to score against; ``current`` fills in a
+    Cauchy file without an ``f`` column."""
+    domain = DomainConfig(**(domain or {}))
+    path = (lambda cauchy: cauchy)(**inputs)
+    data = _read_input(path, CauchyData, manifest)
+    # unpacked even when the file has f, so a misspelt key still exits 2
+    f = None if current is None else current_from_fourier(
+        *_fourier(**current), unit_circle_grid(data.u0.size))
     if data.f is None:
-        data.f = _current(cfg, data.u0.size)
-    settings = _inversion_settings(cfg, domain)
-    result = invert(data, settings)
+        if f is None:
+            raise ValueError(f"config needs current: {path} has no f column")
+        data.f = f
+    result = invert(data, InversionSettings(**(inversion or {}), config=domain))
     _write(out, "shape.json", result.shape.to_json() + "\n", manifest)
     report = {"misfit": result.misfit, "history": result.history,
               "rho": result.rho, "converged": result.converged,
               "n_iter": result.n_iter,
               "hit_constraint": result.hit_constraint}
-    if "shape" in cfg:  # truth available: report the shape error too
-        truth = _shape(cfg, domain)
+    if shape is not None:
+        truth = build_star_shape(*_fourier(**shape), domain)
         report["sym_diff_vs_truth"] = symmetric_difference(result.shape, truth)
     _write(out, "inversion.json",
            json.dumps(report, sort_keys=True, indent=2) + "\n", manifest)
 
 
-def cmd_sweep(cfg: dict, out: Path, manifest: dict, threads: int) -> None:
-    domain = _domain(cfg)
-    shape = _shape(cfg, domain)
-    c = cfg["current"]
-    profile = FrequencyProfile.from_dict(cfg["profile"])
-    settings = _inversion_settings(cfg, domain)
-    seeds = cfg.get("seeds", [0, 1, 2])
+def cmd_sweep(out: Path, manifest: dict, threads: int, *, shape, current,
+              profile, omega, noise_levels, domain=None, inversion=None,
+              seeds=(0, 1, 2), max_poles=6, n_boundary=256,
+              n_measure=64) -> None:
+    domain = DomainConfig(**(domain or {}))
     manifest["seeds"] = list(seeds)
-    res = stability_sweep(shape, (c.get("cos", ()), c.get("sin", ())), profile,
-                          _omega(cfg), cfg["noise_levels"], settings, seeds,
-                          max_poles=cfg.get("max_poles", 6), threads=threads,
-                          n_forward=cfg.get("n_boundary", 256),
-                          n_measure=cfg.get("n_measure", 64),
+    res = stability_sweep(build_star_shape(*_fourier(**shape), domain),
+                          _fourier(**current),
+                          FrequencyProfile.from_dict(profile), _omega(omega),
+                          noise_levels,
+                          InversionSettings(**(inversion or {}), config=domain),
+                          seeds, max_poles=max_poles, threads=threads,
+                          n_forward=n_boundary, n_measure=n_measure,
                           allow_degenerate=True)
     _write(out, "sweep.csv", res.to_csv(), manifest)
     _write(out, "summary.json", res.summary_json() + "\n", manifest)
@@ -217,7 +222,7 @@ def main(argv=None) -> int:
         manifest = {"command": args.command,
                     "config_sha256": _sha256(Path(args.config)),
                     "inputs": {}, "outputs": {}, "seeds": []}
-        _COMMANDS[args.command](cfg, out, manifest, args.threads)
+        _COMMANDS[args.command](out, manifest, args.threads, **cfg)
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     except MissingInput as exc:

@@ -55,6 +55,18 @@ def _recenter(values: np.ndarray, bgrid: BoundaryGrid) -> np.ndarray:
     return values - np.sum(values * w, axis=0) / bgrid.perimeter
 
 
+def _affine(omega, *, k_r, c):
+    return k_r + 1j * c * omega
+
+
+def _debye(omega, *, k_inf, k_s, tau):
+    return k_inf + (k_s - k_inf) / (1 + 1j * omega * tau)
+
+
+#: contrast laws by model name; their keywords are the model's parameters
+_PROFILES = {"affine": _affine, "debye": _debye}
+
+
 @dataclass(frozen=True)
 class FrequencyProfile:
     """Contrast law k(omega); must avoid the closed negative real axis.
@@ -67,13 +79,11 @@ class FrequencyProfile:
     params: dict
 
     def contrast(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        p = self.params
-        if self.model == "affine":
-            return p["k_r"] + 1j * p["c"] * omega
-        if self.model == "debye":
-            return p["k_inf"] + (p["k_s"] - p["k_inf"]) / (1 + 1j * omega * p["tau"])
-        raise ValueError(f"unknown frequency profile model {self.model!r}")
+        """An unknown or missing parameter raises ``TypeError`` naming it."""
+        if self.model not in _PROFILES:
+            raise ValueError(f"unknown frequency profile model {self.model!r}")
+        return _PROFILES[self.model](np.asarray(omega, dtype=float),
+                                     **self.params)
 
     def validate(self, omega_grid) -> None:
         k = self.contrast(omega_grid)

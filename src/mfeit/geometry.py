@@ -88,7 +88,7 @@ class StarShape:
         object.__setattr__(self, "cos", tuple(float(c) for c in self.cos))
         object.__setattr__(self, "sin", tuple(float(s) for s in self.sin))
         if not self.cos:
-            raise ValueError("need at least the constant coefficient a0")
+            raise ValueError("cos needs at least the constant coefficient a0")
 
     def radius(self, theta):
         return fourier_series(self.cos, self.sin, theta)[0]

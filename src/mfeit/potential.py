@@ -182,10 +182,3 @@ def trace_matrix(grid: BoundaryGrid, targets) -> np.ndarray:
 def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
     """S_D[phi] at off-boundary targets; one density per column allowed."""
     return trace_matrix(grid, targets) @ np.asarray(density)
-
-
-def s_inner(kernels: KernelMatrices, phi, psi) -> float:
-    """Energy inner product <-S_D phi, psi>; symmetric positive definite."""
-    phi = np.asarray(phi)
-    psi = np.asarray(psi)
-    return float(psi @ (kernels.B @ phi))

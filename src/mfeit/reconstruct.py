@@ -263,13 +263,6 @@ def symmetric_difference(shape_a: StarShape, shape_b: StarShape) -> float:
     return float(np.sum(np.abs(ra * ra - rb * rb)) * (np.pi / _N_QUAD))
 
 
-def rho_gap(data_a: CauchyData, data_b: CauchyData) -> float:
-    """|rho_a - rho_b|, the gap between the constant inclusion voltages."""
-    if data_a.rho is None or data_b.rho is None:
-        raise ValueError("both Cauchy data must carry the constant value rho")
-    return abs(data_a.rho - data_b.rho)
-
-
 def _fit_power(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     """Least-squares fit y = C x^tau in log-log; returns (C, tau, residual)."""
     lx, ly = np.log(xs), np.log(ys)

@@ -39,22 +39,11 @@ class NPSpectrum:
     boundary_t: np.ndarray      # (m,) angles of the unit-circle trace grid
     n_discarded: int            # tail modes dropped below the threshold
 
-    @property
-    def branch(self) -> np.ndarray:
-        """+1 for lambda > 1/2, -1 for lambda < 1/2."""
-        return np.where(self.lam > 0.5, 1, -1)
-
-    def report(self, bound: float | None = None) -> dict:
-        rep = {"lambda": [float(v) for v in self.lam],
-               "resonances": [float(v) for v in self.resonances],
-               "k0": self.k0,
-               "n_discarded": self.n_discarded}
-        if bound is not None:
-            rep["bound"] = float(bound)
-        return rep
-
-    def report_json(self, bound: float | None = None) -> str:
-        return json.dumps(self.report(bound), sort_keys=True, indent=2)
+    def report_json(self, bound: float) -> str:
+        return json.dumps({"lambda": [float(v) for v in self.lam],
+                           "resonances": [float(v) for v in self.resonances],
+                           "k0": self.k0, "n_discarded": self.n_discarded,
+                           "bound": float(bound)}, sort_keys=True, indent=2)
 
 
 def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,

@@ -1,11 +1,14 @@
+import copy
 import hashlib
+import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfeit.cli import main
+from mfeit.cli import _COMMANDS, main
 from mfeit.forward import CauchyData, solve_u0
 from mfeit.geometry import circle, unit_circle_grid
 from mfeit.forward import current_from_fourier
@@ -22,6 +25,9 @@ BASE = {
     "omega": {"start": 10.0, "stop": 50.0, "count": 40},
     "eta": 0.0,
 }
+#: BASE without the keys only synth reads
+FORWARD = {k: v for k, v in BASE.items() if k not in ("profile", "omega", "eta")}
+SWEEP = {k: v for k, v in BASE.items() if k != "eta"}
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -80,7 +86,7 @@ def test_spectrum_command_reports_oracle(tmp_path):
 
 
 def test_forward_command(tmp_path):
-    cfg = dict(BASE, contrasts=[[2.0, 0.0], [0.5, 1.0]])
+    cfg = dict(FORWARD, contrasts=[[2.0, 0.0], [0.5, 1.0]])
     out = tmp_path / "fwd"
     assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 0
     assert (out / "forward.csv").read_text().startswith("omega,re_k,im_k")
@@ -88,7 +94,7 @@ def test_forward_command(tmp_path):
 
 def test_forward_at_resonance_exits_3(tmp_path, capsys):
     # c = (1 + k) / (2 (1 - k)) = 1/8 = r^2 / 2, a K* eigenvalue of the circle
-    cfg = dict(BASE, contrasts=[[2.0, 0.0], [-0.6, 1e-12]])
+    cfg = dict(FORWARD, contrasts=[[2.0, 0.0], [-0.6, 1e-12]])
     out = tmp_path / "fwd"
     assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 3
     assert "NearResonance" in capsys.readouterr().err
@@ -145,7 +151,7 @@ def test_end_to_end_synth_extract_invert(tmp_path):
 
 
 def test_degenerate_sweep_emits_one_row(tmp_path):
-    cfg = dict(BASE, noise_levels=[1e-3], seeds=[1], max_poles=4,
+    cfg = dict(SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4,
                inversion={"n_fourier_modes": 0, "alpha": 0.0})
     out = tmp_path / "sw"
     assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 0
@@ -155,7 +161,7 @@ def test_degenerate_sweep_emits_one_row(tmp_path):
 
 
 def test_sweep_summary_counts_ok_rows(tmp_path):
-    cfg = dict(BASE, noise_levels=[0.0, 1e-4, 1e-2], seeds=[1, 2],
+    cfg = dict(SWEEP, noise_levels=[0.0, 1e-4, 1e-2], seeds=[1, 2],
                max_poles=4, inversion={"n_fourier_modes": 0, "alpha": 0.0})
     out = tmp_path / "sw"
     assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 0
@@ -255,19 +261,71 @@ def test_off_grid_theta_exits_2(tmp_path, capsys):
     assert str(cauchy) in err and "row 7, column theta" in err
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("inversion", "n_fourer_modes", 4),  # misspelt
-    ("domain", "bo", 0.3),               # misspelt
-    ("inversion", "max_iter", 10),       # a constant of the inverter
+#: a stand-in value that deletes the key instead of setting it
+MISSING = object()
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    pytest.param("invert", "inversion", "n_fourer_modes", 4,  # misspelt
+                 id="inversion-n_fourer_modes-4"),
+    pytest.param("invert", "domain", "bo", 0.3,  # misspelt
+                 id="domain-bo-0.3"),
+    pytest.param("invert", "inversion", "max_iter", 10,  # an inverter constant
+                 id="inversion-max_iter-10"),
+    pytest.param("spectrum", None, "n_boundry", 64, id="n_boundry-64"),
+    pytest.param("synth", "shape", "sine", [0.01], id="shape-sine"),
+    pytest.param("synth", "current", "coss", [1.0], id="current-coss"),
+    # even where the Cauchy file's own f column is used
+    pytest.param("invert", "current", "coss", [1.0], id="invert-current-coss"),
+    pytest.param("synth", "omega", "num", 40, id="omega-num"),
+    pytest.param("synth", "profile", "tau", 0.1,  # a debye parameter
+                 id="profile-tau"),
+    pytest.param("invert", "inputs", "dataset", "d.csv",  # extract's input
+                 id="inputs-dataset"),
+    pytest.param("synth", None, "profile", MISSING, id="missing-profile"),
+    pytest.param("synth", "omega", "count", MISSING, id="missing-omega-count"),
 ])
-def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, section, key,
-                                              value):
-    p = _invert_cfg(tmp_path, _cauchy_file(tmp_path))
-    cfg = json.loads(Path(p).read_text())
-    cfg[section][key] = value
-    Path(p).write_text(json.dumps(cfg))
-    assert run("invert", p, tmp_path / "i") == 2
-    assert key in capsys.readouterr().err
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
+                                              section, key, value):
+    if command == "invert":
+        cfg = json.loads(Path(_invert_cfg(tmp_path, _cauchy_file(tmp_path))
+                              ).read_text())
+    else:
+        cfg = copy.deepcopy({"synth": BASE, "spectrum": {
+            "domain": BASE["domain"], "shape": {"cos": [0.5]},
+            "n_modes": 4}}[command])
+    target = cfg if section is None else cfg[section]
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    assert run(command, write_cfg(tmp_path, "c.json", cfg), tmp_path / "o") == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    assert run("synth", write_cfg(tmp_path, "c.json", [BASE]),
+               tmp_path / "o") == 2
+    assert "not list" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_lists_each_command_keys():
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", README.read_text(),
+                      re.M)
+    documented = {cmd: (re.findall(r"`(\w+)`", required),
+                        dict(re.findall(r"`(\w+)=([^`]+)`", optional)))
+                  for cmd, required, optional in rows}
+    declared = {}
+    for cmd, fn in _COMMANDS.items():
+        keys = [p for p in inspect.signature(fn).parameters.values()
+                if p.kind is p.KEYWORD_ONLY]
+        declared[cmd] = ([p.name for p in keys if p.default is p.empty],
+                         {p.name: json.dumps(p.default) for p in keys
+                          if p.default is not p.empty})
+    assert documented == declared
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -276,6 +334,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_RUNS = [("pipeline/synth.json", "synth", "pipeline_out/synth"),
                ("pipeline/extract.json", "extract", "pipeline_out/extract"),
                ("pipeline/invert.json", "invert", "pipeline_out/invert"),
+               ("spectrum.json", "spectrum", "spectrum_out"),
+               ("forward.json", "forward", "forward_out"),
                ("stability.json", "sweep", "stability_out"),
                ("stability_trefoil.json", "sweep", "stability_trefoil_out")]
 

@@ -39,11 +39,6 @@ def test_ordering_by_distance_from_half(tre_spectrum):
     assert np.all(np.diff(d) <= 1e-14)
 
 
-def test_branch_labels(tre_spectrum):
-    assert set(np.unique(tre_spectrum.branch)) <= {-1, 1}
-    assert np.all((tre_spectrum.lam > 0.5) == (tre_spectrum.branch == 1))
-
-
 def test_densities_energy_orthonormal(conc_kernels, conc_spectrum):
     V = conc_spectrum.densities
     G = V.T @ conc_kernels.B @ V
@@ -54,8 +49,7 @@ def test_energy_identity_mode_one(conc_kernels):
     # unnormalized density cos(t) on the concentric circle:
     # <-S cos, cos> = 0.15625 pi  (interior + exterior gradient energy)
     phi = np.cos(conc_kernels.grid.t)
-    from mfeit.potential import s_inner
-    assert np.isclose(s_inner(conc_kernels, phi, phi), 0.15625 * np.pi,
+    assert np.isclose(phi @ conc_kernels.B @ phi, 0.15625 * np.pi,
                       rtol=1e-12)
 
 
