@@ -156,7 +156,7 @@ def cmd_invert(out: Path, manifest: dict, threads: int, *, inputs,
                domain=None, shape=None, current=None,
                inversion=None) -> None:
     """``shape`` is the truth to score against; ``current`` fills in a
-    Cauchy file without an ``f`` column."""
+    Cauchy file without an ``f`` column and must match one that has it."""
     domain = DomainConfig(**(domain or {}))
     path = (lambda cauchy: cauchy)(**inputs)
     data = _read_input(path, CauchyData, manifest)
@@ -167,6 +167,11 @@ def cmd_invert(out: Path, manifest: dict, threads: int, *, inputs,
         if f is None:
             raise ValueError(f"config needs current: {path} has no f column")
         data.f = f
+    elif f is not None:
+        gap = float(np.max(np.abs(f - data.f)))
+        if gap > 1e-12 * float(np.max(np.abs(f))):
+            raise ValueError(f"config current disagrees with the f column of "
+                             f"{path}: max difference {gap:.3g}")
     result = invert(data, InversionSettings(**(inversion or {}), config=domain))
     _write(out, "shape.json", result.shape.to_json() + "\n", manifest)
     report = {"misfit": result.misfit, "history": result.history,

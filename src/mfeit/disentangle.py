@@ -10,6 +10,7 @@ k = infinity is the frequency-free part u0 / k0.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -112,18 +113,20 @@ def _barycentric_poles(zs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return ev[np.isfinite(ev)]
 
 
+@functools.lru_cache(maxsize=32)
 def admissible_pole_region(config: DomainConfig) -> tuple[complex, float]:
     """(center, radius) disk around the class-uniform resonance segment.
 
     Uses the prior lower bound from the class constant b0, not the unknown
-    shape, so the same region works for every admissible inclusion.
+    shape, so the same region works for every admissible inclusion. Computed
+    once per (frozen, hashable) config.
     """
     delta_hat_inv = abs(resonance_bound(circle(config.b0), config.k0))
     center = complex(-0.5 * delta_hat_inv, 0.0)
     return center, 1.5 * delta_hat_inv
 
 
-def fit_rational(data: MultiFreqData, max_poles: int = 8, tol: float = 1e-9,
+def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
                  config: DomainConfig | None = None) -> RationalModel:
     """Shared-pole rational model of the voltage as a function of contrast."""
     if config is None:

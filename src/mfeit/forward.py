@@ -13,7 +13,8 @@ Four routes to the boundary voltage:
 * ``solve_forward_spectral`` -- truncated resonance expansion
   u = u0/k0 + sum_n c_n w_n / (k0 + lambda_n (k - k0)),
 * ``solve_u0`` -- the perfect-conductor limit, whose Cauchy data drive the
-  shape reconstruction; ``u0_shape_derivative`` is its domain derivative.
+  shape reconstruction; ``u0_shape_derivative`` is its domain derivative
+  and reuses that solve's LU factors and trace matrix.
 
 All boundary voltages are recentered to zero mean on the measurement circle.
 """
@@ -24,12 +25,13 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, discretize, fourier_series,
                        unit_circle_grid)
-from .potential import (KernelMatrices, _assemble_single_layer, assemble,
-                        eval_S, kress_log_matrix, neumann_kernel,
+from .potential import (KernelMatrices, _assemble_single_layer,
+                        _target_kernel, assemble, eval_S, kress_log_matrix,
                         neumann_normal_derivative, trace_matrix)
 from .spectrum import NPSpectrum
 
@@ -146,6 +148,8 @@ class CauchyData:
     #: density of a solve on the inclusion grid; by the jump relation the
     #: outer normal derivative of u0 there (None for data read from files)
     psi: np.ndarray | None = field(default=None, repr=False)
+    #: (LU factors of the saddle matrix, trace matrix) of that solve
+    saddle: tuple | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -228,15 +232,6 @@ def harmonic_lift_trace(f: np.ndarray, bgrid_omega: BoundaryGrid) -> np.ndarray:
     return -(R @ f)
 
 
-def harmonic_lift_interior(f: np.ndarray, bgrid_omega: BoundaryGrid,
-                           targets) -> np.ndarray:
-    """Harmonic lift evaluated at interior points (smooth kernel)."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    # kernel symmetry: sources on the circle enter through the x slot
-    ker = neumann_kernel(bgrid_omega.points[None, :, :], targets[:, None, :])
-    return -(ker @ (f * bgrid_omega.weights))
-
-
 def harmonic_lift_normal_derivative(f: np.ndarray, bgrid_omega: BoundaryGrid,
                                     targets, normals) -> np.ndarray:
     """Directional derivative of the harmonic lift at interior points."""
@@ -246,21 +241,28 @@ def harmonic_lift_normal_derivative(f: np.ndarray, bgrid_omega: BoundaryGrid,
     return -(ker @ (f * bgrid_omega.weights))
 
 
-def _solve_saddle(grid: BoundaryGrid, S: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Solve [S -1; w^T 0] [psi; rho] = rhs (constant trace, zero total density).
+def _factor_saddle(grid: BoundaryGrid, S: np.ndarray) -> tuple:
+    """LU factors of [S -1; w^T 0] (constant trace, zero total density).
 
-    ``rhs`` has nd + 1 rows and any number of columns.
+    Raises ``SingularSystem`` on an exactly zero pivot.
     """
     nd = grid.n
-    A = np.zeros((nd + 1, nd + 1))
+    A = np.zeros((nd + 1, nd + 1), order="F")  # factored in place
     A[:nd, :nd] = S
     A[:nd, nd] = -1.0
     A[nd, :nd] = grid.weights
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+    if np.any(np.diag(lu) == 0.0):
+        raise SingularSystem("zero pivot in the saddle system")
+    return lu, piv
+
+
+def _solve_saddle(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve the factored saddle system for [psi; rho].
+
+    ``rhs`` has nd + 1 rows and any number of columns.
+    """
+    sol = sla.lu_solve(factors, rhs, check_finite=False)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("non-finite solution of the saddle system")
     return sol
@@ -273,7 +275,10 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
 
     Represents u0 = frak_f + S_D[psi] and solves the saddle system enforcing
     a constant trace (unknown rho) on the inclusion boundary and zero total
-    density.
+    density. One kernel matrix N(circle point, node) serves twice: its
+    transpose is the harmonic lift at the nodes (the kernel is symmetric),
+    and N diag(w) the trace matrix T. The saddle factors and T stay on the
+    result for ``u0_shape_derivative``.
     """
     bgrid_omega = unit_circle_grid(f.size)
     if grid is None:
@@ -281,17 +286,20 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
     if S is None:
         S = _assemble_single_layer(grid)
 
-    frak_d = harmonic_lift_interior(f, bgrid_omega, grid.points)
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
-    sol = _solve_saddle(grid, S, np.concatenate([-frak_d, [0.0]]))
+    N = _target_kernel(grid, bgrid_omega.points)
+    frak_d = -(N.T @ (f * bgrid_omega.weights))
+    factors = _factor_saddle(grid, S)
+    sol = _solve_saddle(factors, np.concatenate([-frak_d, [0.0]]))
     psi, rho = sol[:grid.n], float(sol[grid.n])
 
-    trace = frak_omega + eval_S(grid, psi, bgrid_omega.points)
-    trace = _recenter(trace, bgrid_omega)
-    return CauchyData(theta=bgrid_omega.t, f=f, u0=trace, rho=rho, psi=psi)
+    T = N * grid.weights[None, :]
+    trace = _recenter(frak_omega + T @ psi, bgrid_omega)
+    return CauchyData(theta=bgrid_omega.t, f=f, u0=trace, rho=rho, psi=psi,
+                      saddle=(factors, T))
 
 
-def u0_shape_derivative(grid: BoundaryGrid, S: np.ndarray, psi: np.ndarray,
+def u0_shape_derivative(factors: tuple, T: np.ndarray, psi: np.ndarray,
                         velocity: np.ndarray,
                         bgrid_omega: BoundaryGrid) -> np.ndarray:
     """Domain derivative of the perfect-conductor trace on the unit circle.
@@ -303,14 +311,15 @@ def u0_shape_derivative(grid: BoundaryGrid, S: np.ndarray, psi: np.ndarray,
     Problems 14, 1998). The jump relation of the single layer gives
     d_nu u0 = psi from outside, so u0' = S_D[psi'] with
     [S -1; w^T 0] [psi'; rho'] = [-v psi; 0], the saddle system of
-    ``solve_u0`` on the same ``grid``, ``S`` and ``psi``.
+    ``solve_u0``: ``factors``, ``T`` and ``psi`` are that solve's
+    (``CauchyData.saddle`` and ``CauchyData.psi``).
 
     ``velocity`` holds one normal velocity per column, sampled at the grid
     nodes; returns one recentered trace per column.
     """
     rhs = np.vstack([-velocity * psi[:, None], np.zeros((1, velocity.shape[1]))])
-    dpsi = _solve_saddle(grid, S, rhs)[:grid.n]
-    return _recenter(eval_S(grid, dpsi, bgrid_omega.points), bgrid_omega)
+    dpsi = _solve_saddle(factors, rhs)[:psi.size]
+    return _recenter(T @ dpsi, bgrid_omega)
 
 
 def _contrast_c(k, k0: float):

@@ -48,11 +48,16 @@ def neumann_kernel(x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.any(_dot(z, z) >= 1.0):
-        raise DomainViolation("source point z must lie in the open unit disk")
     d2 = _dot(x - z, x - z)
     if np.any(d2 == 0.0):
         raise SingularEvaluation("Neumann kernel evaluated at x == z")
+    return _neumann(x, z, d2)
+
+
+def _neumann(x, z, d2):
+    """N(x, z) from d2 = |x - z|^2 > 0; ``z`` must lie in the open disk."""
+    if np.any(_dot(z, z) >= 1.0):
+        raise DomainViolation("source point z must lie in the open unit disk")
     return (np.log(d2) + np.log(_image(x, z))) / (4 * np.pi)
 
 
@@ -162,21 +167,30 @@ def assemble(grid: BoundaryGrid) -> KernelMatrices:
                           grid=grid)
 
 
+def _target_kernel(grid: BoundaryGrid, targets) -> np.ndarray:
+    """Matrix N(target, node) of the Neumann kernel for off-boundary targets.
+
+    Targets must keep a distance of at least one local grid spacing
+    2 pi max|x'| / n from the boundary, where the kernel is smooth enough;
+    the check reuses the squared distances the kernel is built from.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    x, z = targets[:, None, :], grid.points[None, :, :]
+    d2 = _dot(x - z, x - z)
+    dist = float(np.sqrt(np.min(d2)))
+    zone = grid.h * float(np.max(grid.jacobian))
+    if dist <= zone:
+        raise TargetTooClose(
+            f"target at distance {dist:.3g} inside accuracy zone {zone:.3g}")
+    return _neumann(x, z, d2)
+
+
 def trace_matrix(grid: BoundaryGrid, targets) -> np.ndarray:
     """Matrix of S_D from nodal densities to off-boundary targets (trapezoid).
 
-    Targets must keep a distance of at least one local grid spacing
-    2 pi max|x'| / n from the boundary, where the kernel is smooth enough.
+    Targets obey the distance rule of ``_target_kernel``.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    dist = np.sqrt(np.min(np.sum(
-        (targets[:, None, :] - grid.points[None, :, :]) ** 2, axis=-1), axis=1))
-    zone = grid.h * float(np.max(grid.jacobian))
-    if np.any(dist <= zone):
-        raise TargetTooClose(
-            f"target at distance {dist.min():.3g} inside accuracy zone {zone:.3g}")
-    return (neumann_kernel(targets[:, None, :], grid.points[None, :, :])
-            * grid.weights[None, :])
+    return _target_kernel(grid, targets) * grid.weights[None, :]
 
 
 def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:

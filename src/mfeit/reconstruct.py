@@ -11,10 +11,13 @@ u0' is harmonic outside D with zero Neumann data on the circle and zero flux,
 and u0' = rho' - (h . nu) d_nu u0 on dD. The jump relation of the single
 layer gives d_nu u0 = psi from outside, psi being the density that
 ``solve_u0`` solves for, so all 2M + 1 columns come from one more solve of
-its saddle system (``forward.u0_shape_derivative``). The central-difference
-Jacobian ``_Objective.fd_jacobian`` stays as the test oracle. Errors between
-shapes are measured by the area of the symmetric difference, which for star
-shapes about the origin reduces to a 1D integral of |r_a^2 - r_b^2| / 2.
+its saddle system (``forward.u0_shape_derivative``). That solve reuses the
+residual's LU factors and trace matrix at the same iterate: each new point
+costs one factorization and one kernel matrix, the Jacobian neither. The
+central-difference Jacobian ``_Objective.fd_jacobian`` stays as the test
+oracle. Errors between shapes are measured by the area of the symmetric
+difference, which for star shapes about the origin reduces to a 1D integral
+of |r_a^2 - r_b^2| / 2.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from .forward import (CauchyData, FrequencyProfile, _add_noise,
                       current_from_fourier, solve_u0, synthesize,
                       u0_shape_derivative)
 from .geometry import DomainConfig, StarShape, discretize, unit_circle_grid
-from .potential import _assemble_single_layer
 
 _FD_BASE_STEP = 1e-6
 #: Gauss-Newton iteration cap and gradient-norm stopping tolerance
@@ -130,20 +132,19 @@ class _Objective:
         m2 = np.arange(1, M + 1) ** 2.0
         pen = np.concatenate([[0.0], m2, m2])
         self.pen_scale = math.sqrt(settings.alpha * math.pi) * pen
-        self._last = None  # (x, grid, S, u0 solve) of the latest point
+        self._last = None  # (x, grid, u0 solve) of the latest point
 
     def _solve(self, x: np.ndarray):
-        """Grid, S and perfect-conductor solve at x; the latest is kept."""
+        """Grid and perfect-conductor solve at x; the latest is kept."""
         if self._last is None or not np.array_equal(self._last[0], x):
             shape = _params_to_shape(x, self.M)
             grid = discretize(shape, self.settings.n_boundary)
-            S = _assemble_single_layer(grid)
-            sim = solve_u0(shape, self.data.f, grid=grid, S=S)
-            self._last = (x.copy(), grid, S, sim)
+            sim = solve_u0(shape, self.data.f, grid=grid)
+            self._last = (x.copy(), grid, sim)
         return self._last[1:]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        sim = self._solve(x)[2]
+        sim = self._solve(x)[1]
         r_data = self.sqrt_w * (sim.u0 - self.data.u0)
         return np.concatenate([r_data, self.pen_scale * x])
 
@@ -153,13 +154,13 @@ class _Objective:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Jacobian from the domain derivative, reusing the solve at x."""
-        grid, S, sim = self._solve(x)
+        grid, sim = self._solve(x)
         # normal velocity of mode j: phi_j(t) (e_r . nu), phi = 1, cos mt, sin mt
         mt = np.outer(grid.t, np.arange(1, self.M + 1))
         modes = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
         er_nu = (np.cos(grid.t) * grid.normals[:, 0]
                  + np.sin(grid.t) * grid.normals[:, 1])
-        du = u0_shape_derivative(grid, S, sim.psi, modes * er_nu[:, None],
+        du = u0_shape_derivative(*sim.saddle, sim.psi, modes * er_nu[:, None],
                                  self.bgrid_omega)
         return np.vstack([self.sqrt_w[:, None] * du, np.diag(self.pen_scale)])
 
@@ -251,7 +252,7 @@ def invert(data: CauchyData,
 def _finalize(obj, x, J, history, hit, converged, it):
     shape = _params_to_shape(x, obj.M)
     return InversionResult(shape=shape, misfit=J, history=history,
-                           rho=obj._solve(x)[2].rho, hit_constraint=hit,
+                           rho=obj._solve(x)[1].rho, hit_constraint=hit,
                            converged=converged, n_iter=it)
 
 

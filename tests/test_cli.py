@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from mfeit.cli import _COMMANDS, main
+from mfeit.disentangle import fit_rational
 from mfeit.forward import CauchyData, solve_u0
 from mfeit.geometry import circle, unit_circle_grid
+from mfeit.reconstruct import stability_sweep
 from mfeit.forward import current_from_fourier
 
 from conftest import R0, TREFOIL
@@ -259,6 +261,24 @@ def test_off_grid_theta_exits_2(tmp_path, capsys):
     assert run("invert", _invert_cfg(tmp_path, cauchy), tmp_path / "i") == 2
     err = capsys.readouterr().err
     assert str(cauchy) in err and "row 7, column theta" in err
+
+
+def test_invert_current_disagreeing_with_f_exits_2(tmp_path, capsys):
+    cauchy = _cauchy_file(tmp_path)  # its f column is cos(theta)
+    cfg = json.loads(Path(_invert_cfg(tmp_path, cauchy)).read_text())
+    cfg["current"] = {"cos": [0.0, 3.0]}
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg),
+               tmp_path / "i") == 2
+    err = capsys.readouterr().err
+    assert "current" in err and f"f column of {cauchy}" in err
+    assert not (tmp_path / "i" / "shape.json").exists()
+
+
+def test_max_poles_defaults_agree():
+    defaults = {inspect.signature(fn).parameters["max_poles"].default
+                for fn in (fit_rational, stability_sweep,
+                           _COMMANDS["extract"], _COMMANDS["sweep"])}
+    assert defaults == {6}
 
 
 #: a stand-in value that deletes the key instead of setting it

@@ -92,6 +92,13 @@ def test_admissible_region_covers_class_resonances():
     assert center.real + radius >= 0.0
 
 
+def test_admissible_region_is_computed_once_per_config():
+    cfg = DomainConfig(b0=0.25)
+    region = admissible_pole_region(cfg)
+    assert admissible_pole_region(DomainConfig(b0=0.25)) is region
+    assert admissible_pole_region.__wrapped__(cfg) == region
+
+
 def test_extract_u0_recenters_and_strips_k0():
     data, alpha, _ = _model_data()
     model = fit_rational(data, max_poles=4, tol=1e-12)

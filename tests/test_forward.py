@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from mfeit.errors import NearResonance
+from mfeit.errors import NearResonance, SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                           current_from_fourier, harmonic_lift_interior,
-                           harmonic_lift_trace, solve_forward_batched,
-                           solve_forward_direct, solve_forward_spectral,
-                           solve_u0, synthesize)
-from mfeit.geometry import StarShape, circle, unit_circle_grid
+                           current_from_fourier, harmonic_lift_trace,
+                           solve_forward_batched, solve_forward_direct,
+                           solve_forward_spectral, solve_u0, synthesize)
+from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
+from mfeit.potential import _target_kernel, neumann_kernel
 
 from conftest import R0, TREFOIL, g_two_phase
 
@@ -30,11 +30,31 @@ def test_harmonic_lift_rejects_nonzero_mean(bgrid64):
 
 
 def test_harmonic_lift_interior_is_linear_for_mode_one(bgrid64, f_cos):
-    # lift of cos(theta) is u(x) = x1 in the whole disk
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.5, 0.5, size=(5, 2))
-    vals = harmonic_lift_interior(f_cos, bgrid64, pts)
-    assert np.allclose(vals, pts[:, 0], atol=1e-12)
+    # lift of cos(theta) is u(x) = x1 in the whole disk; solve_u0 takes it
+    # at the inclusion nodes through the transposed circle-to-node kernel
+    grid = discretize(TREFOIL, 64)
+    N = _target_kernel(grid, bgrid64.points)
+    vals = -(N.T @ (f_cos * bgrid64.weights))
+    assert np.allclose(vals, grid.points[:, 0], atol=1e-12)
+
+
+def test_kernel_matrix_is_bitwise_symmetric(bgrid64):
+    # the lift's kernel N(node, circle point) is the trace kernel transposed
+    grid = discretize(TREFOIL, 128)
+    N = _target_kernel(grid, bgrid64.points)
+    lift = neumann_kernel(bgrid64.points[None, :, :], grid.points[:, None, :])
+    assert np.array_equal(N.T, lift)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("fill,cause", [(0.0, "zero pivot"),
+                                        (np.nan, "non-finite")])
+def test_degenerate_saddle_raises_singular_system(f_cos, fill, cause):
+    # S = 0 leaves every trace row [0 ... 0 -1]: an exactly zero pivot;
+    # a NaN operator passes the factorization but not the solution check
+    grid = discretize(circle(R0), 64)
+    with pytest.raises(SingularSystem, match=cause):
+        solve_u0(circle(R0), f_cos, grid=grid, S=np.full((64, 64), fill))
 
 
 def test_solve_u0_concentric_closed_form(bgrid64, f_cos, conc_kernels):

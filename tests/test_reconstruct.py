@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfeit import forward, potential
 from mfeit.forward import solve_u0
 from mfeit.geometry import StarShape, circle
 from mfeit.reconstruct import (InversionSettings, _Objective, _shape_to_params,
@@ -71,6 +73,30 @@ def test_analytic_jacobian_matches_fd_oracle(tre_data):
     fd = obj.fd_jacobian(x)
     assert analytic.shape == fd.shape == (64 + 17, 17)
     assert np.max(np.abs(analytic - fd)) / np.max(np.abs(fd)) < 1e-7
+
+
+def test_jacobian_reuses_the_residual_solve(tre_data, monkeypatch):
+    obj = _Objective(tre_data, InversionSettings(n_fourier_modes=3, alpha=1e-6))
+    x = _shape_to_params(StarShape(cos=(0.52, 0.01, 0.0, 0.06)), 3)
+    calls = {"lu": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sla, "lu_factor", counted("lu", sla.lu_factor))
+    for module, attr in [(forward, "_target_kernel"),
+                         (potential, "_target_kernel"),
+                         (forward, "_assemble_single_layer")]:
+        monkeypatch.setattr(module, attr,
+                            counted("kernel", getattr(module, attr)))
+    obj.residual(x)
+    # one LU, one circle-to-node kernel and one single layer S
+    assert calls == {"lu": 1, "kernel": 2}
+    obj.jacobian(x)
+    assert calls == {"lu": 1, "kernel": 2}
 
 
 def test_shape_derivative_concentric_closed_form(conc_data):
