@@ -211,6 +211,9 @@ def cauchy_integral_check(model: RationalModel, radius: float, k_eval: complex,
 
     Integrates the fitted model's pole part over a circle enclosing all
     poles; must reproduce the direct evaluation alpha(k_eval) - alpha_inf.
+    This is the oracle of the paper's contour representation of the
+    frequency dependence: the pipeline never calls it, and tests compare the
+    fitted model's direct evaluation against it.
     """
     if center is None:
         center = (complex(np.mean(model.poles)) if model.poles.size

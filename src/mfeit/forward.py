@@ -113,21 +113,20 @@ def _parse_cell(value: str, row: int, column: str) -> float:
 def _read_table(text: str, optional: int | None = None) -> np.ndarray:
     """Numeric CSV body, all finite bar an all-NaN (unrecorded) ``optional``.
 
-    Errors name the row (the header is row 1) and the column.
+    The body is converted in one call; only a body that fails it is walked
+    cell by cell, so that errors name the row (the header is row 1) and the
+    column.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 2:
         raise ValueError("no data rows")
     header = rows[0]
-    values = []
-    for i, row in enumerate(rows[1:], 2):
-        if len(row) < len(header):
-            raise ValueError(f"row {i}, column {header[len(row)]}: missing")
-        if len(row) > len(header):
-            raise ValueError(f"row {i}, column {len(header) + 1}: beyond the "
-                             f"{len(header)} header columns")
-        values.append([_parse_cell(v, i, name) for v, name in zip(row, header)])
-    data = np.array(values)
+    try:
+        data = np.array(rows[1:], dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
+        data = np.array(_parse_rows(rows[1:], header))
     bad = ~np.isfinite(data)
     if optional is not None and np.all(np.isnan(data[:, optional])):
         bad[:, optional] = False
@@ -135,6 +134,26 @@ def _read_table(text: str, optional: int | None = None) -> np.ndarray:
         i, j = np.argwhere(bad)[0]  # the header is row 1
         raise ValueError(f"row {i + 2}, column {header[j]}: not finite")
     return data
+
+
+def _parse_rows(body: list, header: list) -> list:
+    """Cell-by-cell conversion of a CSV body; raises at the first bad cell."""
+    values = []
+    for i, row in enumerate(body, 2):
+        if len(row) < len(header):
+            raise ValueError(f"row {i}, column {header[len(row)]}: missing")
+        if len(row) > len(header):
+            raise ValueError(f"row {i}, column {len(header) + 1}: beyond the "
+                             f"{len(header)} header columns")
+        values.append([_parse_cell(v, i, name) for v, name in zip(row, header)])
+    return values
+
+
+def _write_table(header: list, table: np.ndarray) -> str:
+    """CSV text of a float table, each value as its shortest round-trip repr."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -152,13 +171,9 @@ class CauchyData:
     saddle: tuple | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["theta", "f", "u0"])
         fvals = self.f if self.f is not None else np.full_like(self.u0, np.nan)
-        for th, fv, uv in zip(self.theta, fvals, self.u0):
-            w.writerow([repr(float(th)), repr(float(fv)), repr(float(uv))])
-        return buf.getvalue()
+        return _write_table(["theta", "f", "u0"],
+                            np.column_stack([self.theta, fvals, self.u0]))
 
     def sidecar(self) -> dict:
         return {"rho": None if self.rho is None else float(self.rho)}
@@ -189,20 +204,16 @@ class MultiFreqData:
     seed: int | None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         header = ["omega", "re_k", "im_k"]
         for i in range(self.theta.size):
             header += [f"re_u{i}", f"im_u{i}"]
-        w.writerow(header)
-        for j in range(self.omega.size):
-            row = [repr(float(self.omega[j])), repr(float(self.k[j].real)),
-                   repr(float(self.k[j].imag))]
-            for i in range(self.theta.size):
-                row += [repr(float(self.U[i, j].real)),
-                        repr(float(self.U[i, j].imag))]
-            w.writerow(row)
-        return buf.getvalue()
+        table = np.empty((self.omega.size, len(header)))
+        table[:, 0] = self.omega
+        table[:, 1] = self.k.real
+        table[:, 2] = self.k.imag
+        table[:, 3::2] = self.U.real.T
+        table[:, 4::2] = self.U.imag.T
+        return _write_table(header, table)
 
     @classmethod
     def from_csv(cls, text: str, eta: float = 0.0,
@@ -215,8 +226,9 @@ class MultiFreqData:
                              f"columns")
         m = (data.shape[1] - 3) // 2
         omega = data[:, 0]
-        k = data[:, 1] + 1j * data[:, 2]
-        U = (data[:, 3::2] + 1j * data[:, 4::2]).T
+        # adjacent (re, im) columns viewed as complex, bit for bit (-0.0 too)
+        pairs = np.ascontiguousarray(data[:, 1:]).view(complex)
+        k, U = pairs[:, 0], pairs[:, 1:].T
         theta = 2 * np.pi * np.arange(m) / m
         return cls(theta=theta, omega=omega, k=k, U=U, eta=eta, seed=seed)
 

@@ -2,20 +2,25 @@
 
 The Neumann function used throughout is the image-charge closed form
 
-    N(x, z) = (1/4pi) [ ln|x - z|^2 + ln(|x|^2 |z|^2 - 2 x.z + 1) ],
+    N(x, z) = (1/4pi) ln( |x - z|^2 (|x|^2 |z|^2 - 2 x.z + 1) ),
 
 which satisfies Delta_x N = delta_z in the disk, dN/dnu = 1/(2pi) on the
-unit circle and has zero boundary mean. The second log is smooth whenever
-x stays strictly inside the closed disk times z inside, so only the
-free-space log needs the singular quadrature.
+unit circle and has zero boundary mean. The image factor is smooth whenever
+x stays in the closed disk and z inside, so only the free-space factor needs
+the singular quadrature. Every kernel entry costs one logarithm, of the
+product of the two factors.
 
-The single layer S_D and the Neumann-Poincare operator K*_D are assembled
-with the classical periodic log-kernel product rule (spectrally accurate
-for smooth boundaries); the normal-derivative kernel takes its smooth
-diagonal limit kappa/(4pi) plus the image contribution evaluated directly.
-Each ``KernelMatrices`` also carries, computed once on first use, the
-eigendecomposition of K*_D in the energy inner product, which diagonalizes
-every forward solve on that shape.
+The single layer S_D is assembled with the periodic log-kernel product rule
+(Kress, Linear Integral Equations, 3rd ed., sec. 12.3), spectrally accurate
+for smooth boundaries. Its singular part depends on the parameter alone, so
+it is one circulant, R/2 - (h/4pi) ln 4 sin^2((t-s)/2), built from a vector;
+the shape enters only through the smooth remainder (h/4pi) ln(d2 img2),
+whose diagonal takes the limit (h/4pi) ln(|x'|^2 img2). The normal-derivative
+kernel of K*_D takes its smooth diagonal limit kappa/(4pi) plus the image
+contribution evaluated directly; both operators share one set of squared
+distances and image terms. Each ``KernelMatrices`` also carries, computed
+once on first use, the eigendecomposition of K*_D in the energy inner
+product, which diagonalizes every forward solve on that shape.
 """
 from __future__ import annotations
 
@@ -31,13 +36,26 @@ from .geometry import BoundaryGrid
 
 
 def _dot(a, b):
-    """Inner product over the last axis, broadcasting the leading axes."""
-    return np.einsum("...k,...k->...", a, b)
+    """Inner product of 2-vectors over the last axis, broadcasting the rest."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def _image(x, z):
-    """|  |z| x - z/|z| |^2 = |x|^2 |z|^2 - 2 x.z + 1, smooth through z -> 0."""
-    return _dot(x, x) * _dot(z, z) - 2.0 * _dot(x, z) + 1.0
+def _pair_terms(x, z):
+    """d2 = |x - z|^2 and the image term |x|^2 |z|^2 - 2 x.z + 1.
+
+    The image term equals | |z| x - z/|z| |^2, smooth through z -> 0, and is
+    formed as d2 + (1 - |x|^2)(1 - |z|^2): a sum of two non-negative terms in
+    the closed disk. Both are built componentwise and in place, so broadcast
+    point sets never form an (..., 2) difference array.
+    """
+    d2 = x[..., 0] - z[..., 0]
+    d2 *= d2
+    dy = x[..., 1] - z[..., 1]
+    dy *= dy
+    d2 += dy
+    img2 = (1.0 - _dot(x, x)) * (1.0 - _dot(z, z))
+    img2 += d2
+    return d2, img2
 
 
 def neumann_kernel(x, z):
@@ -48,25 +66,34 @@ def neumann_kernel(x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    d2 = _dot(x - z, x - z)
+    d2, img2 = _pair_terms(x, z)
     if np.any(d2 == 0.0):
         raise SingularEvaluation("Neumann kernel evaluated at x == z")
-    return _neumann(x, z, d2)
+    return _neumann(z, d2, img2)
 
 
-def _neumann(x, z, d2):
-    """N(x, z) from d2 = |x - z|^2 > 0; ``z`` must lie in the open disk."""
+def _neumann(z, d2, img2):
+    """N(x, z) from d2 = |x - z|^2 > 0 and the image term of ``_pair_terms``.
+
+    ``z`` must lie in the open disk.
+    """
     if np.any(_dot(z, z) >= 1.0):
         raise DomainViolation("source point z must lie in the open unit disk")
-    return (np.log(d2) + np.log(_image(x, z))) / (4 * np.pi)
+    return np.log(d2 * img2) / (4 * np.pi)
 
 
-def _normal_derivative_parts(x, z, nu):
-    """Free-space and image parts of nu . grad_x N(x, z); free is nan at x == z."""
-    diff = x - z
+def _normal_derivative_parts(x, z, nu, d2, img2):
+    """Free-space and image parts of nu . grad_x N(x, z); free is nan at x == z.
+
+    ``d2`` and ``img2`` are the ``_pair_terms`` of ``x`` and ``z``.
+    """
+    free = (x[..., 0] - z[..., 0]) * nu[..., 0]
+    free += (x[..., 1] - z[..., 1]) * nu[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        free = _dot(diff, nu) / (2 * np.pi * _dot(diff, diff))
-    image = (_dot(z, z) * _dot(x, nu) - _dot(z, nu)) / (2 * np.pi * _image(x, z))
+        free /= 2 * np.pi * d2
+    image = _dot(z, z) * _dot(x, nu)
+    image -= _dot(z, nu)
+    image /= 2 * np.pi * img2
     return free, image
 
 
@@ -77,11 +104,20 @@ def neumann_normal_derivative(x, z, nu):
     included (where the harmonic lift puts its sources), but must not
     coincide; ``nu`` is the direction at ``x``.
     """
-    free, image = _normal_derivative_parts(
-        *(np.asarray(a, dtype=float) for a in (x, z, nu)))
+    x, z, nu = (np.asarray(a, dtype=float) for a in (x, z, nu))
+    free, image = _normal_derivative_parts(x, z, nu, *_pair_terms(x, z))
     if np.any(np.isnan(free)):
         raise SingularEvaluation("Neumann kernel gradient evaluated at x == z")
     return free + image
+
+
+def _kress_log_row(n: int) -> np.ndarray:
+    """First column (and row: the rule is symmetric) of ``kress_log_matrix(n)``."""
+    freqs = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
+    d = np.zeros(n)
+    nz = freqs != 0
+    d[nz] = -1.0 / np.abs(freqs[nz])
+    return np.fft.ifft(d).real
 
 
 def kress_log_matrix(n: int) -> np.ndarray:
@@ -90,13 +126,7 @@ def kress_log_matrix(n: int) -> np.ndarray:
     Exact on trigonometric polynomials of degree <= n/2: the symbol maps
     e^{ims} to -(1/|m|) e^{imt} (0 for m = 0, -(2/n) at the Nyquist mode).
     """
-    freqs = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-    d = np.zeros(n)
-    nz = freqs != 0
-    d[nz] = -1.0 / np.abs(freqs[nz])
-    row = np.fft.ifft(d).real
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return row[idx]
+    return sla.circulant(_kress_log_row(n))
 
 
 @dataclass(frozen=True)
@@ -138,19 +168,36 @@ class KernelMatrices:
         return float(np.linalg.norm(A - A.T) / np.linalg.norm(M))
 
 
-def _assemble_single_layer(grid: BoundaryGrid) -> np.ndarray:
-    pts, t, h = grid.points, grid.t, grid.h
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = _dot(diff, diff)
-    sin2 = 4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
-    np.fill_diagonal(d2, 1.0)
-    np.fill_diagonal(sin2, 1.0)
-    # smooth remainder of the free-space log, diagonal limit ln|x'(t)|
-    M = 0.5 * np.log(d2 / sin2)
-    np.fill_diagonal(M, np.log(grid.jacobian))
-    img2 = _image(pts[:, None, :], pts[None, :, :])
-    return (0.5 * kress_log_matrix(grid.n) + (h / (2 * np.pi)) * M
-            + (h / (4 * np.pi)) * np.log(img2)) * grid.jacobian[None, :]
+def _node_pairs(grid: BoundaryGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``_pair_terms`` of every pair of nodes.
+
+    The zero diagonal of d2 is replaced by |x'(t)|^2, the diagonal limit of
+    d2 / 4 sin^2((t - s)/2), which is what the single layer takes the log of.
+    """
+    pts = grid.points
+    d2, img2 = _pair_terms(pts[:, None, :], pts[None, :, :])
+    np.fill_diagonal(d2, grid.jacobian ** 2)
+    return d2, img2
+
+
+def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
+    """Discrete S_D; ``pairs`` are the ``_node_pairs`` of the grid if given.
+
+    S = [C + (h/4pi) ln(d2 img2)] diag|x'|, where the circulant
+    C = R/2 - (h/4pi) ln 4 sin^2((t-s)/2) (zero log on the diagonal) holds
+    everything that depends on the parameter alone.
+    """
+    n, h = grid.n, grid.h
+    d2, img2 = _node_pairs(grid) if pairs is None else pairs
+    c = 0.5 * _kress_log_row(n)
+    c[1:] -= (h / (4 * np.pi)) * np.log(
+        4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
+    S = d2 * img2
+    np.log(S, out=S)
+    S *= h / (4 * np.pi)
+    S += sla.circulant(c)
+    S *= grid.jacobian[None, :]
+    return S
 
 
 def assemble(grid: BoundaryGrid) -> KernelMatrices:
@@ -158,12 +205,14 @@ def assemble(grid: BoundaryGrid) -> KernelMatrices:
     if grid.n < 32:
         raise ResolutionTooLow(f"need n >= 32 nodes, got {grid.n}")
     pts = grid.points
+    pairs = _node_pairs(grid)
     free, image = _normal_derivative_parts(pts[:, None, :], pts[None, :, :],
-                                           grid.normals[:, None, :])
+                                           grid.normals[:, None, :], *pairs)
     # K* only replaces the free-space diagonal, by its limit kappa/(4pi)
     np.fill_diagonal(free, grid.curvature / (4 * np.pi))
-    return KernelMatrices(S=_assemble_single_layer(grid),
-                          Kstar=(free + image) * grid.weights[None, :],
+    free += image
+    free *= grid.weights[None, :]
+    return KernelMatrices(S=_assemble_single_layer(grid, pairs), Kstar=free,
                           grid=grid)
 
 
@@ -175,14 +224,14 @@ def _target_kernel(grid: BoundaryGrid, targets) -> np.ndarray:
     the check reuses the squared distances the kernel is built from.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    x, z = targets[:, None, :], grid.points[None, :, :]
-    d2 = _dot(x - z, x - z)
+    z = grid.points[None, :, :]
+    d2, img2 = _pair_terms(targets[:, None, :], z)
     dist = float(np.sqrt(np.min(d2)))
     zone = grid.h * float(np.max(grid.jacobian))
     if dist <= zone:
         raise TargetTooClose(
             f"target at distance {dist:.3g} inside accuracy zone {zone:.3g}")
-    return _neumann(x, z, d2)
+    return _neumann(z, d2, img2)
 
 
 def trace_matrix(grid: BoundaryGrid, targets) -> np.ndarray:

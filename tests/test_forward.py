@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -184,3 +187,59 @@ def test_multifreq_csv_round_trip(f_cos, conc_kernels):
     assert np.array_equal(again.k, data.k)
     assert np.array_equal(again.U, data.U)
     assert again.to_csv() == text
+
+
+def _loop_csv(header, rows):
+    """Oracle writer: csv.writer over each value's repr(float(.))."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+#: values whose text must survive a write and read unchanged
+_EDGE = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3]
+
+
+def test_multifreq_csv_matches_loop_writer_and_round_trips():
+    rng = np.random.default_rng(3)
+    m, J = 5, 7
+    U = rng.standard_normal((m, J)) + 1j * rng.standard_normal((m, J))
+    U.real[0, :J] = _EDGE
+    U.imag[1, :J] = _EDGE
+    data = MultiFreqData(theta=2 * np.pi * np.arange(m) / m,
+                         omega=np.array(_EDGE), k=np.array(_EDGE) - 1j,
+                         U=U, eta=0.0, seed=None)
+    header = ["omega", "re_k", "im_k"]
+    for i in range(m):
+        header += [f"re_u{i}", f"im_u{i}"]
+    rows = [[data.omega[j], data.k[j].real, data.k[j].imag]
+            + [part for i in range(m) for part in (U[i, j].real, U[i, j].imag)]
+            for j in range(J)]
+    text = data.to_csv()
+    assert text == _loop_csv(header, rows)
+    again = MultiFreqData.from_csv(text)
+    for a, b in [(again.omega, data.omega), (again.k, data.k),
+                 (again.U, data.U)]:
+        assert a.tobytes() == b.tobytes()  # keeps the sign of -0.0
+
+
+@pytest.mark.parametrize("with_f", [True, False])
+def test_cauchy_csv_matches_loop_writer_and_round_trips(with_f):
+    m = len(_EDGE)
+    theta = 2 * np.pi * np.arange(m) / m
+    f = np.array(_EDGE[::-1]) if with_f else None
+    data = CauchyData(theta=theta, f=f, u0=np.array(_EDGE))
+    fvals = f if with_f else np.full(m, np.nan)
+    text = data.to_csv()
+    assert text == _loop_csv(["theta", "f", "u0"],
+                             zip(theta, fvals, data.u0))
+    again = CauchyData.from_csv(text)
+    assert again.theta.tobytes() == theta.tobytes()
+    assert again.u0.tobytes() == data.u0.tobytes()
+    if with_f:
+        assert again.f.tobytes() == f.tobytes()
+    else:
+        assert again.f is None

@@ -5,11 +5,77 @@ from hypothesis import strategies as st
 
 from mfeit.errors import (DomainViolation, ResolutionTooLow,
                           SingularEvaluation, TargetTooClose)
-from mfeit.geometry import StarShape, circle, discretize
-from mfeit.potential import (assemble, eval_S, kress_log_matrix,
-                             neumann_kernel, neumann_normal_derivative)
+from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
+from mfeit.potential import (_target_kernel, assemble, eval_S,
+                             kress_log_matrix, neumann_kernel,
+                             neumann_normal_derivative)
+
+from conftest import TREFOIL
 
 R0 = 0.5
+
+
+def _gathered_kress(n):
+    """The product rule as an index gather (i - j) % n of its symbol's row."""
+    freqs = np.fft.fftfreq(n, d=1.0 / n)
+    d = np.zeros(n)
+    nz = freqs != 0
+    d[nz] = -1.0 / np.abs(freqs[nz])
+    row = np.fft.ifft(d).real
+    return row[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
+def _textbook_kernels(grid, targets):
+    """Oracle: S, K* and N(target, node) written out term by term.
+
+    An n x n sin^2, one log per factor of the kernel, the smooth remainder
+    ln(d2 / sin^2) with diagonal limit ln|x'|, and the gathered circulant.
+    """
+    pts, t, h, n = grid.points, grid.t, grid.h, grid.n
+    xx = np.sum(pts ** 2, axis=-1)
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.sum(diff ** 2, axis=-1)
+    img2 = xx[:, None] * xx[None, :] - 2 * pts @ pts.T + 1
+    sin2 = 4 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
+    np.fill_diagonal(d2, 1.0)
+    np.fill_diagonal(sin2, 1.0)
+    M = 0.5 * np.log(d2 / sin2)
+    np.fill_diagonal(M, np.log(grid.jacobian))
+    S = (0.5 * _gathered_kress(n) + h / (2 * np.pi) * M
+         + h / (4 * np.pi) * np.log(img2)) * grid.jacobian[None, :]
+    nu = grid.normals
+    free = np.sum(diff * nu[:, None, :], axis=-1) / (2 * np.pi * d2)
+    np.fill_diagonal(free, grid.curvature / (4 * np.pi))
+    x_nu = np.sum(pts * nu, axis=-1)
+    image = (xx[None, :] * x_nu[:, None] - nu @ pts.T) / (2 * np.pi * img2)
+    Kstar = (free + image) * grid.weights[None, :]
+    tt = np.sum(targets ** 2, axis=-1)
+    td2 = np.sum((targets[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    timg2 = tt[:, None] * xx[None, :] - 2 * targets @ pts.T + 1
+    N = (np.log(td2) + np.log(timg2)) / (4 * np.pi)
+    return S, Kstar, N
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+@pytest.mark.parametrize("shape", [circle(R0), TREFOIL],
+                         ids=["circle", "trefoil"])
+def test_kernels_match_textbook_assembly(shape, n):
+    grid = discretize(shape, n)
+    targets = unit_circle_grid(64).points
+    S, Kstar, N = _textbook_kernels(grid, targets)
+    kernels = assemble(grid)
+    assert _rel(kernels.S, S) <= 1e-13
+    assert _rel(kernels.Kstar, Kstar) <= 1e-13
+    assert _rel(_target_kernel(grid, targets), N) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 64, 250, 512])
+def test_kress_circulant_equals_index_gather(n):
+    assert np.array_equal(kress_log_matrix(n), _gathered_kress(n))
 
 
 def test_kress_rule_is_spectrally_exact():
