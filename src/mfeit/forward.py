@@ -272,9 +272,13 @@ def _factor_saddle(grid: BoundaryGrid, S: np.ndarray) -> tuple:
 def _solve_saddle(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve the factored saddle system for [psi; rho].
 
-    ``rhs`` has nd + 1 rows and any number of columns.
+    ``rhs`` has nd + 1 rows and any number of columns. The factors may be
+    shared between threads (a sweep's starting solve): scipy's ``getrs``
+    wrapper shifts the pivot indices to 1-based in place for the duration
+    of the call, so each solve hands it a copy of them.
     """
-    sol = sla.lu_solve(factors, rhs, check_finite=False)
+    lu, piv = factors
+    sol = sla.lu_solve((lu, piv.copy()), rhs, check_finite=False)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("non-finite solution of the saddle system")
     return sol
@@ -307,8 +311,8 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
 
     T = N * grid.weights[None, :]
     trace = _recenter(frak_omega + T @ psi, bgrid_omega)
-    return CauchyData(theta=bgrid_omega.t, f=f, u0=trace, rho=rho, psi=psi,
-                      saddle=(factors, T))
+    return CauchyData(theta=bgrid_omega.t.copy(), f=f, u0=trace, rho=rho,
+                      psi=psi, saddle=(factors, T))
 
 
 def u0_shape_derivative(factors: tuple, T: np.ndarray, psi: np.ndarray,
@@ -431,9 +435,9 @@ def synthesize(shape: StarShape, f: np.ndarray, profile: FrequencyProfile,
     if kernels is None:
         kernels = assemble(discretize(shape, n))
     U = solve_forward_batched(kernels, f, kvals, k0)
-    return MultiFreqData(theta=unit_circle_grid(f.size).t, omega=omega_grid,
-                         k=kvals, U=_add_noise(U, eta, seed), eta=eta,
-                         seed=seed)
+    return MultiFreqData(theta=unit_circle_grid(f.size).t.copy(),
+                         omega=omega_grid, k=kvals,
+                         U=_add_noise(U, eta, seed), eta=eta, seed=seed)
 
 
 def _add_noise(U: np.ndarray, eta: float, seed: int | None) -> np.ndarray:

@@ -7,11 +7,15 @@ Radial functions are truncated Fourier series
     r(theta) = a0 + sum_m a_m cos(m theta) + b_m sin(m theta),
 
 which keeps shapes finitely parameterized and smooth.
+
+The measurement grid ``unit_circle_grid(n)`` depends on n alone, so it is
+built once per size and shared by every caller; its arrays are read-only.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -179,7 +183,17 @@ class BoundaryGrid:
 
 
 def discretize(shape: StarShape, n: int) -> BoundaryGrid:
-    """Quadrature grid with n nodes on the boundary of a star shape."""
+    """Quadrature grid with n nodes on the boundary of a star shape.
+
+    The cached ``unit_circle_grid`` builds its grid with ``_star_grid``
+    directly, so the calls of this function count the grids a computation
+    builds, whatever the cache already holds.
+    """
+    return _star_grid(shape, n)
+
+
+def _star_grid(shape: StarShape, n: int) -> BoundaryGrid:
+    """Body of ``discretize``."""
     if n % 2 != 0 or n < 16:
         raise InvalidResolution(f"need even n >= 16, got {n}")
     t = 2 * np.pi * np.arange(n) / n
@@ -197,9 +211,18 @@ def discretize(shape: StarShape, n: int) -> BoundaryGrid:
                         curvature=kappa)
 
 
+@lru_cache(maxsize=16)
 def unit_circle_grid(n: int) -> BoundaryGrid:
-    """Measurement grid on the boundary of the ambient unit disk."""
-    return discretize(circle(1.0), n)
+    """Measurement grid on the boundary of the ambient unit disk.
+
+    Built once per n; the returned grid is shared, so its arrays are
+    read-only.
+    """
+    grid = _star_grid(circle(1.0), n)
+    for a in (grid.t, grid.points, grid.normals, grid.jacobian,
+              grid.curvature):
+        a.setflags(write=False)
+    return grid
 
 
 def r_inf(shape: StarShape) -> float:

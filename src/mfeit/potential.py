@@ -21,11 +21,16 @@ contribution evaluated directly; both operators share one set of squared
 distances and image terms. Each ``KernelMatrices`` also carries, computed
 once on first use, the eigendecomposition of K*_D in the energy inner
 product, which diagonalizes every forward solve on that shape.
+
+What depends on the grid size alone is built once per size and shared
+read-only: the Kress row ``_kress_log_row(n)``, the first column
+``_single_layer_row(n)`` of the circulant C, and the m x m measurement rule
+``kress_log_matrix(m)``. No n x n matrix of an inclusion grid is kept.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -111,22 +116,32 @@ def neumann_normal_derivative(x, z, nu):
     return free + image
 
 
+@lru_cache(maxsize=16)
 def _kress_log_row(n: int) -> np.ndarray:
-    """First column (and row: the rule is symmetric) of ``kress_log_matrix(n)``."""
+    """First column (and row: the rule is symmetric) of ``kress_log_matrix(n)``.
+
+    Built once per n and shared, so read-only.
+    """
     freqs = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
     d = np.zeros(n)
     nz = freqs != 0
     d[nz] = -1.0 / np.abs(freqs[nz])
-    return np.fft.ifft(d).real
+    row = np.fft.ifft(d).real
+    row.setflags(write=False)
+    return row
 
 
+@lru_cache(maxsize=4)
 def kress_log_matrix(n: int) -> np.ndarray:
     """Circulant quadrature rule for (1/2pi) int ln(4 sin^2((t-s)/2)) g(s) ds.
 
     Exact on trigonometric polynomials of degree <= n/2: the symbol maps
     e^{ims} to -(1/|m|) e^{imt} (0 for m = 0, -(2/n) at the Nyquist mode).
+    Built once per n for the measurement grid and shared, so read-only.
     """
-    return sla.circulant(_kress_log_row(n))
+    R = sla.circulant(_kress_log_row(n))
+    R.setflags(write=False)
+    return R
 
 
 @dataclass(frozen=True)
@@ -180,22 +195,33 @@ def _node_pairs(grid: BoundaryGrid) -> tuple[np.ndarray, np.ndarray]:
     return d2, img2
 
 
-def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
-    """Discrete S_D; ``pairs`` are the ``_node_pairs`` of the grid if given.
+@lru_cache(maxsize=16)
+def _single_layer_row(n: int) -> np.ndarray:
+    """First column of the circulant C = R/2 - (h/4pi) ln 4 sin^2((t-s)/2).
 
-    S = [C + (h/4pi) ln(d2 img2)] diag|x'|, where the circulant
-    C = R/2 - (h/4pi) ln 4 sin^2((t-s)/2) (zero log on the diagonal) holds
-    everything that depends on the parameter alone.
+    The log is zero on the diagonal. Built once per n and shared, so
+    read-only.
     """
-    n, h = grid.n, grid.h
-    d2, img2 = _node_pairs(grid) if pairs is None else pairs
+    h = 2 * np.pi / n
     c = 0.5 * _kress_log_row(n)
     c[1:] -= (h / (4 * np.pi)) * np.log(
         4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
+    c.setflags(write=False)
+    return c
+
+
+def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
+    """Discrete S_D; ``pairs`` are the ``_node_pairs`` of the grid if given.
+
+    S = [C + (h/4pi) ln(d2 img2)] diag|x'|, where the circulant C of
+    ``_single_layer_row`` holds everything that depends on the parameter
+    alone.
+    """
+    d2, img2 = _node_pairs(grid) if pairs is None else pairs
     S = d2 * img2
     np.log(S, out=S)
-    S *= h / (4 * np.pi)
-    S += sla.circulant(c)
+    S *= grid.h / (4 * np.pi)
+    S += sla.circulant(_single_layer_row(grid.n))
     S *= grid.jacobian[None, :]
     return S
 

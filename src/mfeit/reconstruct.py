@@ -18,6 +18,12 @@ central-difference Jacobian ``_Objective.fd_jacobian`` stays as the test
 oracle. Errors between shapes are measured by the area of the symmetric
 difference, which for star shapes about the origin reduces to a 1D integral
 of |r_a^2 - r_b^2| / 2.
+
+Every inversion starts from the same circle, which depends only on the
+settings, and the start's perfect-conductor solve depends only on them and
+on the current f. A stability sweep therefore solves its starting circle
+once, before any row runs; every row then starts from that solve, which is
+read-only so that worker threads can share it.
 """
 from __future__ import annotations
 
@@ -116,10 +122,28 @@ def _project_band(x: np.ndarray, M: int,
     return x, hit
 
 
-class _Objective:
-    """Weighted residual vector r(x) with J = 1/2 |r|^2 (data + penalty)."""
+def _start_params(settings: InversionSettings) -> np.ndarray:
+    """Parameters of the starting circle, the middle of the admissible band."""
+    cfg = settings.config
+    r0 = 0.5 * (cfg.b0 + cfg.b1 - cfg.delta)
+    return _shape_to_params(StarShape(cos=(r0,)), settings.n_fourier_modes)
 
-    def __init__(self, data: CauchyData, settings: InversionSettings):
+
+def _point(x: np.ndarray, settings: InversionSettings, f: np.ndarray) -> tuple:
+    """(x, grid, perfect-conductor solve) of the shape with parameters x."""
+    shape = _params_to_shape(x, settings.n_fourier_modes)
+    grid = discretize(shape, settings.n_boundary)
+    return x.copy(), grid, solve_u0(shape, f, grid=grid)
+
+
+class _Objective:
+    """Weighted residual vector r(x) with J = 1/2 |r|^2 (data + penalty).
+
+    ``start``, if given, is a ``_point`` already solved with ``data.f``.
+    """
+
+    def __init__(self, data: CauchyData, settings: InversionSettings,
+                 start: tuple | None = None):
         if data.f is None:
             raise ValueError("inversion needs the injected current f")
         self.data = data
@@ -132,15 +156,12 @@ class _Objective:
         m2 = np.arange(1, M + 1) ** 2.0
         pen = np.concatenate([[0.0], m2, m2])
         self.pen_scale = math.sqrt(settings.alpha * math.pi) * pen
-        self._last = None  # (x, grid, u0 solve) of the latest point
+        self._last = start  # (x, grid, u0 solve) of the latest point
 
     def _solve(self, x: np.ndarray):
         """Grid and perfect-conductor solve at x; the latest is kept."""
         if self._last is None or not np.array_equal(self._last[0], x):
-            shape = _params_to_shape(x, self.M)
-            grid = discretize(shape, self.settings.n_boundary)
-            sim = solve_u0(shape, self.data.f, grid=grid)
-            self._last = (x.copy(), grid, sim)
+            self._last = _point(x, self.settings, self.data.f)
         return self._last[1:]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -192,17 +213,20 @@ def misfit(shape: StarShape, data: CauchyData,
     return 0.5 * float(r @ r), Jac.T @ r
 
 
-def invert(data: CauchyData,
-           settings: InversionSettings | None = None) -> InversionResult:
-    """Damped Gauss-Newton recovery of the inclusion from Cauchy data."""
+def invert(data: CauchyData, settings: InversionSettings | None = None, *,
+           _start: tuple | None = None) -> InversionResult:
+    """Damped Gauss-Newton recovery of the inclusion from Cauchy data.
+
+    ``_start`` is internal: the ``_point`` of the starting circle when the
+    caller has solved it with ``data.f`` already (``stability_sweep``).
+    """
     if settings is None:
         settings = InversionSettings()
     cfg = settings.config
     M = settings.n_fourier_modes
-    r0 = 0.5 * (cfg.b0 + cfg.b1 - cfg.delta)
-    x = _shape_to_params(StarShape(cos=(r0,)), M)
+    x = _start_params(settings)
 
-    obj = _Objective(data, settings)
+    obj = _Objective(data, settings, _start)
     r = obj.residual(x)
     J = 0.5 * float(r @ r)
     history = [J]
@@ -300,9 +324,10 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
                     allow_degenerate: bool = False) -> SweepResult:
     """Noise-to-error curve of the full pipeline, with fitted stability laws.
 
-    Synthesizes the clean multifrequency data once; per (level, seed): add
-    noise, fit the shared-pole rational model, extract u0, invert, and
-    compare with the truth by symmetric difference. Fits
+    Solves the inversion's starting circle and synthesizes the clean
+    multifrequency data once; per (level, seed): add noise, fit the
+    shared-pole rational model, extract u0, invert from the shared start,
+    and compare with the truth by symmetric difference. Fits
     |D delta D~| = C (1/ln eps^-1)^tau and C' eps^tau' over the noisy levels.
     """
     noise_levels = sorted(float(v) for v in noise_levels)
@@ -317,6 +342,13 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     bgrid_omega = unit_circle_grid(n_measure)
 
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
+    start = _point(_start_params(settings), settings, f)
+    # rows share f and the start across threads: make every array read-only
+    x0, grid0, sim0 = start
+    for a in (f, x0, grid0.t, grid0.points, grid0.normals, grid0.jacobian,
+              grid0.curvature, sim0.theta, sim0.u0, sim0.psi, *sim0.saddle[0],
+              sim0.saddle[1]):
+        a.setflags(write=False)
     clean = synthesize(truth, f, profile, omega_grid, eta=0.0, seed=None,
                        n=n_forward, k0=settings.config.k0)
 
@@ -336,7 +368,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
                                  config=settings.config)
             u0_hat = extract_u0(model, settings.config.k0)
             u0_hat.f = f
-            res = invert(u0_hat, settings)
+            res = invert(u0_hat, settings, _start=start)
             d = symmetric_difference(truth, res.shape)
             return {"level": level, "eps_measured": eps, "seed": seed,
                     "sym_diff": d, "status": "ok"}

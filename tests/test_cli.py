@@ -173,6 +173,18 @@ def test_sweep_summary_counts_ok_rows(tmp_path):
     assert sum(summary["n_ok"]) == sum(r.endswith(",ok") for r in rows)
 
 
+def test_sweep_with_bad_inversion_resolution_exits_2(tmp_path, capsys):
+    """The shared starting solve rejects the grid before any row runs."""
+    cfg = dict(SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4,
+               inversion={"n_fourier_modes": 0, "alpha": 0.0,
+                          "n_boundary": 15})
+    out = tmp_path / "sw"
+    assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 2
+    assert "need even n >= 16, got 15" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_threads_flag_accepted(tmp_path):
     inv_cfg = dict(BASE)
     p = write_cfg(tmp_path, "c.json", inv_cfg)

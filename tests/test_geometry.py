@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfeit.errors import ConstraintViolation, InvalidResolution
+from mfeit.forward import FrequencyProfile, solve_u0, synthesize
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             discretize, fourier_series, r_inf,
                             unit_circle_grid)
+
+from conftest import TREFOIL
 
 CFG = DomainConfig()
 
@@ -115,6 +118,30 @@ def test_unit_circle_grid():
     g = unit_circle_grid(64)
     assert np.isclose(g.perimeter, 2 * np.pi, rtol=1e-13)
     assert np.allclose(np.hypot(g.points[:, 0], g.points[:, 1]), 1.0)
+
+
+def test_unit_circle_grid_is_built_once_and_read_only():
+    g = unit_circle_grid(64)
+    assert unit_circle_grid(64) is g
+    for a in (g.t, g.points, g.normals, g.jacobian, g.curvature):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_returned_theta_does_not_alias_the_shared_grid(f_cos):
+    """Data objects own their angles: writing into them leaves later solves."""
+    theta = 2 * np.pi * np.arange(64) / 64
+    prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
+    omega = np.linspace(10.0, 50.0, 4)
+    u0 = solve_u0(TREFOIL, f_cos, n=64)
+    data = synthesize(TREFOIL, f_cos, prof, omega, 0.0, None, n=64)
+    u0.theta[:] = -1.0
+    data.theta[:] = -1.0
+    again = solve_u0(TREFOIL, f_cos, n=64)
+    assert np.array_equal(again.theta, theta)
+    assert np.array_equal(synthesize(TREFOIL, f_cos, prof, omega, 0.0, None,
+                                     n=64).theta, theta)
+    assert np.array_equal(unit_circle_grid(64).t, theta)
 
 
 def test_r_inf_closed_forms():

@@ -1,27 +1,34 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfeit.errors import (DomainViolation, ResolutionTooLow,
                           SingularEvaluation, TargetTooClose)
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
-from mfeit.potential import (_target_kernel, assemble, eval_S,
-                             kress_log_matrix, neumann_kernel,
-                             neumann_normal_derivative)
+from mfeit.potential import (_assemble_single_layer, _kress_log_row,
+                             _node_pairs, _single_layer_row, _target_kernel,
+                             assemble, eval_S, kress_log_matrix,
+                             neumann_kernel, neumann_normal_derivative)
 
 from conftest import TREFOIL
 
 R0 = 0.5
 
 
-def _gathered_kress(n):
-    """The product rule as an index gather (i - j) % n of its symbol's row."""
+def _kress_row(n):
+    """First column of the product rule, from its symbol."""
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     d = np.zeros(n)
     nz = freqs != 0
     d[nz] = -1.0 / np.abs(freqs[nz])
-    row = np.fft.ifft(d).real
+    return np.fft.ifft(d).real
+
+
+def _gathered_kress(n):
+    """The product rule as an index gather (i - j) % n of its symbol's row."""
+    row = _kress_row(n)
     return row[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
 
 
@@ -71,6 +78,31 @@ def test_kernels_match_textbook_assembly(shape, n):
     assert _rel(kernels.S, S) <= 1e-13
     assert _rel(kernels.Kstar, Kstar) <= 1e-13
     assert _rel(_target_kernel(grid, targets), N) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_single_layer_equals_the_uncached_formula(n):
+    """Oracle: the parameter-only row built inline on every call."""
+    grid = discretize(TREFOIL, n)
+    h = grid.h
+    c = 0.5 * _kress_row(n)
+    c[1:] -= (h / (4 * np.pi)) * np.log(
+        4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
+    d2, img2 = _node_pairs(grid)
+    S = d2 * img2
+    np.log(S, out=S)
+    S *= h / (4 * np.pi)
+    S += sla.circulant(c)
+    S *= grid.jacobian[None, :]
+    for _ in range(2):  # the second call reads the size-only row back
+        assert np.array_equal(_assemble_single_layer(grid), S)
+
+
+def test_size_only_constants_are_read_only():
+    for a in (kress_log_matrix(64), _kress_log_row(64), _single_layer_row(64)):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert kress_log_matrix(64) is kress_log_matrix(64)
 
 
 @pytest.mark.parametrize("n", [16, 64, 250, 512])

@@ -1,15 +1,20 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfeit import forward, potential
-from mfeit.forward import solve_u0
-from mfeit.geometry import StarShape, circle
-from mfeit.reconstruct import (InversionSettings, _Objective, _shape_to_params,
-                               invert, misfit, stability_sweep,
-                               symmetric_difference)
+from mfeit import forward, potential, reconstruct
+from mfeit.disentangle import extract_u0, fit_rational
+from mfeit.forward import (FrequencyProfile, _add_noise, current_from_fourier,
+                           solve_u0, synthesize)
+from mfeit.geometry import StarShape, circle, unit_circle_grid
+from mfeit.reconstruct import (InversionSettings, _Objective, _params_to_shape,
+                               _shape_to_params, _start_params, invert,
+                               misfit, stability_sweep, symmetric_difference)
 
 from conftest import R0, TREFOIL, g_two_phase
 
@@ -201,3 +206,72 @@ def test_stability_sweep_synthesizes_at_the_background_k0():
     (row,) = res.rows
     assert row["status"] == "ok"
     assert row["sym_diff"] < 1e-4
+
+
+#: a small sweep: 3 noisy levels x 2 seeds = 6 rows, radius only
+_SWEEP = dict(truth=StarShape(cos=(0.45, 0.0, 0.03)), f_coeffs=([1.0], []),
+              profile=FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05}),
+              omega_grid=np.linspace(10.0, 50.0, 40),
+              noise_levels=[1e-4, 1e-3, 1e-2],
+              settings=InversionSettings(n_fourier_modes=2, alpha=1e-6,
+                                         n_boundary=64),
+              seeds=[1, 2], max_poles=4, n_forward=128, allow_degenerate=True)
+
+
+def test_sweep_solves_its_starting_circle_once(monkeypatch):
+    settings_ = _SWEEP["settings"]
+    start = _params_to_shape(_start_params(settings_), 2)
+    calls = []
+
+    def counted(shape, *args, **kwargs):
+        calls.append(shape == start)
+        return solve_u0(shape, *args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "solve_u0", counted)
+    res = stability_sweep(**_SWEEP)
+    rows = len(res.rows)
+    assert rows == 6
+    # every row inverted, and only the sweep itself solved the start
+    assert sum(r["status"] == "ok" for r in res.rows) == rows
+    assert sum(calls) == 1
+    assert len(calls) > rows
+
+
+@pytest.fixture(scope="module")
+def standalone_rows():
+    """Each sweep row rebuilt by fit_rational -> extract_u0 -> invert."""
+    s = _SWEEP
+    k0 = s["settings"].config.k0
+    f = current_from_fourier(*s["f_coeffs"], unit_circle_grid(64))
+    clean = synthesize(s["truth"], f, s["profile"], s["omega_grid"], eta=0.0,
+                       seed=None, n=s["n_forward"], k0=k0)
+    rows = []
+    for level in s["noise_levels"]:
+        for seed in s["seeds"]:
+            data = replace(clean, U=_add_noise(clean.U, level, seed))
+            tol = max(level / float(np.max(np.abs(data.U))), 1e-11)
+            model = fit_rational(data, max_poles=s["max_poles"], tol=tol,
+                                 config=s["settings"].config)
+            u0 = extract_u0(model, k0)
+            u0.f = f
+            shape = invert(u0, s["settings"]).shape
+            rows.append((float(np.max(np.abs(data.U - clean.U))),
+                         symmetric_difference(s["truth"], shape)))
+    return rows
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_sweep_rows_equal_standalone_inversions(standalone_rows, threads):
+    """Rows that share the start match standalone runs bit for bit.
+
+    Four threads on fewer cores, with a short switch interval, interleave
+    the rows' reads of the shared start as finely as the interpreter allows.
+    """
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = stability_sweep(**_SWEEP, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    got = [(r["eps_measured"], r["sym_diff"]) for r in res.rows]
+    assert got == standalone_rows
