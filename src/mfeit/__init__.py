@@ -20,7 +20,7 @@ from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
 from .disentangle import (RationalModel, cauchy_integral_check, extract_u0,
                           fit_rational)
 from .reconstruct import (InversionResult, InversionSettings, SweepResult,
-                          invert, misfit, stability_sweep,
+                          invert, stability_sweep,
                           symmetric_difference)
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "solve_forward_direct", "solve_forward_spectral", "solve_u0", "synthesize",
     "u0_shape_derivative",
     "RationalModel", "cauchy_integral_check", "extract_u0", "fit_rational",
-    "InversionResult", "InversionSettings", "SweepResult", "invert", "misfit",
+    "InversionResult", "InversionSettings", "SweepResult", "invert",
     "stability_sweep", "symmetric_difference",
 ]
 

@@ -21,7 +21,8 @@ import numpy as np
 from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      current_from_fourier, solve_forward_batched, synthesize)
+                      _write_table, current_from_fourier,
+                      solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, build_star_shape, discretize,
                        unit_circle_grid)
 from .potential import assemble
@@ -103,11 +104,9 @@ def cmd_spectrum(out: Path, manifest: dict, threads: int, *, shape,
                             n_boundary=n_measure, tail=tail)
     bound = resonance_bound(shape, domain.k0)
     _write(out, "spectrum.json", spec.report_json(bound) + "\n", manifest)
-    lines = ["theta," + ",".join(f"w{j}" for j in range(spec.lam.size))]
-    for i, th in enumerate(spec.boundary_t):
-        lines.append(",".join([repr(float(th))] +
-                              [repr(float(v)) for v in spec.traces_bd_omega[i]]))
-    _write(out, "traces.csv", "\n".join(lines) + "\n", manifest)
+    header = ["theta"] + [f"w{j}" for j in range(spec.lam.size)]
+    table = np.column_stack([spec.boundary_t, spec.traces_bd_omega])
+    _write(out, "traces.csv", _write_table(header, table), manifest)
 
 
 def cmd_forward(out: Path, manifest: dict, threads: int, *, shape, current,

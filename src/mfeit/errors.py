@@ -34,10 +34,6 @@ class DomainViolation(MfeitError):
     """Source point of the Neumann kernel outside the open unit disk."""
 
 
-class ResolutionTooLow(MfeitError):
-    """Operator assembly requested on an under-resolved grid."""
-
-
 class TargetTooClose(MfeitError):
     """Off-boundary evaluation target inside the quadrature accuracy zone."""
 

@@ -93,9 +93,6 @@ class FrequencyProfile:
         if np.any(on_axis):
             raise ValueError("profile touches the closed negative real axis")
 
-    def to_dict(self) -> dict:
-        return {"model": self.model, **self.params}
-
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyProfile":
         d = dict(d)

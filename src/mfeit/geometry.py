@@ -1,8 +1,10 @@
 """Star-shaped inclusions in the unit disk and boundary quadrature grids.
 
 The ambient domain is always the unit disk, so the admissible radial band
-(b0, b1 - delta) with b1 = 1 pins every inclusion strictly inside it.
-Radial functions are truncated Fourier series
+(b0, 1 - delta) pins every inclusion strictly inside it. ``class_violation``
+is the one check of the admissible class: the band and the C^2 bound m,
+sampled on one grid of ``N_CHECK`` angles. Radial functions are truncated
+Fourier series
 
     r(theta) = a0 + sum_m a_m cos(m theta) + b_m sin(m theta),
 
@@ -33,7 +35,6 @@ class DomainConfig:
     """Admissibility constants of the inclusion class plus background conductivity."""
 
     b0: float = 0.2
-    b1: float = 1.0
     delta: float = 0.1
     m: float = 50.0
     k0: float = 1.0
@@ -41,14 +42,8 @@ class DomainConfig:
     def __post_init__(self):
         if self.k0 <= 0:
             raise ValueError("background conductivity k0 must be positive")
-        if not (0 < self.b0 < self.b1 - self.delta):
-            raise ValueError("need 0 < b0 < b1 - delta")
-        if self.b1 != 1.0:
-            raise ValueError("ambient domain is the unit disk, b1 must equal 1")
-
-    def to_dict(self) -> dict:
-        return {"b0": self.b0, "b1": self.b1, "delta": self.delta,
-                "m": self.m, "k0": self.k0}
+        if not (0 < self.b0 < 1 - self.delta):
+            raise ValueError("need 0 < b0 < 1 - delta")
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainConfig":
@@ -97,10 +92,6 @@ class StarShape:
     def radius(self, theta):
         return fourier_series(self.cos, self.sin, theta)[0]
 
-    def points(self, theta):
-        r = self.radius(theta)
-        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-
     def to_dict(self) -> dict:
         return {"cos": list(self.cos), "sin": list(self.sin)}
 
@@ -120,27 +111,42 @@ def circle(radius: float) -> StarShape:
     return StarShape(cos=(float(radius),))
 
 
-def build_star_shape(cos_coeffs, sin_coeffs, config: DomainConfig) -> StarShape:
-    """Validate class constraints on a dense angle grid and return the shape.
+def class_violation(shape: StarShape, config: DomainConfig,
+                    margin: float = 0.0) -> ConstraintViolation | None:
+    """First bound of the admissible class that ``shape`` breaks, or None.
 
-    Raises :class:`ConstraintViolation` naming the failed bound and the
+    Samples the radius and its derivatives at ``N_CHECK`` angles and checks,
+    in order, r > b0 + margin, r < 1 - delta - margin and the discrete C^2
+    norm proxy |r| + |r'| + |r''| <= m; a violation names the bound and the
     worst offending angle.
     """
-    shape = StarShape(cos=tuple(cos_coeffs), sin=tuple(sin_coeffs))
     theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
     r, r1, r2 = fourier_series(shape.cos, shape.sin, theta)
     i = int(np.argmin(r))
-    if r[i] <= config.b0:
-        raise ConstraintViolation("lower bound b0", theta[i], r[i], config.b0)
+    lower = config.b0 + margin
+    if r[i] <= lower:
+        return ConstraintViolation("lower bound b0", theta[i], r[i], lower)
     j = int(np.argmax(r))
-    upper = config.b1 - config.delta
+    upper = 1 - config.delta - margin
     if r[j] >= upper:
-        raise ConstraintViolation("upper bound b1 - delta", theta[j], r[j], upper)
-    # discrete C^2 norm proxy
+        return ConstraintViolation("upper bound 1 - delta", theta[j], r[j],
+                                   upper)
     c2 = np.abs(r) + np.abs(r1) + np.abs(r2)
     k = int(np.argmax(c2))
     if c2[k] > config.m:
-        raise ConstraintViolation("C2 norm bound m", theta[k], c2[k], config.m)
+        return ConstraintViolation("C2 norm bound m", theta[k], c2[k], config.m)
+    return None
+
+
+def build_star_shape(cos_coeffs, sin_coeffs, config: DomainConfig) -> StarShape:
+    """The shape, if it is in the admissible class of ``config``.
+
+    Raises the :class:`ConstraintViolation` of :func:`class_violation`.
+    """
+    shape = StarShape(cos=tuple(cos_coeffs), sin=tuple(sin_coeffs))
+    violation = class_violation(shape, config)
+    if violation is not None:
+        raise violation
     return shape
 
 
@@ -174,12 +180,6 @@ class BoundaryGrid:
     @property
     def perimeter(self) -> float:
         return float(np.sum(self.weights))
-
-    @property
-    def signed_area(self) -> float:
-        """Half the boundary integral of x . nu (divergence theorem)."""
-        x_dot_nu = np.sum(self.points * self.normals, axis=1)
-        return float(0.5 * np.sum(self.weights * x_dot_nu))
 
 
 def discretize(shape: StarShape, n: int) -> BoundaryGrid:

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (DomainViolation, ResolutionTooLow, SingularEvaluation,
+from .errors import (DomainViolation, InvalidResolution, SingularEvaluation,
                      TargetTooClose)
 from .geometry import BoundaryGrid
 
@@ -175,13 +175,6 @@ class KernelMatrices:
         A = self.B @ self.Kstar
         return sla.eigh(0.5 * (A + A.T), self.B)
 
-    def calderon_residual(self) -> float:
-        """Relative asymmetry of K* in the -S inner product (-> 0 with n)."""
-        W = self.grid.weights
-        M = -(W[:, None] * self.S)
-        A = M @ self.Kstar
-        return float(np.linalg.norm(A - A.T) / np.linalg.norm(M))
-
 
 def _node_pairs(grid: BoundaryGrid) -> tuple[np.ndarray, np.ndarray]:
     """``_pair_terms`` of every pair of nodes.
@@ -229,7 +222,7 @@ def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
 def assemble(grid: BoundaryGrid) -> KernelMatrices:
     """Discrete S_D and K*_D on an inclusion boundary grid."""
     if grid.n < 32:
-        raise ResolutionTooLow(f"need n >= 32 nodes, got {grid.n}")
+        raise InvalidResolution(f"need n >= 32 nodes, got {grid.n}")
     pts = grid.points
     pairs = _node_pairs(grid)
     free, image = _normal_derivative_parts(pts[:, None, :], pts[None, :, :],

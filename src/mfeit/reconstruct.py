@@ -3,12 +3,13 @@
 A single zero-mean current f and the trace u0 of the perfect-conductor
 voltage on the unit circle determine a star-shaped inclusion uniquely; the
 inverter here is a damped Gauss-Newton iteration on the radial Fourier
-coefficients with a curvature penalty and radial projection back into the
-admissible band. Its Jacobian is the domain derivative of the perfect
-conductor (Kirsch, Inverse Problems 9, 1993; Hettlich & Rundell, Inverse
-Problems 14, 1998): for the radial velocity h = phi_j e_r of Fourier mode j,
-u0' is harmonic outside D with zero Neumann data on the circle and zero flux,
-and u0' = rho' - (h . nu) d_nu u0 on dD. The jump relation of the single
+coefficients with a curvature penalty and a projection of every trial
+iterate back into the admissible class (``geometry.class_violation``). Its
+Jacobian is the domain derivative of the perfect conductor (Kirsch, Inverse
+Problems 9, 1993; Hettlich & Rundell, Inverse Problems 14, 1998): for the
+radial velocity h = phi_j e_r of Fourier mode j, u0' is harmonic outside D
+with zero Neumann data on the circle and zero flux, and
+u0' = rho' - (h . nu) d_nu u0 on dD. The jump relation of the single
 layer gives d_nu u0 = psi from outside, psi being the density that
 ``solve_u0`` solves for, so all 2M + 1 columns come from one more solve of
 its saddle system (``forward.u0_shape_derivative``). That solve reuses the
@@ -41,7 +42,8 @@ from .errors import Diverged, MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
                       current_from_fourier, solve_u0, synthesize,
                       u0_shape_derivative)
-from .geometry import DomainConfig, StarShape, discretize, unit_circle_grid
+from .geometry import (DomainConfig, StarShape, class_violation, discretize,
+                       unit_circle_grid)
 
 _FD_BASE_STEP = 1e-6
 #: Gauss-Newton iteration cap and gradient-norm stopping tolerance
@@ -62,7 +64,7 @@ _N_QUAD = 8192
 class InversionSettings:
     """Settings of the Gauss-Newton shape inverter.
 
-    The iteration starts from the circle of radius (b0 + b1 - delta) / 2,
+    The iteration starts from the circle of radius (b0 + 1 - delta) / 2,
     the middle of the admissible band of ``config``.
     """
 
@@ -99,22 +101,25 @@ def _shape_to_params(shape: StarShape, M: int) -> np.ndarray:
     return np.array(cos[:M + 1] + sin[:M], dtype=float)
 
 
+def _band_middle(config: DomainConfig) -> float:
+    """Radius (b0 + 1 - delta) / 2 of the middle of the admissible band."""
+    return 0.5 * (config.b0 + 1 - config.delta)
+
+
 def _project_band(x: np.ndarray, M: int,
                   config: DomainConfig) -> tuple[np.ndarray, bool]:
-    """Pull the radius into (b0, b1 - delta) by shrinking toward the band center.
+    """Shrink the shape toward the band's middle circle until it is admissible.
 
-    Scales the oscillatory part and blends a0 toward the midpoint just enough
-    to restore a strict margin; a no-op for feasible iterates.
+    Scales the oscillatory part and blends a0 toward the middle radius until
+    ``class_violation`` finds no broken bound at ``_BAND_MARGIN``; a no-op
+    for admissible iterates. Returns the parameters and whether they moved.
     """
-    lo = config.b0 + _BAND_MARGIN
-    hi = config.b1 - config.delta - _BAND_MARGIN
-    mid = 0.5 * (lo + hi)
-    theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    mid = _band_middle(config)
     x = x.copy()
     hit = False
     for _ in range(60):
-        r = _params_to_shape(x, M).radius(theta)
-        if r.min() > lo and r.max() < hi:
+        if class_violation(_params_to_shape(x, M), config,
+                           _BAND_MARGIN) is None:
             return x, hit
         hit = True
         x[0] = mid + 0.8 * (x[0] - mid)
@@ -124,9 +129,8 @@ def _project_band(x: np.ndarray, M: int,
 
 def _start_params(settings: InversionSettings) -> np.ndarray:
     """Parameters of the starting circle, the middle of the admissible band."""
-    cfg = settings.config
-    r0 = 0.5 * (cfg.b0 + cfg.b1 - cfg.delta)
-    return _shape_to_params(StarShape(cos=(r0,)), settings.n_fourier_modes)
+    return _shape_to_params(StarShape(cos=(_band_middle(settings.config),)),
+                            settings.n_fourier_modes)
 
 
 def _point(x: np.ndarray, settings: InversionSettings, f: np.ndarray) -> tuple:
@@ -169,10 +173,6 @@ class _Objective:
         r_data = self.sqrt_w * (sim.u0 - self.data.u0)
         return np.concatenate([r_data, self.pen_scale * x])
 
-    def value(self, x: np.ndarray) -> float:
-        r = self.residual(x)
-        return 0.5 * float(r @ r)
-
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Jacobian from the domain derivative, reusing the solve at x."""
         grid, sim = self._solve(x)
@@ -195,22 +195,6 @@ class _Objective:
             cols.append((self.residual(x + e) - self.residual(x - e))
                         / (2 * steps[i]))
         return np.column_stack(cols)
-
-
-def misfit(shape: StarShape, data: CauchyData,
-           settings: InversionSettings | None = None) -> tuple[float, np.ndarray]:
-    """Objective J and its gradient in the Fourier coefficients.
-
-    J = 1/2 ||u0(shape) - u0_meas||^2_{L2(circle)} + alpha/2 ||r''||^2.
-    """
-    if settings is None:
-        settings = InversionSettings()
-    M = settings.n_fourier_modes
-    obj = _Objective(data, settings)
-    x = _shape_to_params(shape, M)
-    r = obj.residual(x)
-    Jac = obj.jacobian(x)
-    return 0.5 * float(r @ r), Jac.T @ r
 
 
 def invert(data: CauchyData, settings: InversionSettings | None = None, *,

@@ -14,6 +14,7 @@ def pytest_terminal_summary(terminalreporter):
 from mfeit.forward import current_from_fourier
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import assemble
+from mfeit.reconstruct import _Objective, _shape_to_params
 from mfeit.spectrum import compute_spectrum
 
 R0 = 0.5
@@ -48,6 +49,27 @@ def bgrid64():
 @pytest.fixture(scope="session")
 def f_cos(bgrid64):
     return current_from_fourier([1.0], [], bgrid64)
+
+
+def objective_value(obj: _Objective, x) -> float:
+    """Gauss-Newton objective J = 1/2 |r(x)|^2 (data misfit plus penalty)."""
+    r = obj.residual(x)
+    return 0.5 * float(r @ r)
+
+
+def misfit(shape, data, settings) -> tuple:
+    """J at ``shape`` and its gradient J^T r from the analytic Jacobian."""
+    obj = _Objective(data, settings)
+    x = _shape_to_params(shape, settings.n_fourier_modes)
+    r = obj.residual(x)
+    return 0.5 * float(r @ r), obj.jacobian(x).T @ r
+
+
+def calderon_residual(kernels) -> float:
+    """Relative asymmetry of K* in the -S inner product (-> 0 with n)."""
+    M = -(kernels.grid.weights[:, None] * kernels.S)
+    A = M @ kernels.Kstar
+    return float(np.linalg.norm(A - A.T) / np.linalg.norm(M))
 
 
 def g_two_phase(r0: float) -> float:

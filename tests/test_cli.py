@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -11,8 +12,8 @@ import pytest
 from mfeit.cli import _COMMANDS, main
 from mfeit.disentangle import fit_rational
 from mfeit.forward import CauchyData, solve_u0
-from mfeit.geometry import circle, unit_circle_grid
-from mfeit.reconstruct import stability_sweep
+from mfeit.geometry import DomainConfig, circle, unit_circle_grid
+from mfeit.reconstruct import InversionSettings, stability_sweep
 from mfeit.forward import current_from_fourier
 
 from conftest import R0, TREFOIL
@@ -65,6 +66,18 @@ def test_numeric_failure_exits_3(tmp_path):
            "n_boundary": 128, "n_modes": 60}
     assert run("spectrum", write_cfg(tmp_path, "c.json", cfg),
                tmp_path / "o") == 3
+
+
+@pytest.mark.parametrize("command", ["spectrum", "forward", "synth"])
+def test_operator_resolution_below_32_exits_2(tmp_path, capsys, command):
+    cfg = {"spectrum": {"domain": BASE["domain"], "shape": {"cos": [0.5]},
+                        "n_modes": 4},
+           "forward": dict(FORWARD, contrasts=[[2.0, 0.0]]),
+           "synth": BASE}[command]
+    cfg = dict(cfg, n_boundary=16)
+    assert run(command, write_cfg(tmp_path, "c.json", cfg),
+               tmp_path / "o") == 2
+    assert "n >= 32" in capsys.readouterr().err
 
 
 def test_missing_input_exits_4(tmp_path):
@@ -302,6 +315,8 @@ MISSING = object()
                  id="inversion-n_fourer_modes-4"),
     pytest.param("invert", "domain", "bo", 0.3,  # misspelt
                  id="domain-bo-0.3"),
+    pytest.param("synth", "domain", "b1", 1.0,  # retired: the disk's radius
+                 id="domain-b1-1.0"),
     pytest.param("invert", "inversion", "max_iter", 10,  # an inverter constant
                  id="inversion-max_iter-10"),
     pytest.param("spectrum", None, "n_boundry", 64, id="n_boundry-64"),
@@ -358,6 +373,31 @@ def test_readme_lists_each_command_keys():
                          {p.name: json.dumps(p.default) for p in keys
                           if p.default is not p.empty})
     assert documented == declared
+
+
+def _section_defaults(text: str) -> dict:
+    """``{key: default}`` of the "`key` (..., default value)" items in text.
+
+    A key documented without a default maps to None.
+    """
+    defaults = {}
+    for key, note in re.findall(r"`(\w+)` \(([^()]*)\)", text):
+        m = re.search(r"default ([^,]+)$", note)
+        defaults[key] = float(m.group(1)) if m else None
+    return defaults
+
+
+def test_readme_lists_the_domain_and_inversion_keys():
+    text = " ".join(README.read_text().split())
+    domain = re.search(r"The `domain` section accepts (.*?) The `inversion`",
+                       text).group(1)
+    inversion = re.search(r"The `inversion` section of `invert` and `sweep` "
+                          r"accepts (.*?) Any other key", text).group(1)
+    assert _section_defaults(domain) == {
+        f.name: f.default for f in dataclasses.fields(DomainConfig)}
+    assert _section_defaults(inversion) == {
+        f.name: f.default for f in dataclasses.fields(InversionSettings)
+        if f.name != "config"}
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -185,7 +185,7 @@ def test_frequency_profiles():
     # touching the closed negative real axis is rejected
     with pytest.raises(ValueError):
         FrequencyProfile("affine", {"k_r": -1.0, "c": 1.0}).validate([0.0, 1.0])
-    rt = FrequencyProfile.from_dict(affine.to_dict())
+    rt = FrequencyProfile.from_dict({"model": affine.model, **affine.params})
     assert rt == affine
 
 

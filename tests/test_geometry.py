@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,23 +9,32 @@ from hypothesis import strategies as st
 from mfeit.errors import ConstraintViolation, InvalidResolution
 from mfeit.forward import FrequencyProfile, solve_u0, synthesize
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
-                            discretize, fourier_series, r_inf,
-                            unit_circle_grid)
+                            class_violation, discretize, fourier_series,
+                            r_inf, unit_circle_grid)
 
 from conftest import TREFOIL
 
 CFG = DomainConfig()
 
 
+def _signed_area(grid):
+    """Half the boundary integral of x . nu (divergence theorem)."""
+    x_dot_nu = np.sum(grid.points * grid.normals, axis=1)
+    return float(0.5 * np.sum(grid.weights * x_dot_nu))
+
+
 def test_domain_config_defaults_and_validation():
-    assert CFG.b0 == 0.2 and CFG.b1 == 1.0 and CFG.delta == 0.1
+    assert CFG.b0 == 0.2 and CFG.delta == 0.1
+    assert [f.name for f in dataclasses.fields(DomainConfig)] == [
+        "b0", "delta", "m", "k0"]
     with pytest.raises(ValueError):
         DomainConfig(k0=-1.0)
     with pytest.raises(ValueError):
         DomainConfig(b0=0.95)
-    with pytest.raises(ValueError):
-        DomainConfig(b1=2.0)
-    assert DomainConfig.from_dict(CFG.to_dict()) == CFG
+    # the unit disk's radius is no setting
+    with pytest.raises(TypeError):
+        DomainConfig.from_dict({"b1": 1.0})
+    assert DomainConfig.from_dict(dataclasses.asdict(CFG)) == CFG
 
 
 def test_star_shape_requires_constant_term():
@@ -46,9 +56,9 @@ def test_radius_derivatives_match_finite_differences():
 
 def test_points_lie_at_radius():
     shape = StarShape(cos=(0.5, 0.0, 0.0, 0.08))
-    theta = np.linspace(0, 2 * np.pi, 33)
-    pts = shape.points(theta)
-    assert np.allclose(np.hypot(pts[..., 0], pts[..., 1]), shape.radius(theta))
+    g = discretize(shape, 64)
+    assert np.allclose(np.hypot(g.points[:, 0], g.points[:, 1]),
+                       shape.radius(g.t))
 
 
 @given(st.lists(st.floats(-0.02, 0.02), min_size=0, max_size=4),
@@ -67,12 +77,22 @@ def test_build_star_shape_validates_band_and_norm():
     assert "b0" in str(e.value)
     with pytest.raises(ConstraintViolation) as e:
         build_star_shape((0.95,), (), CFG)
-    assert "b1" in str(e.value)
+    assert "1 - delta" in str(e.value)
     # high mode with large second derivative breaks the C2 bound
     coeffs = [0.5] + [0.0] * 15 + [0.25]  # mode 16: |r''| alone is 64
     with pytest.raises(ConstraintViolation) as e:
         build_star_shape(tuple(coeffs), (), CFG)
     assert "norm" in str(e.value) or "m" in str(e.value)
+
+
+def test_class_violation_margin_tightens_the_band():
+    assert class_violation(TREFOIL, CFG) is None
+    assert class_violation(circle(0.2005), CFG) is None
+    low = class_violation(circle(0.2005), CFG, margin=1e-3)
+    assert low.which == "lower bound b0" and np.isclose(low.bound, 0.201)
+    high = class_violation(circle(0.8995), CFG, margin=1e-3)
+    assert high.which == "upper bound 1 - delta"
+    assert np.isclose(high.bound, 0.899)
 
 
 def test_constraint_violation_carries_location():
@@ -97,7 +117,7 @@ def test_circle_grid_geometry():
     g = discretize(circle(r), 128)
     assert g.n == 128
     assert np.isclose(g.perimeter, 2 * np.pi * r, rtol=1e-12)
-    assert np.isclose(g.signed_area, np.pi * r * r, rtol=1e-12)
+    assert np.isclose(_signed_area(g), np.pi * r * r, rtol=1e-12)
     assert np.allclose(g.curvature, 1 / r)
     assert np.allclose(g.jacobian, r)
     # outward unit normals
@@ -111,7 +131,8 @@ def test_star_grid_normals_outward_and_area():
     # star-shaped about origin: x . nu > 0 everywhere
     assert np.all(np.sum(g.points * g.normals, axis=1) > 0)
     # area of r = a0 + a3 cos(3t): pi (a0^2 + a3^2 / 2)
-    assert np.isclose(g.signed_area, np.pi * (0.25 + 0.08**2 / 2), rtol=1e-12)
+    assert np.isclose(_signed_area(g), np.pi * (0.25 + 0.08**2 / 2),
+                      rtol=1e-12)
 
 
 def test_unit_circle_grid():

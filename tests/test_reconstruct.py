@@ -11,12 +11,13 @@ from mfeit import forward, potential, reconstruct
 from mfeit.disentangle import extract_u0, fit_rational
 from mfeit.forward import (FrequencyProfile, _add_noise, current_from_fourier,
                            solve_u0, synthesize)
-from mfeit.geometry import StarShape, circle, unit_circle_grid
+from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
+                            unit_circle_grid)
 from mfeit.reconstruct import (InversionSettings, _Objective, _params_to_shape,
                                _shape_to_params, _start_params, invert,
-                               misfit, stability_sweep, symmetric_difference)
+                               stability_sweep, symmetric_difference)
 
-from conftest import R0, TREFOIL, g_two_phase
+from conftest import R0, TREFOIL, g_two_phase, misfit, objective_value
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +60,12 @@ def test_gradient_finite_difference_consistency(tre_data):
     obj = _Objective(tre_data, settings_)
     x = _shape_to_params(shape, 3)
     h = 0.5e-6 * np.maximum(np.abs(x), 1.0)
-    J0 = obj.value(x)
+    J0 = objective_value(obj, x)
     fwd = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h[i]
-        fwd[i] = (obj.value(x + e) - J0) / h[i]
+        fwd[i] = (objective_value(obj, x + e) - J0) / h[i]
     assert np.max(np.abs(fwd - grad)) / np.max(np.abs(grad)) < 1e-4
 
 
@@ -168,6 +169,32 @@ def test_symmetric_difference_is_a_metric(radii, wobbles):
     assert np.isclose(dab, symmetric_difference(b, a), rtol=1e-12)
     assert dab >= 0
     assert dab <= symmetric_difference(a, c) + symmetric_difference(c, b) + 1e-12
+
+
+def test_projection_restores_the_c2_bound():
+    # inside the band, but mode 16 alone gives |r''| = 64 > m = 50
+    cfg = DomainConfig()
+    x = np.zeros(33)
+    x[0], x[16] = 0.5, 0.25
+    y, hit = reconstruct._project_band(x, 16, cfg)
+    assert hit
+    build_star_shape(y[:17], y[17:], cfg)
+
+
+def test_projection_is_a_no_op_inside_the_class():
+    x = _shape_to_params(TREFOIL, 8)
+    y, hit = reconstruct._project_band(x, 8, DomainConfig())
+    assert not hit and np.array_equal(y, x)
+
+
+@given(st.floats(0.3, 0.8), st.lists(st.floats(-1.0, 1.0), min_size=32,
+                                     max_size=32))
+@settings(max_examples=60, deadline=None)
+def test_projected_shapes_are_admissible(a0, coeffs):
+    # 60 shrinks by 0.8 bring any such vector into the class, with room
+    cfg = DomainConfig()
+    y, _ = reconstruct._project_band(np.array([a0] + coeffs), 16, cfg)
+    build_star_shape(y[:17], y[17:], cfg)
 
 
 def test_rho_gap(conc_data, f_cos):
