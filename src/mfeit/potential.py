@@ -26,6 +26,17 @@ What depends on the grid size alone is built once per size and shared
 read-only: the Kress row ``_kress_log_row(n)``, the first column
 ``_single_layer_row(n)`` of the circulant C, and the m x m measurement rule
 ``kress_log_matrix(m)``. No n x n matrix of an inclusion grid is kept.
+
+Each stage holds one working copy per n x n operator. The kernels run as
+in-place ufuncs over the two pair-term buffers, the two parts of K* and
+one scratch buffer, in the same operation order as plain expressions
+(every dot product as two products and one sum, never a matmul, whose
+blocking and FMA would move the last bit), so the results are bit for bit
+those of one temporary per operation. The eigensolve lets LAPACK overwrite
+the symmetrized B K*. The one copy left on purpose is that of the direct
+forward solve: ``np.linalg.solve`` copies its matrix into a LAPACK buffer
+of its own, and it stays because it is the entry point through which
+profilers and the benchmark's linalg layer count LU factorizations.
 """
 from __future__ import annotations
 
@@ -90,15 +101,26 @@ def _neumann(z, d2, img2):
 def _normal_derivative_parts(x, z, nu, d2, img2):
     """Free-space and image parts of nu . grad_x N(x, z); free is nan at x == z.
 
-    ``d2`` and ``img2`` are the ``_pair_terms`` of ``x`` and ``z``.
+    ``d2`` and ``img2`` are the ``_pair_terms`` of ``x`` and ``z``. Each
+    part is built in its own buffer with one scratch buffer beside them,
+    and every dot product as two products and one sum, never a matmul.
     """
-    free = (x[..., 0] - z[..., 0]) * nu[..., 0]
-    free += (x[..., 1] - z[..., 1]) * nu[..., 1]
+    shape = np.broadcast(d2, nu[..., 0]).shape  # () for two single points
+    free = np.subtract(x[..., 0], z[..., 0], out=np.empty(shape))
+    free *= nu[..., 0]
+    scratch = np.subtract(x[..., 1], z[..., 1], out=np.empty(shape))
+    scratch *= nu[..., 1]
+    free += scratch
+    np.multiply(2 * np.pi, d2, out=scratch)
     with np.errstate(divide="ignore", invalid="ignore"):
-        free /= 2 * np.pi * d2
-    image = _dot(z, z) * _dot(x, nu)
-    image -= _dot(z, nu)
-    image /= 2 * np.pi * img2
+        free /= scratch
+    image = np.multiply(z[..., 0], nu[..., 0], out=np.empty(shape))
+    np.multiply(z[..., 1], nu[..., 1], out=scratch)
+    image += scratch  # z . nu
+    np.multiply(_dot(z, z), _dot(x, nu), out=scratch)
+    np.subtract(scratch, image, out=image)
+    np.multiply(2 * np.pi, img2, out=scratch)
+    image /= scratch
     return free, image
 
 
@@ -144,6 +166,15 @@ def kress_log_matrix(n: int) -> np.ndarray:
     return R
 
 
+def check_resolution(n: int) -> None:
+    """Raise ``InvalidResolution`` unless n is even and at least 32.
+
+    The rule of every inclusion grid that operators are built on.
+    """
+    if n % 2 != 0 or n < 32:
+        raise InvalidResolution(f"need even n >= 32 nodes, got {n}")
+
+
 @dataclass(frozen=True)
 class KernelMatrices:
     """Discrete single layer and Neumann-Poincare operators on one grid.
@@ -161,19 +192,27 @@ class KernelMatrices:
 
     @cached_property
     def B(self) -> np.ndarray:
-        W = self.grid.weights
-        M = -(W[:, None] * self.S)
-        return 0.5 * (M + M.T)
+        return _symmetrize(-(self.grid.weights[:, None] * self.S))
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """(mu, V) with sym(B K*) V = B V diag(mu) and V^T B V = I.
 
         K* is self-adjoint in the energy inner product up to the Calderon
-        residual, so K* = V diag(mu) V^T B on the discrete level.
+        residual, so K* = V diag(mu) V^T B on the discrete level. Both
+        matrices are exactly symmetric, so their transposes are Fortran
+        views of the same values: LAPACK overwrites sym(B K*) in place and
+        copies only B, which stays cached.
         """
-        A = self.B @ self.Kstar
-        return sla.eigh(0.5 * (A + A.T), self.B)
+        A = _symmetrize(self.B @ self.Kstar)
+        return sla.eigh(A.T, self.B.T, overwrite_a=True, check_finite=False)
+
+
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    """M <- (M + M^T) / 2 in place, bit for bit ``0.5 * (M + M.T)``."""
+    M += M.T
+    M *= 0.5
+    return M
 
 
 def _node_pairs(grid: BoundaryGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -208,10 +247,11 @@ def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
 
     S = [C + (h/4pi) ln(d2 img2)] diag|x'|, where the circulant C of
     ``_single_layer_row`` holds everything that depends on the parameter
-    alone.
+    alone. S is built in the image-term buffer of ``pairs``, which it
+    overwrites.
     """
-    d2, img2 = _node_pairs(grid) if pairs is None else pairs
-    S = d2 * img2
+    d2, S = _node_pairs(grid) if pairs is None else pairs
+    S *= d2
     np.log(S, out=S)
     S *= grid.h / (4 * np.pi)
     S += sla.circulant(_single_layer_row(grid.n))
@@ -220,18 +260,23 @@ def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
 
 
 def assemble(grid: BoundaryGrid) -> KernelMatrices:
-    """Discrete S_D and K*_D on an inclusion boundary grid."""
-    if grid.n < 32:
-        raise InvalidResolution(f"need n >= 32 nodes, got {grid.n}")
+    """Discrete S_D and K*_D on an inclusion boundary grid.
+
+    K* is built in the free-space buffer and S in the image-term buffer of
+    the node pairs, so the n x n working set peaks at five matrices: the
+    two pair terms, the two parts of K* and one scratch buffer.
+    """
+    check_resolution(grid.n)
     pts = grid.points
     pairs = _node_pairs(grid)
-    free, image = _normal_derivative_parts(pts[:, None, :], pts[None, :, :],
-                                           grid.normals[:, None, :], *pairs)
+    Kstar, image = _normal_derivative_parts(pts[:, None, :], pts[None, :, :],
+                                            grid.normals[:, None, :], *pairs)
     # K* only replaces the free-space diagonal, by its limit kappa/(4pi)
-    np.fill_diagonal(free, grid.curvature / (4 * np.pi))
-    free += image
-    free *= grid.weights[None, :]
-    return KernelMatrices(S=_assemble_single_layer(grid, pairs), Kstar=free,
+    np.fill_diagonal(Kstar, grid.curvature / (4 * np.pi))
+    Kstar += image
+    del image
+    Kstar *= grid.weights[None, :]
+    return KernelMatrices(S=_assemble_single_layer(grid, pairs), Kstar=Kstar,
                           grid=grid)
 
 

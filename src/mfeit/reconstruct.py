@@ -44,6 +44,7 @@ from .forward import (CauchyData, FrequencyProfile, _add_noise,
                       u0_shape_derivative)
 from .geometry import (DomainConfig, StarShape, class_violation, discretize,
                        unit_circle_grid)
+from .potential import check_resolution
 
 _FD_BASE_STEP = 1e-6
 #: Gauss-Newton iteration cap and gradient-norm stopping tolerance
@@ -74,6 +75,8 @@ class InversionSettings:
     config: DomainConfig = field(default_factory=DomainConfig)
 
     def __post_init__(self):
+        # the saddle solves skip assemble, so its resolution rule is applied here
+        check_resolution(self.n_boundary)
         if self.alpha < 0:
             raise ValueError("regularization weight alpha must be >= 0")
         if self.n_fourier_modes > 16:

@@ -60,18 +60,18 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
     mu, V = kernels.eig  # columns are B-orthonormal: unit energy
     lam = 0.5 - mu
 
-    keep = lam > _ZERO_MODE_TOL
-    lam, V = lam[keep], V[:, keep]
-    resolved = np.abs(lam - 0.5) > tail
+    # compose the column index first, then gather the kept columns once
+    idx = np.flatnonzero(lam > _ZERO_MODE_TOL)
+    resolved = np.abs(lam[idx] - 0.5) > tail
     n_discarded = int(np.sum(~resolved))
-    lam, V = lam[resolved], V[:, resolved]
-    order = np.argsort(-np.abs(lam - 0.5), kind="stable")
-    lam, V = lam[order], V[:, order]
-    if lam.size < n_modes:
+    idx = idx[resolved]
+    idx = idx[np.argsort(-np.abs(lam[idx] - 0.5), kind="stable")]
+    if idx.size < n_modes:
         raise NotConverged(
-            f"only {lam.size} modes resolved above tail {tail:g}, "
+            f"only {idx.size} modes resolved above tail {tail:g}, "
             f"requested {n_modes}")
-    lam, V = lam[:n_modes], V[:, :n_modes]
+    idx = idx[:n_modes]
+    lam, V = lam[idx], V[:, idx]
 
     bgrid = unit_circle_grid(n_boundary)
     return NPSpectrum(lam=lam, densities=V,

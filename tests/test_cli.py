@@ -187,15 +187,17 @@ def test_sweep_summary_counts_ok_rows(tmp_path):
 
 
 def test_sweep_with_bad_inversion_resolution_exits_2(tmp_path, capsys):
-    """The shared starting solve rejects the grid before any row runs."""
-    cfg = dict(SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4,
-               inversion={"n_fourier_modes": 0, "alpha": 0.0,
-                          "n_boundary": 15})
-    out = tmp_path / "sw"
-    assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 2
-    assert "need even n >= 16, got 15" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
-    assert not (out / "manifest.json").exists()
+    """The inversion settings reject the grid before any row runs: an odd
+    count, and an even one below the operators' 32 nodes."""
+    for n in (15, 16):
+        cfg = dict(SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4,
+                   inversion={"n_fourier_modes": 0, "alpha": 0.0,
+                              "n_boundary": n})
+        out = tmp_path / f"sw{n}"
+        assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 2
+        assert f"need even n >= 32 nodes, got {n}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "manifest.json").exists()
 
 
 def test_threads_flag_accepted(tmp_path):
@@ -286,6 +288,17 @@ def test_off_grid_theta_exits_2(tmp_path, capsys):
     assert run("invert", _invert_cfg(tmp_path, cauchy), tmp_path / "i") == 2
     err = capsys.readouterr().err
     assert str(cauchy) in err and "row 7, column theta" in err
+
+
+def test_invert_resolution_below_32_exits_2(tmp_path, capsys):
+    """The inverter's grid obeys the operators' rule, not only discretize's."""
+    cfg = json.loads(Path(_invert_cfg(tmp_path, _cauchy_file(tmp_path)))
+                     .read_text())
+    cfg["inversion"]["n_boundary"] = 16
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg),
+               tmp_path / "i") == 2
+    assert "need even n >= 32 nodes, got 16" in capsys.readouterr().err
+    assert not (tmp_path / "i" / "shape.json").exists()
 
 
 def test_invert_current_disagreeing_with_f_exits_2(tmp_path, capsys):

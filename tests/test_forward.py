@@ -8,11 +8,15 @@ import pytest
 
 from mfeit.errors import NearResonance, SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                           _solve_saddle, current_from_fourier, harmonic_lift_trace,
-                           solve_forward_batched, solve_forward_direct,
-                           solve_forward_spectral, solve_u0, synthesize)
+                           _contrast_c, _recenter, _solve_saddle,
+                           current_from_fourier,
+                           harmonic_lift_normal_derivative,
+                           harmonic_lift_trace, solve_forward_batched,
+                           solve_forward_direct, solve_forward_spectral,
+                           solve_u0, synthesize)
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
-from mfeit.potential import _target_kernel, neumann_kernel
+from mfeit.potential import (_target_kernel, assemble, eval_S,
+                             neumann_kernel, trace_matrix)
 
 from conftest import R0, TREFOIL, g_two_phase
 
@@ -172,6 +176,50 @@ def test_batched_matches_direct_oracle(request, shape, kernels_name, f_cos):
     Ud = np.column_stack([solve_forward_direct(shape, f_cos, k, kernels=kernels)
                           for k in kvals])
     assert np.max(np.abs(U - Ud)) <= 1e-12 * np.max(np.abs(Ud))
+
+
+def _out_of_place_direct(kernels, f, k, k0=1.0):
+    """Oracle: the LU solve with c I + K* built and cast out of place."""
+    bgrid = unit_circle_grid(f.size)
+    grid = kernels.grid
+    dn_frak = harmonic_lift_normal_derivative(f, bgrid, grid.points,
+                                              grid.normals)
+    A = _contrast_c(k, k0) * np.eye(grid.n) + kernels.Kstar
+    phi = np.linalg.solve(A.astype(complex), -dn_frak.astype(complex) / k0)
+    u = harmonic_lift_trace(f, bgrid) / k0 + eval_S(grid, phi, bgrid.points)
+    return _recenter(u, bgrid)
+
+
+def _out_of_place_batched(kernels, f, kvals, k0=1.0):
+    """Oracle: the eigenbasis solve with U tiled and then cast to complex."""
+    kvals = np.asarray(kvals, dtype=complex)
+    bgrid = unit_circle_grid(f.size)
+    grid = kernels.grid
+    mu, V = kernels.eig
+    U = np.tile((harmonic_lift_trace(f, bgrid) / k0)[:, None],
+                (1, kvals.size)).astype(complex)
+    live = kvals != k0
+    denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
+    dn_frak = harmonic_lift_normal_derivative(f, bgrid, grid.points,
+                                              grid.normals)
+    q = V.T @ (kernels.B @ (-dn_frak / k0))
+    TV = trace_matrix(grid, bgrid.points) @ V
+    U[:, live] += TV @ (q[:, None] / denom)
+    return _recenter(U, bgrid)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("shape", [circle(R0), TREFOIL],
+                         ids=["circle", "trefoil"])
+def test_forward_solves_equal_the_out_of_place_forms(shape, n, f_cos):
+    kernels = assemble(discretize(shape, n))
+    kvals = [1 + 1j, -0.5 + 0.5j, 1e6, 3]
+    for k in kvals:
+        assert np.array_equal(
+            solve_forward_direct(shape, f_cos, k, kernels=kernels),
+            _out_of_place_direct(kernels, f_cos, k))
+    assert np.array_equal(solve_forward_batched(kernels, f_cos, kvals + [1.0]),
+                          _out_of_place_batched(kernels, f_cos, kvals + [1.0]))
 
 
 def test_frequency_profiles():

@@ -80,6 +80,49 @@ def test_kernels_match_textbook_assembly(shape, n):
     assert _rel(_target_kernel(grid, targets), N) <= 1e-13
 
 
+def _out_of_place_kernels(grid):
+    """Oracle: S, K*, B and (mu, V) with one temporary per operation.
+
+    The same operations in the same order as the in-place assembly, written
+    as plain expressions: every dot product as two products and one sum,
+    the circulant as a matrix, sym(M) as 0.5 (M + M^T), and eigh on copies.
+    """
+    def dot(a, b):
+        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+    x, z = grid.points[:, None, :], grid.points[None, :, :]
+    nu = grid.normals[:, None, :]
+    dx, dy = x[..., 0] - z[..., 0], x[..., 1] - z[..., 1]
+    d2 = dx * dx + dy * dy
+    img2 = (1.0 - dot(x, x)) * (1.0 - dot(z, z)) + d2
+    np.fill_diagonal(d2, grid.jacobian ** 2)
+    free = (dx * nu[..., 0] + dy * nu[..., 1]) / (2 * np.pi * d2)
+    image = (dot(z, z) * dot(x, nu) - dot(z, nu)) / (2 * np.pi * img2)
+    np.fill_diagonal(free, grid.curvature / (4 * np.pi))
+    Kstar = (free + image) * grid.weights[None, :]
+    S = (np.log(d2 * img2) * (grid.h / (4 * np.pi))
+         + sla.circulant(_single_layer_row(grid.n))) * grid.jacobian[None, :]
+    M = -(grid.weights[:, None] * S)
+    B = 0.5 * (M + M.T)
+    A = B @ Kstar
+    return S, Kstar, B, sla.eigh(0.5 * (A + A.T), B)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("shape", [circle(R0), TREFOIL],
+                         ids=["circle", "trefoil"])
+def test_in_place_operators_equal_the_out_of_place_forms(shape, n):
+    grid = discretize(shape, n)
+    S, Kstar, B, (mu, V) = _out_of_place_kernels(grid)
+    kernels = assemble(grid)
+    assert np.array_equal(kernels.S, S)
+    assert np.array_equal(kernels.Kstar, Kstar)
+    assert np.array_equal(kernels.B, B)
+    assert np.array_equal(kernels.B, kernels.B.T)
+    assert np.array_equal(kernels.eig[0], mu)
+    assert np.array_equal(kernels.eig[1], V)
+
+
 @pytest.mark.parametrize("n", [64, 128, 256, 512])
 def test_single_layer_equals_the_uncached_formula(n):
     """Oracle: the parameter-only row built inline on every call."""

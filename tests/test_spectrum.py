@@ -6,7 +6,7 @@ import pytest
 from mfeit.errors import NotConverged
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import assemble, eval_S
-from mfeit.spectrum import compute_spectrum, resonance_bound
+from mfeit.spectrum import _ZERO_MODE_TOL, compute_spectrum, resonance_bound
 
 R0 = 0.5
 
@@ -132,3 +132,26 @@ def test_traces_match_per_mode_eval_S(tre_kernels, tre_spectrum):
     W = np.column_stack([eval_S(tre_kernels.grid, v, bg.points)
                          for v in tre_spectrum.densities.T])
     assert np.max(np.abs(tre_spectrum.traces_bd_omega - W)) <= 1e-14
+
+
+def test_modes_are_gathered_once(tre_kernels, tre_spectrum):
+    """Oracle: the zero-mode, tail, order and count selections one by one.
+
+    The spectrum gathers its columns with one composed index, so its
+    densities own exactly n x n_modes values instead of viewing the whole
+    block of resolved eigenvectors.
+    """
+    mu, V = tre_kernels.eig
+    lam = 0.5 - mu
+    keep = lam > _ZERO_MODE_TOL
+    lam, V = lam[keep], V[:, keep]
+    resolved = np.abs(lam - 0.5) > 1e-15
+    lam, V = lam[resolved], V[:, resolved]
+    order = np.argsort(-np.abs(lam - 0.5), kind="stable")
+    lam, V = lam[order][:20], V[:, order][:, :20]
+    assert np.array_equal(tre_spectrum.lam, lam)
+    assert np.array_equal(tre_spectrum.densities, V)
+    owner = tre_spectrum.densities
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.size == tre_kernels.grid.n * 20
