@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,11 +45,21 @@ def _sha256(path: Path) -> str:
 
 
 def _load_config(path: str) -> dict:
+    """The parsed config; ``NaN``, ``Infinity`` and overflowing numbers such
+    as ``1e999`` raise ``ValueError`` naming the literal."""
     p = Path(path)
     if not p.is_file():
         raise MissingInput(f"config file not found: {path}")
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {literal} in {path}")
+        return value
+
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(), parse_float=finite,
+                          parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: "
@@ -105,7 +116,8 @@ def cmd_spectrum(out: Path, manifest: dict, threads: int, *, shape,
     bound = resonance_bound(shape, domain.k0)
     _write(out, "spectrum.json", spec.report_json(bound) + "\n", manifest)
     header = ["theta"] + [f"w{j}" for j in range(spec.lam.size)]
-    table = np.column_stack([spec.boundary_t, spec.traces_bd_omega])
+    table = np.column_stack([unit_circle_grid(n_measure).t,
+                             spec.traces_bd_omega])
     _write(out, "traces.csv", _write_table(header, table), manifest)
 
 
@@ -114,14 +126,12 @@ def cmd_forward(out: Path, manifest: dict, threads: int, *, shape, current,
                 n_boundary=256) -> None:
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
-    bgrid = unit_circle_grid(n_measure)
-    f = current_from_fourier(*_fourier(**current), bgrid)
+    f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
     kvals = np.array([complex(re, im) for re, im in contrasts])
     kernels = assemble(discretize(shape, n_boundary))
     U = solve_forward_batched(kernels, f, kvals, domain.k0)
-    data = MultiFreqData(theta=bgrid.t,
-                         omega=np.arange(kvals.size, dtype=float),
-                         k=kvals, U=U, eta=0.0, seed=None)
+    data = MultiFreqData(omega=np.arange(kvals.size, dtype=float), k=kvals,
+                         U=U)
     _write(out, "forward.csv", data.to_csv(), manifest)
 
 

@@ -37,14 +37,6 @@ class RationalModel:
     residual: float        # sup fit residual over all data
     scale: float           # sup magnitude of the fitted data
 
-    def __call__(self, k):
-        k = np.asarray(k, dtype=complex)
-        vals = np.broadcast_to(self.alpha_inf[:, None],
-                               (self.alpha_inf.size, k.size)).copy()
-        for p, col in zip(self.poles, self.residues.T):
-            vals += col[:, None] / (k[None, :] - p)
-        return vals
-
     def to_json(self) -> str:
         return json.dumps({
             "poles": [[p.real, p.imag] for p in self.poles],
@@ -54,19 +46,6 @@ class RationalModel:
             "residual": self.residual,
             "scale": self.scale,
         }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "RationalModel":
-        d = json.loads(s)
-        to_c = lambda pair: complex(pair[0], pair[1])
-        poles = np.array([to_c(p) for p in d["poles"]], dtype=complex)
-        alpha = np.array([to_c(a) for a in d["alpha_inf"]], dtype=complex)
-        res = np.array([[to_c(r) for r in row] for row in d["residues"]],
-                       dtype=complex)
-        if res.size == 0:
-            res = np.zeros((alpha.size, 0), dtype=complex)
-        return cls(poles=poles, alpha_inf=alpha, residues=res,
-                   residual=float(d["residual"]), scale=float(d["scale"]))
 
 
 def _aaa(Z: np.ndarray, F: np.ndarray, rtol: float, max_support: int):
@@ -198,10 +177,7 @@ def extract_u0(model: RationalModel, k0: float) -> CauchyData:
         raise NonRealLimit(
             f"relative imaginary part {worst:.3g} exceeds {imag_tol:.3g}")
     u0 = k0 * alpha.real
-    u0 = u0 - np.mean(u0)
-    m = u0.size
-    return CauchyData(theta=2 * np.pi * np.arange(m) / m, f=None, u0=u0,
-                      rho=None)
+    return CauchyData(f=None, u0=u0 - np.mean(u0))
 
 
 def cauchy_integral_check(model: RationalModel, radius: float, k_eval: complex,

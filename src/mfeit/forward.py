@@ -146,6 +146,12 @@ def _parse_rows(body: list, header: list) -> list:
     return values
 
 
+def _angles(m: int) -> np.ndarray:
+    """Angles 2 pi i / m: bitwise ``unit_circle_grid(m).t``, but for any m
+    (the CSV codecs read any row count; that grid needs even m >= 16)."""
+    return 2 * np.pi * np.arange(m) / m
+
+
 def _write_table(header: list, table: np.ndarray) -> str:
     """CSV text of a float table, each value as its shortest round-trip repr."""
     lines = [",".join(header)]
@@ -155,9 +161,8 @@ def _write_table(header: list, table: np.ndarray) -> str:
 
 @dataclass
 class CauchyData:
-    """Injected current and perfect-conductor voltage trace on the circle."""
+    """Current f and perfect-conductor trace u0 at the angles 2 pi i / m."""
 
-    theta: np.ndarray
     f: np.ndarray | None
     u0: np.ndarray
     rho: float | None = None
@@ -170,39 +175,37 @@ class CauchyData:
     def to_csv(self) -> str:
         fvals = self.f if self.f is not None else np.full_like(self.u0, np.nan)
         return _write_table(["theta", "f", "u0"],
-                            np.column_stack([self.theta, fvals, self.u0]))
+                            np.column_stack([_angles(self.u0.size), fvals,
+                                             self.u0]))
 
     def sidecar(self) -> dict:
         return {"rho": None if self.rho is None else float(self.rho)}
 
     @classmethod
-    def from_csv(cls, text: str, rho: float | None = None) -> "CauchyData":
+    def from_csv(cls, text: str) -> "CauchyData":
         data = _read_table(text, optional=1)
         m = data.shape[0]
-        off = np.abs(data[:, 0] - 2 * np.pi * np.arange(m) / m)
+        off = np.abs(data[:, 0] - _angles(m))
         if np.max(off) > 1e-9:
             raise ValueError(f"row {np.argmax(off) + 2}, column theta: not on "
                              f"the equispaced grid 2 pi i / {m}")
         f = data[:, 1]
         if np.all(np.isnan(f)):
             f = None
-        return cls(theta=data[:, 0], f=f, u0=data[:, 2], rho=rho)
+        return cls(f=f, u0=data[:, 2])
 
 
 @dataclass
 class MultiFreqData:
     """Boundary voltages over a frequency sweep, plus the contrast values."""
 
-    theta: np.ndarray   # (m,) measurement angles on the unit circle
     omega: np.ndarray   # (J,)
     k: np.ndarray       # (J,) complex contrasts
-    U: np.ndarray       # (m, J) complex voltages
-    eta: float
-    seed: int | None
+    U: np.ndarray       # (m, J) complex voltages at angles 2 pi i / m
 
     def to_csv(self) -> str:
         header = ["omega", "re_k", "im_k"]
-        for i in range(self.theta.size):
+        for i in range(self.U.shape[0]):
             header += [f"re_u{i}", f"im_u{i}"]
         table = np.empty((self.omega.size, len(header)))
         table[:, 0] = self.omega
@@ -213,21 +216,17 @@ class MultiFreqData:
         return _write_table(header, table)
 
     @classmethod
-    def from_csv(cls, text: str, eta: float = 0.0,
-                 seed: int | None = None) -> "MultiFreqData":
+    def from_csv(cls, text: str) -> "MultiFreqData":
         data = _read_table(text)
         if data.shape[1] < 5 or data.shape[1] % 2 == 0:
             header = text.partition("\n")[0].split(",")
             raise ValueError(f"row 1, column {header[-1]}: need omega, re_k, "
                              f"im_k and re/im pairs, got {data.shape[1]} "
                              f"columns")
-        m = (data.shape[1] - 3) // 2
         omega = data[:, 0]
         # adjacent (re, im) columns viewed as complex, bit for bit (-0.0 too)
         pairs = np.ascontiguousarray(data[:, 1:]).view(complex)
-        k, U = pairs[:, 0], pairs[:, 1:].T
-        theta = 2 * np.pi * np.arange(m) / m
-        return cls(theta=theta, omega=omega, k=k, U=U, eta=eta, seed=seed)
+        return cls(omega=omega, k=pairs[:, 0], U=pairs[:, 1:].T)
 
 
 def harmonic_lift_trace(f: np.ndarray, bgrid_omega: BoundaryGrid) -> np.ndarray:
@@ -308,8 +307,7 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
 
     T = N * grid.weights[None, :]
     trace = _recenter(frak_omega + T @ psi, bgrid_omega)
-    return CauchyData(theta=bgrid_omega.t.copy(), f=f, u0=trace, rho=rho,
-                      psi=psi, saddle=(factors, T))
+    return CauchyData(f=f, u0=trace, rho=rho, psi=psi, saddle=(factors, T))
 
 
 def u0_shape_derivative(factors: tuple, T: np.ndarray, psi: np.ndarray,
@@ -411,7 +409,7 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
     The expansion runs over every mode that ``spectrum`` holds.
     """
     bgrid_omega = unit_circle_grid(f.size)
-    if spectrum.boundary_t.size != f.size:
+    if spectrum.traces_bd_omega.shape[0] != f.size:
         raise ValueError("current sampled on a different grid than the traces")
     lam = spectrum.lam
     W = spectrum.traces_bd_omega
@@ -431,18 +429,24 @@ def synthesize(shape: StarShape, f: np.ndarray, profile: FrequencyProfile,
     """Multifrequency dataset from the batched solver plus calibrated noise.
 
     Additive complex Gaussian noise rescaled so its sup magnitude over all
-    entries equals eta exactly. Raises ``NearResonance`` if a contrast of
-    the sweep is within the solver tolerance of a resonance.
+    entries equals eta exactly; a negative eta raises ``ValueError``.
+    Raises ``NearResonance`` if a contrast of the sweep is within the
+    solver tolerance of a resonance.
     """
+    _check_noise_level(eta)
     omega_grid = np.asarray(omega_grid, dtype=float)
     profile.validate(omega_grid)
     kvals = profile.contrast(omega_grid)
     if kernels is None:
         kernels = assemble(discretize(shape, n))
     U = solve_forward_batched(kernels, f, kvals, k0)
-    return MultiFreqData(theta=unit_circle_grid(f.size).t.copy(),
-                         omega=omega_grid, k=kvals,
-                         U=_add_noise(U, eta, seed), eta=eta, seed=seed)
+    return MultiFreqData(omega=omega_grid, k=kvals, U=_add_noise(U, eta, seed))
+
+
+def _check_noise_level(eta: float) -> None:
+    """Raise ``ValueError`` unless the noise level eta is >= 0."""
+    if not eta >= 0:
+        raise ValueError(f"noise level must be >= 0, got {eta:g}")
 
 
 def _add_noise(U: np.ndarray, eta: float, seed: int | None) -> np.ndarray:

@@ -92,19 +92,14 @@ class StarShape:
     def radius(self, theta):
         return fourier_series(self.cos, self.sin, theta)[0]
 
-    def to_dict(self) -> dict:
-        return {"cos": list(self.cos), "sin": list(self.sin)}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StarShape":
-        return cls(cos=tuple(d["cos"]), sin=tuple(d.get("sin", ())))
+        return json.dumps({"cos": list(self.cos), "sin": list(self.sin)},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, s: str) -> "StarShape":
-        return cls.from_dict(json.loads(s))
+        d = json.loads(s)
+        return cls(cos=tuple(d["cos"]), sin=tuple(d.get("sin", ())))
 
 
 def circle(radius: float) -> StarShape:

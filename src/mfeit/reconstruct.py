@@ -40,8 +40,8 @@ import numpy as np
 from .disentangle import extract_u0, fit_rational
 from .errors import Diverged, MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
-                      current_from_fourier, solve_u0, synthesize,
-                      u0_shape_derivative)
+                      _check_noise_level, current_from_fourier, solve_u0,
+                      synthesize, u0_shape_derivative)
 from .geometry import (DomainConfig, StarShape, class_violation, discretize,
                        unit_circle_grid)
 from .potential import check_resolution
@@ -79,8 +79,9 @@ class InversionSettings:
         check_resolution(self.n_boundary)
         if self.alpha < 0:
             raise ValueError("regularization weight alpha must be >= 0")
-        if self.n_fourier_modes > 16:
-            raise ValueError("at most 16 Fourier modes are supported")
+        if not 0 <= self.n_fourier_modes <= 16:
+            raise ValueError(f"n_fourier_modes must be in 0..16, got "
+                             f"{self.n_fourier_modes}")
 
 
 @dataclass
@@ -316,6 +317,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     shared-pole rational model, extract u0, invert from the shared start,
     and compare with the truth by symmetric difference. Fits
     |D delta D~| = C (1/ln eps^-1)^tau and C' eps^tau' over the noisy levels.
+    A negative noise level raises ``ValueError`` before any solve.
     """
     noise_levels = sorted(float(v) for v in noise_levels)
     if not allow_degenerate:
@@ -325,6 +327,8 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
             raise ValueError("need at least 3 seeds per level")
     if not seeds:
         raise ValueError("need at least one seed")
+    for level in noise_levels:
+        _check_noise_level(level)
     omega_grid = np.asarray(omega_grid, dtype=float)
     bgrid_omega = unit_circle_grid(n_measure)
 
@@ -333,7 +337,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     # rows share f and the start across threads: make every array read-only
     x0, grid0, sim0 = start
     for a in (f, x0, grid0.t, grid0.points, grid0.normals, grid0.jacobian,
-              grid0.curvature, sim0.theta, sim0.u0, sim0.psi, *sim0.saddle[0],
+              grid0.curvature, sim0.u0, sim0.psi, *sim0.saddle[0],
               sim0.saddle[1]):
         a.setflags(write=False)
     clean = synthesize(truth, f, profile, omega_grid, eta=0.0, seed=None,
@@ -346,8 +350,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
         level, seed = job
         eps = float("nan")
         try:
-            data = replace(clean, U=_add_noise(clean.U, level, seed), eta=level,
-                           seed=seed if level > 0 else None)
+            data = replace(clean, U=_add_noise(clean.U, level, seed))
             eps = float(np.max(np.abs(data.U - clean.U)))
             # fit down to the noise floor, never below quadrature accuracy
             tol = max(level / max(float(np.max(np.abs(data.U))), 1e-300), 1e-11)

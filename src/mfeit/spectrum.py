@@ -33,10 +33,9 @@ class NPSpectrum:
 
     lam: np.ndarray             # (k,) eigenvalues in (0,1), |lam-1/2| descending
     densities: np.ndarray       # (n, k) eigen-densities, unit energy
-    traces_bd_omega: np.ndarray  # (m, k) traces of w_n on the unit circle
+    traces_bd_omega: np.ndarray  # (m, k) traces of w_n at angles 2 pi i / m
     resonances: np.ndarray      # (k,) k_n = k0 (1 - 1/lambda_n)
     k0: float
-    boundary_t: np.ndarray      # (m,) angles of the unit-circle trace grid
     n_discarded: int            # tail modes dropped below the threshold
 
     def report_json(self, bound: float) -> str:
@@ -73,11 +72,10 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
     idx = idx[:n_modes]
     lam, V = lam[idx], V[:, idx]
 
-    bgrid = unit_circle_grid(n_boundary)
-    return NPSpectrum(lam=lam, densities=V,
-                      traces_bd_omega=eval_S(kernels.grid, V, bgrid.points),
+    traces = eval_S(kernels.grid, V, unit_circle_grid(n_boundary).points)
+    return NPSpectrum(lam=lam, densities=V, traces_bd_omega=traces,
                       resonances=k0 * (1.0 - 1.0 / lam), k0=k0,
-                      boundary_t=bgrid.t, n_discarded=n_discarded)
+                      n_discarded=n_discarded)
 
 
 def resonance_bound(shape: StarShape, k0: float = 1.0) -> float:

@@ -369,6 +369,90 @@ def test_non_object_config_exits_2(tmp_path, capsys):
     assert "not list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,literal", [
+    pytest.param(None, "eta", "NaN", id="eta-nan"),
+    pytest.param("domain", "k0", "NaN", id="k0-nan"),
+    pytest.param("domain", "m", "NaN", id="m-nan"),
+    pytest.param("omega", "start", "Infinity", id="omega-start-inf"),
+    pytest.param("omega", "stop", "1e999", id="omega-stop-overflow"),
+    pytest.param("current", "cos", ["NaN"], id="current-cos-nan"),
+    pytest.param("shape", "cos", [0.5, "NaN"], id="shape-cos-nan"),
+])
+def test_non_finite_config_number_exits_2_naming_it(tmp_path, capsys, section,
+                                                    key, literal):
+    """json reads NaN, Infinity and 1e999; the config loader refuses them."""
+    cfg = copy.deepcopy(BASE)
+    target = cfg if section is None else cfg[section]
+    target[key] = literal
+    text = json.dumps(cfg)
+    for bare in ("NaN", "Infinity", "1e999"):
+        text = text.replace(f'"{bare}"', bare)
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert run("synth", str(path), out) == 2
+    bare = literal if isinstance(literal, str) else literal[-1]
+    assert f"non-finite number {bare}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_eta_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("synth", write_cfg(tmp_path, "c.json", dict(BASE, eta=-1e-4)),
+               out) == 2
+    assert "noise level must be >= 0, got -0.0001" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_negative_sweep_noise_level_exits_2(tmp_path, capsys):
+    cfg = dict(SWEEP, noise_levels=[-1e-3, 1e-3], seeds=[1], max_poles=4,
+               inversion={"n_fourier_modes": 0, "alpha": 0.0})
+    out = tmp_path / "sw"
+    assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 2
+    assert "noise level must be >= 0, got -0.001" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_negative_fourier_mode_count_exits_2_naming_it(tmp_path, capsys):
+    cfg = json.loads(Path(_invert_cfg(tmp_path, _cauchy_file(tmp_path)))
+                     .read_text())
+    cfg["inversion"]["n_fourier_modes"] = -1
+    out = tmp_path / "i"
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 2
+    assert "n_fourier_modes must be in 0..16, got -1" \
+        in capsys.readouterr().err
+    assert not (out / "shape.json").exists()
+
+
+def _theta_column(path):
+    lines = path.read_text().splitlines()[1:]
+    return np.array([float(line.partition(",")[0]) for line in lines])
+
+
+def test_written_angles_are_the_measurement_grid_bitwise(tmp_path):
+    """The data classes store no angles: each writer derives them from m.
+
+    Sizes that are not powers of two, where other formulas for 2 pi i / m
+    round differently."""
+    assert run("synth", write_cfg(tmp_path, "s.json",
+                                  dict(BASE, n_measure=50)),
+               tmp_path / "s") == 0
+    ext = {"domain": BASE["domain"], "max_poles": 4, "fit_tol": 1e-10,
+           "inputs": {"dataset": str(tmp_path / "s/dataset.csv")}}
+    assert run("extract", write_cfg(tmp_path, "e.json", ext),
+               tmp_path / "e") == 0
+    spec = {"domain": BASE["domain"], "shape": {"cos": [0.5]},
+            "n_boundary": 128, "n_modes": 4, "n_measure": 48}
+    assert run("spectrum", write_cfg(tmp_path, "sp.json", spec),
+               tmp_path / "sp") == 0
+    f = current_from_fourier([1.0], [], unit_circle_grid(40))
+    (tmp_path / "u0.csv").write_text(solve_u0(circle(R0), f, n=64).to_csv())
+    for path, m in [(tmp_path / "e/u0.csv", 50),
+                    (tmp_path / "sp/traces.csv", 48),
+                    (tmp_path / "u0.csv", 40)]:
+        assert _theta_column(path).tobytes() == unit_circle_grid(m).t.tobytes()
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

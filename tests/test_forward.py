@@ -254,8 +254,7 @@ def test_synthesize_deterministic_and_calibrated(f_cos, conc_kernels):
 def test_cauchy_data_csv_round_trip(bgrid64, f_cos, conc_kernels):
     data = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
     text = data.to_csv()
-    again = CauchyData.from_csv(text, rho=data.rho)
-    assert np.array_equal(again.theta, data.theta)
+    again = CauchyData.from_csv(text)
     assert np.array_equal(again.f, data.f)
     assert np.array_equal(again.u0, data.u0)
     assert again.to_csv() == text
@@ -294,9 +293,7 @@ def test_multifreq_csv_matches_loop_writer_and_round_trips():
     U = rng.standard_normal((m, J)) + 1j * rng.standard_normal((m, J))
     U.real[0, :J] = _EDGE
     U.imag[1, :J] = _EDGE
-    data = MultiFreqData(theta=2 * np.pi * np.arange(m) / m,
-                         omega=np.array(_EDGE), k=np.array(_EDGE) - 1j,
-                         U=U, eta=0.0, seed=None)
+    data = MultiFreqData(omega=np.array(_EDGE), k=np.array(_EDGE) - 1j, U=U)
     header = ["omega", "re_k", "im_k"]
     for i in range(m):
         header += [f"re_u{i}", f"im_u{i}"]
@@ -316,13 +313,12 @@ def test_cauchy_csv_matches_loop_writer_and_round_trips(with_f):
     m = len(_EDGE)
     theta = 2 * np.pi * np.arange(m) / m
     f = np.array(_EDGE[::-1]) if with_f else None
-    data = CauchyData(theta=theta, f=f, u0=np.array(_EDGE))
+    data = CauchyData(f=f, u0=np.array(_EDGE))
     fvals = f if with_f else np.full(m, np.nan)
     text = data.to_csv()
     assert text == _loop_csv(["theta", "f", "u0"],
                              zip(theta, fvals, data.u0))
     again = CauchyData.from_csv(text)
-    assert again.theta.tobytes() == theta.tobytes()
     assert again.u0.tobytes() == data.u0.tobytes()
     if with_f:
         assert again.f.tobytes() == f.tobytes()

@@ -55,7 +55,7 @@ def test_energy_identity_mode_one(conc_kernels):
 
 def test_traces_zero_mean_on_outer_boundary(tre_spectrum):
     from mfeit.geometry import unit_circle_grid
-    bg = unit_circle_grid(tre_spectrum.boundary_t.size)
+    bg = unit_circle_grid(tre_spectrum.traces_bd_omega.shape[0])
     means = tre_spectrum.traces_bd_omega.T @ bg.weights
     assert np.max(np.abs(means)) < 1e-10
 
@@ -128,7 +128,7 @@ def test_neumann_series_partial_sum_oracle(conc_kernels):
 
 def test_traces_match_per_mode_eval_S(tre_kernels, tre_spectrum):
     # one trace-matrix product for all modes against one eval_S per mode
-    bg = unit_circle_grid(tre_spectrum.boundary_t.size)
+    bg = unit_circle_grid(tre_spectrum.traces_bd_omega.shape[0])
     W = np.column_stack([eval_S(tre_kernels.grid, v, bg.points)
                          for v in tre_spectrum.densities.T])
     assert np.max(np.abs(tre_spectrum.traces_bd_omega - W)) <= 1e-14
