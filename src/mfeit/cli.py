@@ -84,6 +84,8 @@ def _fourier(cos=(), sin=()):
 
 
 def _linspace(start, stop, count):
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"omega.count must be an integer >= 1, got {count!r}")
     return np.linspace(start, stop, count)
 
 
@@ -91,6 +93,8 @@ def _omega(omega) -> np.ndarray:
     """A list of frequencies, or ``{"start", "stop", "count"}``."""
     if isinstance(omega, dict):
         return _linspace(**omega)
+    if np.ndim(omega) != 1 or not len(omega):
+        raise ValueError("omega must be a non-empty list of frequencies")
     return np.asarray(omega, dtype=float)
 
 
@@ -141,10 +145,12 @@ def cmd_synth(out: Path, manifest: dict, threads: int, *, shape, current,
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
+    if seed is not None and (not isinstance(seed, int) or seed < 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     manifest["seeds"] = [seed] if seed is not None else []
-    data = synthesize(shape, f, FrequencyProfile.from_dict(profile),
-                      _omega(omega), eta=eta, seed=seed, n=n_boundary,
-                      k0=domain.k0)
+    data = synthesize(assemble(discretize(shape, n_boundary)), f,
+                      FrequencyProfile.from_dict(profile), _omega(omega),
+                      eta=eta, seed=seed, k0=domain.k0)
     _write(out, "dataset.csv", data.to_csv(), manifest)
 
 
@@ -183,7 +189,7 @@ def cmd_invert(out: Path, manifest: dict, threads: int, *, inputs,
                              f"{path}: max difference {gap:.3g}")
     result = invert(data, InversionSettings(**(inversion or {}), config=domain))
     _write(out, "shape.json", result.shape.to_json() + "\n", manifest)
-    report = {"misfit": result.misfit, "history": result.history,
+    report = {"misfit": result.history[-1], "history": result.history,
               "rho": result.rho, "converged": result.converged,
               "n_iter": result.n_iter,
               "hit_constraint": result.hit_constraint}

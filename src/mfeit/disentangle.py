@@ -106,10 +106,8 @@ def admissible_pole_region(config: DomainConfig) -> tuple[complex, float]:
 
 
 def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
-                 config: DomainConfig | None = None) -> RationalModel:
+                 *, config: DomainConfig) -> RationalModel:
     """Shared-pole rational model of the voltage as a function of contrast."""
-    if config is None:
-        config = DomainConfig()
     kvals = np.asarray(data.k, dtype=complex)
     if np.unique(kvals).size < 2 * max_poles + 2:
         raise InsufficientFrequencies(
@@ -180,20 +178,18 @@ def extract_u0(model: RationalModel, k0: float) -> CauchyData:
     return CauchyData(f=None, u0=u0 - np.mean(u0))
 
 
-def cauchy_integral_check(model: RationalModel, radius: float, k_eval: complex,
-                          index: int = 0,
-                          center: complex | None = None) -> complex:
+def cauchy_integral_check(model: RationalModel, center: complex,
+                          radius: float, k_eval: complex,
+                          index: int = 0) -> complex:
     """Frequency part at an exterior contrast via the contour representation.
 
-    Integrates the fitted model's pole part over a circle enclosing all
-    poles; must reproduce the direct evaluation alpha(k_eval) - alpha_inf.
-    This is the oracle of the paper's contour representation of the
-    frequency dependence: the pipeline never calls it, and tests compare the
-    fitted model's direct evaluation against it.
+    Integrates the fitted model's pole part over the circle of ``center``
+    and ``radius``, which must enclose all poles; must reproduce the direct
+    evaluation alpha(k_eval) - alpha_inf. This is the oracle of the paper's
+    contour representation of the frequency dependence: the pipeline never
+    calls it, and tests compare the fitted model's direct evaluation
+    against it.
     """
-    if center is None:
-        center = (complex(np.mean(model.poles)) if model.poles.size
-                  else complex(-1.0, 0.0))
     if model.poles.size:
         if np.max(np.abs(model.poles - center)) >= radius * (1 - 1e-12):
             raise ContourCrossesPole("a model pole lies on or outside the contour")

@@ -310,9 +310,7 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
     return CauchyData(f=f, u0=trace, rho=rho, psi=psi, saddle=(factors, T))
 
 
-def u0_shape_derivative(factors: tuple, T: np.ndarray, psi: np.ndarray,
-                        velocity: np.ndarray,
-                        bgrid_omega: BoundaryGrid) -> np.ndarray:
+def u0_shape_derivative(sim: CauchyData, velocity: np.ndarray) -> np.ndarray:
     """Domain derivative of the perfect-conductor trace on the unit circle.
 
     For a boundary perturbation with normal velocity v = h . nu on dD the
@@ -321,16 +319,17 @@ def u0_shape_derivative(factors: tuple, T: np.ndarray, psi: np.ndarray,
     (Kirsch, Inverse Problems 9, 1993; Hettlich & Rundell, Inverse
     Problems 14, 1998). The jump relation of the single layer gives
     d_nu u0 = psi from outside, so u0' = S_D[psi'] with
-    [S -1; w^T 0] [psi'; rho'] = [-v psi; 0], the saddle system of
-    ``solve_u0``: ``factors``, ``T`` and ``psi`` are that solve's
-    (``CauchyData.saddle`` and ``CauchyData.psi``).
+    [S -1; w^T 0] [psi'; rho'] = [-v psi; 0], the saddle system of the
+    ``solve_u0`` result ``sim``, whose factors and trace matrix it reuses.
 
     ``velocity`` holds one normal velocity per column, sampled at the grid
     nodes; returns one recentered trace per column.
     """
+    factors, T = sim.saddle
+    psi = sim.psi
     rhs = np.vstack([-velocity * psi[:, None], np.zeros((1, velocity.shape[1]))])
     dpsi = _solve_saddle(factors, rhs)[:psi.size]
-    return _recenter(T @ dpsi, bgrid_omega)
+    return _recenter(T @ dpsi, unit_circle_grid(sim.u0.size))
 
 
 def _contrast_c(k, k0: float):
@@ -384,8 +383,7 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     grid = kernels.grid
     mu, V = kernels.eig
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
-    U = np.empty((frak_omega.size, kvals.size), dtype=complex)
-    U[...] = (frak_omega / k0)[:, None]
+    U = np.tile((frak_omega / k0)[:, None], (1, kvals.size)).astype(complex)
     live = kvals != k0  # at k = k0 the inclusion is invisible
     if np.any(live):
         denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
@@ -422,23 +420,21 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
     return _recenter(u, bgrid_omega)
 
 
-def synthesize(shape: StarShape, f: np.ndarray, profile: FrequencyProfile,
-               omega_grid, eta: float, seed: int | None, *, n: int = 256,
-               k0: float = 1.0,
-               kernels: KernelMatrices | None = None) -> MultiFreqData:
+def synthesize(kernels: KernelMatrices, f: np.ndarray,
+               profile: FrequencyProfile, omega_grid, eta: float,
+               seed: int | None, *, k0: float) -> MultiFreqData:
     """Multifrequency dataset from the batched solver plus calibrated noise.
 
-    Additive complex Gaussian noise rescaled so its sup magnitude over all
-    entries equals eta exactly; a negative eta raises ``ValueError``.
-    Raises ``NearResonance`` if a contrast of the sweep is within the
-    solver tolerance of a resonance.
+    ``kernels`` are the operators of the inclusion's grid. Additive complex
+    Gaussian noise rescaled so its sup magnitude over all entries equals
+    eta exactly; a negative eta raises ``ValueError``. Raises
+    ``NearResonance`` if a contrast of the sweep is within the solver
+    tolerance of a resonance.
     """
     _check_noise_level(eta)
     omega_grid = np.asarray(omega_grid, dtype=float)
     profile.validate(omega_grid)
     kvals = profile.contrast(omega_grid)
-    if kernels is None:
-        kernels = assemble(discretize(shape, n))
     U = solve_forward_batched(kernels, f, kvals, k0)
     return MultiFreqData(omega=omega_grid, k=kvals, U=_add_noise(U, eta, seed))
 

@@ -27,16 +27,19 @@ read-only: the Kress row ``_kress_log_row(n)``, the first column
 ``_single_layer_row(n)`` of the circulant C, and the m x m measurement rule
 ``kress_log_matrix(m)``. No n x n matrix of an inclusion grid is kept.
 
-Each stage holds one working copy per n x n operator. The kernels run as
-in-place ufuncs over the two pair-term buffers, the two parts of K* and
-one scratch buffer, in the same operation order as plain expressions
-(every dot product as two products and one sum, never a matmul, whose
-blocking and FMA would move the last bit), so the results are bit for bit
-those of one temporary per operation. The eigensolve lets LAPACK overwrite
-the symmetrized B K*. The one copy left on purpose is that of the direct
-forward solve: ``np.linalg.solve`` copies its matrix into a LAPACK buffer
-of its own, and it stays because it is the entry point through which
-profilers and the benchmark's linalg layer count LU factorizations.
+An n x n step runs in place only where that lowers a peak, and in the
+operation order of the plain expression (every dot product as two products
+and one sum, never a matmul, whose blocking and FMA would move the last
+bit), so results are bit for bit those of one temporary per operation.
+Traced peaks, in n x n matrices: assembly builds K* in the free-space
+buffer of its two parts (-1), drops the image part and builds S in the
+image-term buffer (5.3 against 6.0 without both); the eigensolve lets
+LAPACK overwrite sym(B K*) (-1); the direct solve shifts its copy of K* in
+place and drops it early (-2). Peak resident set of the benchmark's
+spectrum ladder (n up to 512): a fresh S, a rebound B or a rebound
+sym(B K*) each raise it, by about 0.3, 1 and 1.8 MB. The copy that
+``np.linalg.solve`` makes of its matrix stays, because profilers and the
+benchmark's linalg layer count LU factorizations through that call.
 """
 from __future__ import annotations
 
@@ -192,7 +195,10 @@ class KernelMatrices:
 
     @cached_property
     def B(self) -> np.ndarray:
-        return _symmetrize(-(self.grid.weights[:, None] * self.S))
+        B = -(self.grid.weights[:, None] * self.S)
+        B += B.T
+        B *= 0.5
+        return B
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -204,15 +210,10 @@ class KernelMatrices:
         views of the same values: LAPACK overwrites sym(B K*) in place and
         copies only B, which stays cached.
         """
-        A = _symmetrize(self.B @ self.Kstar)
+        A = self.B @ self.Kstar
+        A += A.T
+        A *= 0.5
         return sla.eigh(A.T, self.B.T, overwrite_a=True, check_finite=False)
-
-
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    """M <- (M + M^T) / 2 in place, bit for bit ``0.5 * (M + M.T)``."""
-    M += M.T
-    M *= 0.5
-    return M
 
 
 def _node_pairs(grid: BoundaryGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -44,7 +45,7 @@ from .forward import (CauchyData, FrequencyProfile, _add_noise,
                       synthesize, u0_shape_derivative)
 from .geometry import (DomainConfig, StarShape, class_violation, discretize,
                        unit_circle_grid)
-from .potential import check_resolution
+from .potential import assemble, check_resolution
 
 _FD_BASE_STEP = 1e-6
 #: Gauss-Newton iteration cap and gradient-norm stopping tolerance
@@ -79,16 +80,16 @@ class InversionSettings:
         check_resolution(self.n_boundary)
         if self.alpha < 0:
             raise ValueError("regularization weight alpha must be >= 0")
-        if not 0 <= self.n_fourier_modes <= 16:
-            raise ValueError(f"n_fourier_modes must be in 0..16, got "
-                             f"{self.n_fourier_modes}")
+        if not (isinstance(self.n_fourier_modes, numbers.Integral)
+                and 0 <= self.n_fourier_modes <= 16):
+            raise ValueError(f"n_fourier_modes must be an integer in 0..16, "
+                             f"got {self.n_fourier_modes!r}")
 
 
 @dataclass
 class InversionResult:
     shape: StarShape
-    misfit: float
-    history: list          # accepted misfit values, one per iterate
+    history: list  # accepted misfit values, one per iterate; the last is final
     rho: float | None
     hit_constraint: bool
     converged: bool
@@ -157,8 +158,7 @@ class _Objective:
         self.data = data
         self.settings = settings
         self.M = settings.n_fourier_modes
-        self.bgrid_omega = unit_circle_grid(data.u0.size)
-        self.sqrt_w = np.sqrt(self.bgrid_omega.weights)
+        self.sqrt_w = np.sqrt(unit_circle_grid(data.u0.size).weights)
         M = self.M
         # penalty 1/2 alpha |r''|^2 = 1/2 alpha pi sum m^4 (a_m^2 + b_m^2)
         m2 = np.arange(1, M + 1) ** 2.0
@@ -185,8 +185,7 @@ class _Objective:
         modes = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
         er_nu = (np.cos(grid.t) * grid.normals[:, 0]
                  + np.sin(grid.t) * grid.normals[:, 1])
-        du = u0_shape_derivative(*sim.saddle, sim.psi, modes * er_nu[:, None],
-                                 self.bgrid_omega)
+        du = u0_shape_derivative(sim, modes * er_nu[:, None])
         return np.vstack([self.sqrt_w[:, None] * du, np.diag(self.pen_scale)])
 
     def fd_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -201,15 +200,13 @@ class _Objective:
         return np.column_stack(cols)
 
 
-def invert(data: CauchyData, settings: InversionSettings | None = None, *,
+def invert(data: CauchyData, settings: InversionSettings, *,
            _start: tuple | None = None) -> InversionResult:
     """Damped Gauss-Newton recovery of the inclusion from Cauchy data.
 
     ``_start`` is internal: the ``_point`` of the starting circle when the
     caller has solved it with ``data.f`` already (``stability_sweep``).
     """
-    if settings is None:
-        settings = InversionSettings()
     cfg = settings.config
     M = settings.n_fourier_modes
     x = _start_params(settings)
@@ -251,19 +248,19 @@ def invert(data: CauchyData, settings: InversionSettings | None = None, *,
             if np.linalg.norm(grad) < 1e-6 * math.sqrt(scale) + _GRAD_TOL:
                 converged = True
                 break
-            best = _finalize(obj, x, J, history, hit, False, it)
+            best = _finalize(obj, x, history, hit, False, it)
             raise Diverged("no descent direction found", result=best)
         if len(history) >= 2 and abs(history[-2] - history[-1]) \
                 < 1e-15 * max(1.0, history[-2]):
             converged = True
             break
 
-    return _finalize(obj, x, J, history, hit, converged, it)
+    return _finalize(obj, x, history, hit, converged, it)
 
 
-def _finalize(obj, x, J, history, hit, converged, it):
+def _finalize(obj, x, history, hit, converged, it):
     shape = _params_to_shape(x, obj.M)
-    return InversionResult(shape=shape, misfit=J, history=history,
+    return InversionResult(shape=shape, history=history,
                            rho=obj._solve(x)[1].rho, hit_constraint=hit,
                            converged=converged, n_iter=it)
 
@@ -340,8 +337,8 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
               grid0.curvature, sim0.u0, sim0.psi, *sim0.saddle[0],
               sim0.saddle[1]):
         a.setflags(write=False)
-    clean = synthesize(truth, f, profile, omega_grid, eta=0.0, seed=None,
-                       n=n_forward, k0=settings.config.k0)
+    clean = synthesize(assemble(discretize(truth, n_forward)), f, profile,
+                       omega_grid, eta=0.0, seed=None, k0=settings.config.k0)
 
     jobs = [(lv, sd) for lv in noise_levels
             for sd in (seeds if lv > 0 else [seeds[0]])]

@@ -32,7 +32,6 @@ class NPSpectrum:
     """Resolved part of the Poincare spectrum on one inclusion grid."""
 
     lam: np.ndarray             # (k,) eigenvalues in (0,1), |lam-1/2| descending
-    densities: np.ndarray       # (n, k) eigen-densities, unit energy
     traces_bd_omega: np.ndarray  # (m, k) traces of w_n at angles 2 pi i / m
     resonances: np.ndarray      # (k,) k_n = k0 (1 - 1/lambda_n)
     k0: float
@@ -48,7 +47,8 @@ class NPSpectrum:
 def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
                      n_boundary: int = 256,
                      tail: float = DEFAULT_TAIL) -> NPSpectrum:
-    """Leading eigenpairs of the variational operator, energy-normalized.
+    """Leading eigenvalues of the variational operator and the traces of
+    their energy-normalized eigenfunctions.
 
     The nonphysical constant-density mode (lambda ~ 0) is discarded, as are
     tail modes with |lambda - 1/2| <= tail, which the grid cannot resolve.
@@ -70,10 +70,11 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
             f"only {idx.size} modes resolved above tail {tail:g}, "
             f"requested {n_modes}")
     idx = idx[:n_modes]
-    lam, V = lam[idx], V[:, idx]
+    lam = lam[idx]
 
-    traces = eval_S(kernels.grid, V, unit_circle_grid(n_boundary).points)
-    return NPSpectrum(lam=lam, densities=V, traces_bd_omega=traces,
+    traces = eval_S(kernels.grid, V[:, idx],
+                    unit_circle_grid(n_boundary).points)
+    return NPSpectrum(lam=lam, traces_bd_omega=traces,
                       resonances=k0 * (1.0 - 1.0 / lam), k0=k0,
                       n_discarded=n_discarded)
 

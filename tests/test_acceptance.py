@@ -12,7 +12,8 @@ from mfeit.forward import (FrequencyProfile, current_from_fourier,
                            solve_forward_direct, solve_forward_spectral,
                            solve_u0, synthesize)
 from mfeit.disentangle import extract_u0, fit_rational
-from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
+from mfeit.geometry import (DomainConfig, StarShape, circle, discretize,
+                           unit_circle_grid)
 from mfeit.potential import assemble
 from mfeit.reconstruct import (InversionSettings, invert, stability_sweep,
                                symmetric_difference, _Objective,
@@ -107,8 +108,9 @@ def test_criterion_5_u0_extraction(conc_kernels, tre_kernels, f_cos):
     for name, kern, shape, mp, tol, sup_tol in [
             ("concentric", conc_kernels, circle(R0), 6, 1e-11, 1e-5),
             ("trefoil", tre_kernels, TREFOIL, 6, 1e-7, 1e-4)]:
-        data = synthesize(shape, f_cos, prof, omega, 0.0, None, kernels=kern)
-        model = fit_rational(data, max_poles=mp, tol=tol)
+        data = synthesize(kern, f_cos, prof, omega, 0.0, None, k0=1.0)
+        model = fit_rational(data, max_poles=mp, tol=tol,
+                             config=DomainConfig())
         u0_hat = extract_u0(model, 1.0)
         truth = solve_u0(shape, f_cos, grid=kern.grid)
         sup = float(np.max(np.abs(u0_hat.u0 - truth.u0)))
@@ -133,10 +135,11 @@ def test_criterion_6_noise_stability_of_extraction(conc_kernels, f_cos):
     for eta in etas:
         errs = []
         for seed in (1, 2, 3, 4, 5):
-            data = synthesize(circle(R0), f_cos, prof, omega, eta, seed,
-                              kernels=conc_kernels)
+            data = synthesize(conc_kernels, f_cos, prof, omega, eta, seed,
+                              k0=1.0)
             tol = max(eta / float(np.max(np.abs(data.U))), 1e-11)
-            model = fit_rational(data, max_poles=6, tol=tol)
+            model = fit_rational(data, max_poles=6, tol=tol,
+                                 config=DomainConfig())
             u0_hat = extract_u0(model, 1.0)
             errs.append(np.max(np.abs(u0_hat.u0 - truth.u0)))
         medians.append(float(np.median(errs)))

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfeit import reconstruct
 from mfeit.cli import _COMMANDS, main
 from mfeit.disentangle import fit_rational
 from mfeit.forward import CauchyData, solve_u0
-from mfeit.geometry import DomainConfig, circle, unit_circle_grid
+from mfeit.geometry import DomainConfig, StarShape, circle, unit_circle_grid
 from mfeit.reconstruct import InversionSettings, stability_sweep
 from mfeit.forward import current_from_fourier
 
@@ -241,12 +242,25 @@ def _drop_last_column(path):
     path.write_text("\n".join(ln.rsplit(",", 1)[0] for ln in lines) + "\n")
 
 
+def _append_cell(path, row):
+    lines = path.read_text().splitlines()
+    lines[row - 1] += ",0.0"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _keep_header(path):
+    path.write_text(path.read_text().partition("\n")[0] + "\n")
+
+
 @pytest.mark.parametrize("corrupt,where", [
     (lambda p: _corrupt(p, row=4, col=5, value="abc"),
      "row 4, column re_u1: not a number"),
     (lambda p: _drop_cell(p, row=5, col=7), "row 5, column im_u63: missing"),
     (_drop_last_column, "row 1, column re_u63: need omega"),
-], ids=["non-numeric", "ragged", "odd-re-im"])
+    (lambda p: _append_cell(p, row=5),
+     "row 5, column 132: beyond the 131 header columns"),
+    (_keep_header, "no data rows"),
+], ids=["non-numeric", "ragged", "odd-re-im", "extra-cell", "no-rows"])
 def test_malformed_dataset_exits_2_with_location(tmp_path, capsys, corrupt,
                                                  where):
     assert run("synth", write_cfg(tmp_path, "s.json", BASE), tmp_path / "s") == 0
@@ -312,6 +326,35 @@ def test_invert_current_disagreeing_with_f_exits_2(tmp_path, capsys):
     assert not (tmp_path / "i" / "shape.json").exists()
 
 
+def test_invert_without_f_or_current_exits_2_naming_both(tmp_path, capsys):
+    cauchy = _cauchy_file(tmp_path)
+    data = CauchyData.from_csv(cauchy.read_text())
+    data.f = None
+    cauchy.write_text(data.to_csv())
+    cfg = json.loads(Path(_invert_cfg(tmp_path, cauchy)).read_text())
+    del cfg["current"]
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg),
+               tmp_path / "i") == 2
+    assert f"config needs current: {cauchy} has no f column" \
+        in capsys.readouterr().err
+
+
+def test_invert_without_descent_exits_3_writing_nothing(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(reconstruct, "_MAX_BACKTRACKS", 0)
+    f = current_from_fourier([1.0], [], unit_circle_grid(64))
+    cauchy = tmp_path / "u0.csv"
+    cauchy.write_text(solve_u0(StarShape(cos=(0.5, 0.0, 0.05)), f,
+                               n=128).to_csv())
+    cfg = json.loads(Path(_invert_cfg(tmp_path, cauchy)).read_text())
+    cfg["inversion"] = {"n_fourier_modes": 2}
+    out = tmp_path / "i"
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 3
+    assert "Diverged: no descent direction found" in capsys.readouterr().err
+    assert not (out / "shape.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_max_poles_defaults_agree():
     defaults = {inspect.signature(fn).parameters["max_poles"].default
                 for fn in (fit_rational, stability_sweep,
@@ -361,6 +404,41 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
         target[key] = value
     assert run(command, write_cfg(tmp_path, "c.json", cfg), tmp_path / "o") == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key,value,message", [
+    pytest.param("synth", "omega", "count", 2.5,
+                 "omega.count must be an integer >= 1, got 2.5",
+                 id="omega-count-2.5"),
+    pytest.param("synth", "omega", "count", 0,
+                 "omega.count must be an integer >= 1, got 0",
+                 id="omega-count-0"),
+    pytest.param("synth", None, "omega", [],
+                 "omega must be a non-empty list of frequencies",
+                 id="omega-empty"),
+    pytest.param("sweep", None, "omega", 5.0,
+                 "omega must be a non-empty list of frequencies",
+                 id="omega-scalar"),
+    pytest.param("synth", None, "seed", 1.5,
+                 "seed must be an integer >= 0, got 1.5", id="seed-1.5"),
+    pytest.param("invert", "inversion", "n_fourier_modes", 2.5,
+                 "n_fourier_modes must be an integer in 0..16, got 2.5",
+                 id="inversion-n_fourier_modes-2.5"),
+])
+def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
+                                                      command, section, key,
+                                                      value, message):
+    if command == "invert":
+        cfg = json.loads(Path(_invert_cfg(tmp_path, _cauchy_file(tmp_path))
+                              ).read_text())
+    else:
+        cfg = copy.deepcopy({"synth": BASE, "sweep": dict(
+            SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4)}[command])
+    (cfg if section is None else cfg[section])[key] = value
+    out = tmp_path / "o"
+    assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_non_object_config_exits_2(tmp_path, capsys):
@@ -419,7 +497,7 @@ def test_negative_fourier_mode_count_exits_2_naming_it(tmp_path, capsys):
     cfg["inversion"]["n_fourier_modes"] = -1
     out = tmp_path / "i"
     assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 2
-    assert "n_fourier_modes must be in 0..16, got -1" \
+    assert "n_fourier_modes must be an integer in 0..16, got -1" \
         in capsys.readouterr().err
     assert not (out / "shape.json").exists()
 

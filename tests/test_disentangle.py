@@ -13,6 +13,8 @@ from mfeit.geometry import DomainConfig, circle
 
 from conftest import R0
 
+DOMAIN = DomainConfig()
+
 
 def _synthetic_data(poles, residues, alpha_inf, kvals):
     """Exact shared-pole rational samples for m boundary points."""
@@ -45,7 +47,7 @@ def _model_data():
 
 def test_exact_rational_recovery():
     data, alpha, residues = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12)
+    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
     assert model.poles.size == 2
     assert np.max(np.abs(np.sort(model.poles.real) - np.sort(POLES.real))) < 1e-8
     assert np.max(np.abs(model.poles.imag)) < 1e-8
@@ -55,7 +57,7 @@ def test_exact_rational_recovery():
 
 def test_model_evaluation_matches_data():
     data, *_ = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12)
+    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
     assert np.max(np.abs(_evaluate(model, data.k) - data.U)) \
         < 1e-10 * model.scale
 
@@ -65,7 +67,7 @@ def test_pole_free_data_yields_constant_model():
     U = np.broadcast_to(np.cos(theta)[:, None], (8, 24)).astype(complex)
     data = MultiFreqData(omega=np.arange(24, dtype=float), k=KVALS,
                          U=U.copy())
-    model = fit_rational(data, max_poles=4, tol=1e-10)
+    model = fit_rational(data, max_poles=4, tol=1e-10, config=DOMAIN)
     assert model.poles.size == 0
     assert np.max(np.abs(model.alpha_inf - np.cos(theta))) < 1e-10
 
@@ -73,14 +75,14 @@ def test_pole_free_data_yields_constant_model():
 def test_zero_data_short_circuits():
     data = MultiFreqData(omega=np.arange(24, dtype=float), k=KVALS,
                          U=np.zeros((4, 24), complex))
-    model = fit_rational(data, max_poles=4)
+    model = fit_rational(data, max_poles=4, config=DOMAIN)
     assert model.poles.size == 0 and model.scale == 0.0
 
 
 def test_insufficient_frequencies():
     data, *_ = _model_data()
     with pytest.raises(InsufficientFrequencies):
-        fit_rational(data, max_poles=12)
+        fit_rational(data, max_poles=12, config=DOMAIN)
 
 
 def test_fit_diverged_on_non_rational_data():
@@ -88,7 +90,7 @@ def test_fit_diverged_on_non_rational_data():
     data = MultiFreqData(omega=np.arange(24, dtype=float), k=KVALS,
                          U=U.astype(complex))
     with pytest.raises(FitDiverged):
-        fit_rational(data, max_poles=2, tol=1e-13)
+        fit_rational(data, max_poles=2, tol=1e-13, config=DOMAIN)
 
 
 def test_admissible_region_covers_class_resonances():
@@ -107,7 +109,7 @@ def test_admissible_region_is_computed_once_per_config():
 
 def test_extract_u0_recenters_and_strips_k0():
     data, alpha, _ = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12)
+    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
     u0 = extract_u0(model, k0=2.0)
     expect = 2.0 * (alpha.real - alpha.real.mean())
     assert np.max(np.abs(u0.u0 - expect)) < 1e-8
@@ -126,9 +128,9 @@ def test_extract_u0_rejects_complex_limit():
 
 def test_end_to_end_concentric_extraction(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
-    data = synthesize(circle(R0), f_cos, prof, np.linspace(10, 50, 40), 0.0,
-                      None, kernels=conc_kernels)
-    model = fit_rational(data, max_poles=4, tol=1e-11)
+    data = synthesize(conc_kernels, f_cos, prof, np.linspace(10, 50, 40), 0.0,
+                      None, k0=1.0)
+    model = fit_rational(data, max_poles=4, tol=1e-11, config=DOMAIN)
     assert np.max(np.abs(model.poles - (-0.6))) < 1e-8
     u0 = extract_u0(model, 1.0)
     truth = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
@@ -137,16 +139,16 @@ def test_end_to_end_concentric_extraction(f_cos, conc_kernels):
 
 def test_noise_perturbs_poles_mildly(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
-    data = synthesize(circle(R0), f_cos, prof, np.linspace(10, 50, 60), 1e-4,
-                      7, kernels=conc_kernels)
+    data = synthesize(conc_kernels, f_cos, prof, np.linspace(10, 50, 60), 1e-4,
+                      7, k0=1.0)
     tol = 1e-4 / float(np.max(np.abs(data.U)))
-    model = fit_rational(data, max_poles=4, tol=tol)
+    model = fit_rational(data, max_poles=4, tol=tol, config=DOMAIN)
     assert np.min(np.abs(model.poles - (-0.6))) < 1e-3
 
 
 def test_cauchy_integral_matches_direct_evaluation():
     data, *_ = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12)
+    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
     k_eval = 2.0 + 0j
     for i in (0, 5):
         direct = _evaluate(model, [k_eval])[i, 0] - model.alpha_inf[i]
@@ -157,7 +159,7 @@ def test_cauchy_integral_matches_direct_evaluation():
 
 def test_cauchy_integral_contour_guards():
     data, *_ = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12)
+    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
     with pytest.raises(ContourCrossesPole):  # radius excludes the -0.9 pole
         cauchy_integral_check(model, radius=0.1, k_eval=2.0, center=-0.6 + 0j)
     with pytest.raises(ContourCrossesPole):  # evaluation point enclosed
@@ -166,7 +168,7 @@ def test_cauchy_integral_contour_guards():
 
 def test_model_json_round_trip():
     data, *_ = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12)
+    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
     pairs = lambda z: [[v.real, v.imag] for v in z]
     assert json.loads(model.to_json()) == {
         "poles": pairs(model.poles), "alpha_inf": pairs(model.alpha_inf),

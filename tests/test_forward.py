@@ -154,9 +154,21 @@ def test_large_contrast_approaches_perfect_conductor(bgrid64, f_cos,
     assert np.max(np.abs(u - u0.u0)) < 1e-5
 
 
-def test_near_resonance_guard(f_cos, conc_kernels):
+def test_near_resonance_guard(f_cos, conc_kernels, conc_spectrum):
     with pytest.raises(NearResonance):
         solve_forward_batched(conc_kernels, f_cos, [-0.6 + 1e-13])
+    u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
+    with pytest.raises(NearResonance):
+        solve_forward_spectral(conc_spectrum, f_cos,
+                               conc_spectrum.resonances[0], 1.0, u0)
+
+
+def test_spectral_rejects_a_current_off_the_trace_grid(f_cos, conc_kernels,
+                                                       conc_spectrum):
+    u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
+    f32 = current_from_fourier([1.0], [], unit_circle_grid(32))
+    with pytest.raises(ValueError, match="different grid than the traces"):
+        solve_forward_spectral(conc_spectrum, f32, 2.0, 1.0, u0)
 
 
 @pytest.mark.parametrize("shape, kernels_name", [(TREFOIL, "tre_kernels"),
@@ -240,11 +252,10 @@ def test_frequency_profiles():
 def test_synthesize_deterministic_and_calibrated(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
     omega = np.linspace(1.0, 10.0, 8)
-    kw = dict(kernels=conc_kernels)
-    clean = synthesize(circle(R0), f_cos, prof, omega, 0.0, None, **kw)
-    a = synthesize(circle(R0), f_cos, prof, omega, 1e-3, 42, **kw)
-    b = synthesize(circle(R0), f_cos, prof, omega, 1e-3, 42, **kw)
-    c = synthesize(circle(R0), f_cos, prof, omega, 1e-3, 43, **kw)
+    clean = synthesize(conc_kernels, f_cos, prof, omega, 0.0, None, k0=1.0)
+    a = synthesize(conc_kernels, f_cos, prof, omega, 1e-3, 42, k0=1.0)
+    b = synthesize(conc_kernels, f_cos, prof, omega, 1e-3, 42, k0=1.0)
+    c = synthesize(conc_kernels, f_cos, prof, omega, 1e-3, 43, k0=1.0)
     assert np.array_equal(a.U, b.U)
     assert not np.array_equal(a.U, c.U)
     # sup of the injected noise equals eta exactly
@@ -263,8 +274,8 @@ def test_cauchy_data_csv_round_trip(bgrid64, f_cos, conc_kernels):
 
 def test_multifreq_csv_round_trip(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
-    data = synthesize(circle(R0), f_cos, prof, np.linspace(1, 5, 4), 1e-4, 7,
-                      kernels=conc_kernels)
+    data = synthesize(conc_kernels, f_cos, prof, np.linspace(1, 5, 4), 1e-4, 7,
+                      k0=1.0)
     text = data.to_csv()
     again = MultiFreqData.from_csv(text)
     assert np.array_equal(again.omega, data.omega)

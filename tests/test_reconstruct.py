@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfeit import forward, potential, reconstruct
+from mfeit.errors import Diverged
 from mfeit.disentangle import extract_u0, fit_rational
 from mfeit.forward import (FrequencyProfile, _add_noise, current_from_fourier,
                            solve_u0, synthesize)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
-                            unit_circle_grid)
+                            discretize, unit_circle_grid)
+from mfeit.potential import assemble
 from mfeit.reconstruct import (InversionSettings, _Objective, _params_to_shape,
                                _shape_to_params, _start_params, invert,
                                stability_sweep, symmetric_difference)
@@ -209,6 +211,36 @@ def test_rho_gap(conc_data, f_cos):
                       atol=1e-8)
 
 
+#: truth of the inversions that find no descent step
+_BUMP = StarShape(cos=(0.5, 0.0, 0.05))
+
+
+def test_no_descent_step_raises_diverged_with_the_start(monkeypatch, f_cos):
+    """With no line-search tries the first step fails, far from stationary."""
+    monkeypatch.setattr(reconstruct, "_MAX_BACKTRACKS", 0)
+    settings_ = InversionSettings(n_fourier_modes=2)
+    with pytest.raises(Diverged) as exc:
+        invert(solve_u0(_BUMP, f_cos, n=128), settings_)
+    res = exc.value.result
+    assert res.shape == _params_to_shape(_start_params(settings_), 2)
+    assert not res.converged
+    assert res.n_iter == 1 and len(res.history) == 1
+
+
+def test_sweep_row_without_descent_is_diverged(monkeypatch):
+    """The row scores the start iterate that ``Diverged`` carries."""
+    monkeypatch.setattr(reconstruct, "_MAX_BACKTRACKS", 0)
+    settings_ = InversionSettings(n_fourier_modes=2)
+    prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
+    res = stability_sweep(_BUMP, ([1.0], []), prof, np.linspace(10, 50, 40),
+                          [1e-4], settings_, seeds=[1], max_poles=4,
+                          n_forward=128, allow_degenerate=True)
+    (row,) = res.rows
+    assert row["status"] == "diverged"
+    start = _params_to_shape(_start_params(settings_), 2)
+    assert row["sym_diff"] == symmetric_difference(_BUMP, start)  # finite
+
+
 def test_stability_sweep_validates_inputs():
     st0 = InversionSettings(n_fourier_modes=0, alpha=0.0)
     from mfeit.forward import FrequencyProfile
@@ -271,8 +303,9 @@ def standalone_rows():
     s = _SWEEP
     k0 = s["settings"].config.k0
     f = current_from_fourier(*s["f_coeffs"], unit_circle_grid(64))
-    clean = synthesize(s["truth"], f, s["profile"], s["omega_grid"], eta=0.0,
-                       seed=None, n=s["n_forward"], k0=k0)
+    kernels = assemble(discretize(s["truth"], s["n_forward"]))
+    clean = synthesize(kernels, f, s["profile"], s["omega_grid"], eta=0.0,
+                       seed=None, k0=k0)
     rows = []
     for level in s["noise_levels"]:
         for seed in s["seeds"]:

@@ -6,13 +6,30 @@ import pytest
 from mfeit.errors import NotConverged
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import assemble, eval_S
-from mfeit.spectrum import _ZERO_MODE_TOL, compute_spectrum, resonance_bound
+from mfeit.spectrum import (DEFAULT_TAIL, _ZERO_MODE_TOL, compute_spectrum,
+                            resonance_bound)
 
 R0 = 0.5
 
 
 def lam_exact(n):
     return 0.5 * (1 + R0 ** (2 * n))
+
+
+def _selected_modes(kernels, n_modes, tail=DEFAULT_TAIL):
+    """Oracle: the zero-mode, tail, order and count selections one by one.
+
+    Returns the kept eigenvalues and their eigen-densities, the columns of
+    ``kernels.eig`` that ``compute_spectrum`` keeps.
+    """
+    mu, V = kernels.eig
+    lam = 0.5 - mu
+    keep = lam > _ZERO_MODE_TOL
+    lam, V = lam[keep], V[:, keep]
+    resolved = np.abs(lam - 0.5) > tail
+    lam, V = lam[resolved], V[:, resolved]
+    order = np.argsort(-np.abs(lam - 0.5), kind="stable")
+    return lam[order][:n_modes], V[:, order][:, :n_modes]
 
 
 def test_concentric_eigenvalues_closed_form(conc_spectrum):
@@ -39,8 +56,8 @@ def test_ordering_by_distance_from_half(tre_spectrum):
     assert np.all(np.diff(d) <= 1e-14)
 
 
-def test_densities_energy_orthonormal(conc_kernels, conc_spectrum):
-    V = conc_spectrum.densities
+def test_densities_energy_orthonormal(conc_kernels):
+    _, V = _selected_modes(conc_kernels, 24)
     G = V.T @ conc_kernels.B @ V
     assert np.max(np.abs(G - np.eye(V.shape[1]))) < 1e-8
 
@@ -115,11 +132,11 @@ def test_report_json_round_trip(conc_spectrum):
 def test_neumann_series_partial_sum_oracle(conc_kernels):
     # first eigenpair (lambda_1, multiplicity 2) of the concentric disk:
     # -(w_1(x) w_1(z) + w_2(x) w_2(z)) = -r_x r_z cos(dtheta) / (0.4 pi)
-    spec = compute_spectrum(conc_kernels, 8, n_boundary=64)
+    _, V = _selected_modes(conc_kernels, 8)
     x = np.array([0.1, 0.0])
     z = np.array([0.1 * np.cos(0.7), 0.1 * np.sin(0.7)])
     # partial sum -sum_n w_n(x) w_n(z) over the first two modes
-    w = np.column_stack([eval_S(conc_kernels.grid, spec.densities[:, j],
+    w = np.column_stack([eval_S(conc_kernels.grid, V[:, j],
                                 np.array([x, z])) for j in range(2)])
     val = -np.sum(w[0] * w[1])
     assert np.isclose(val, -(0.1 * 0.1 * np.cos(0.7)) / (0.4 * np.pi),
@@ -129,29 +146,13 @@ def test_neumann_series_partial_sum_oracle(conc_kernels):
 def test_traces_match_per_mode_eval_S(tre_kernels, tre_spectrum):
     # one trace-matrix product for all modes against one eval_S per mode
     bg = unit_circle_grid(tre_spectrum.traces_bd_omega.shape[0])
-    W = np.column_stack([eval_S(tre_kernels.grid, v, bg.points)
-                         for v in tre_spectrum.densities.T])
+    _, V = _selected_modes(tre_kernels, 20, tail=1e-15)
+    W = np.column_stack([eval_S(tre_kernels.grid, v, bg.points) for v in V.T])
     assert np.max(np.abs(tre_spectrum.traces_bd_omega - W)) <= 1e-14
 
 
 def test_modes_are_gathered_once(tre_kernels, tre_spectrum):
-    """Oracle: the zero-mode, tail, order and count selections one by one.
-
-    The spectrum gathers its columns with one composed index, so its
-    densities own exactly n x n_modes values instead of viewing the whole
-    block of resolved eigenvectors.
-    """
-    mu, V = tre_kernels.eig
-    lam = 0.5 - mu
-    keep = lam > _ZERO_MODE_TOL
-    lam, V = lam[keep], V[:, keep]
-    resolved = np.abs(lam - 0.5) > 1e-15
-    lam, V = lam[resolved], V[:, resolved]
-    order = np.argsort(-np.abs(lam - 0.5), kind="stable")
-    lam, V = lam[order][:20], V[:, order][:, :20]
+    """The spectrum's one composed index keeps what the oracle keeps, in
+    its order; ``test_traces_match_per_mode_eval_S`` checks the columns."""
+    lam, _ = _selected_modes(tre_kernels, 20, tail=1e-15)
     assert np.array_equal(tre_spectrum.lam, lam)
-    assert np.array_equal(tre_spectrum.densities, V)
-    owner = tre_spectrum.densities
-    while owner.base is not None:
-        owner = owner.base
-    assert owner.size == tre_kernels.grid.n * 20
