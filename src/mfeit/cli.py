@@ -22,7 +22,7 @@ import numpy as np
 from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      _write_table, current_from_fourier,
+                      _is_count, _write_table, current_from_fourier,
                       solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, build_star_shape, discretize,
                        unit_circle_grid)
@@ -109,8 +109,8 @@ def _write(out: Path, name: str, text: str, manifest: dict) -> None:
 # it. Each section is unpacked into the callable that consumes it, so its
 # keys are checked the same way; ``inputs`` into a one-argument lambda.
 
-def cmd_spectrum(out: Path, manifest: dict, threads: int, *, shape,
-                 domain=None, n_boundary=256, n_modes=12, n_measure=256,
+def cmd_spectrum(out: Path, manifest: dict, *, shape, domain=None,
+                 n_boundary=256, n_modes=12, n_measure=256,
                  tail=DEFAULT_TAIL) -> None:
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
@@ -125,9 +125,8 @@ def cmd_spectrum(out: Path, manifest: dict, threads: int, *, shape,
     _write(out, "traces.csv", _write_table(header, table), manifest)
 
 
-def cmd_forward(out: Path, manifest: dict, threads: int, *, shape, current,
-                contrasts, domain=None, n_measure=64,
-                n_boundary=256) -> None:
+def cmd_forward(out: Path, manifest: dict, *, shape, current, contrasts,
+                domain=None, n_measure=64, n_boundary=256) -> None:
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
@@ -139,13 +138,13 @@ def cmd_forward(out: Path, manifest: dict, threads: int, *, shape, current,
     _write(out, "forward.csv", data.to_csv(), manifest)
 
 
-def cmd_synth(out: Path, manifest: dict, threads: int, *, shape, current,
-              profile, omega, domain=None, n_measure=64, eta=0.0, seed=None,
+def cmd_synth(out: Path, manifest: dict, *, shape, current, profile, omega,
+              domain=None, n_measure=64, eta=0.0, seed=None,
               n_boundary=256) -> None:
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
+    if seed is not None and not _is_count(seed):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     manifest["seeds"] = [seed] if seed is not None else []
     data = synthesize(assemble(discretize(shape, n_boundary)), f,
@@ -154,8 +153,8 @@ def cmd_synth(out: Path, manifest: dict, threads: int, *, shape, current,
     _write(out, "dataset.csv", data.to_csv(), manifest)
 
 
-def cmd_extract(out: Path, manifest: dict, threads: int, *, inputs,
-                domain=None, max_poles=6, fit_tol=1e-9) -> None:
+def cmd_extract(out: Path, manifest: dict, *, inputs, domain=None,
+                max_poles=6, fit_tol=1e-9) -> None:
     domain = DomainConfig(**(domain or {}))
     data = _read_input((lambda dataset: dataset)(**inputs), MultiFreqData,
                        manifest)
@@ -167,9 +166,8 @@ def cmd_extract(out: Path, manifest: dict, threads: int, *, inputs,
            manifest)
 
 
-def cmd_invert(out: Path, manifest: dict, threads: int, *, inputs,
-               domain=None, shape=None, current=None,
-               inversion=None) -> None:
+def cmd_invert(out: Path, manifest: dict, *, inputs, domain=None,
+               shape=None, current=None, inversion=None) -> None:
     """``shape`` is the truth to score against; ``current`` fills in a
     Cauchy file without an ``f`` column and must match one that has it."""
     domain = DomainConfig(**(domain or {}))
@@ -200,20 +198,18 @@ def cmd_invert(out: Path, manifest: dict, threads: int, *, inputs,
            json.dumps(report, sort_keys=True, indent=2) + "\n", manifest)
 
 
-def cmd_sweep(out: Path, manifest: dict, threads: int, *, shape, current,
-              profile, omega, noise_levels, domain=None, inversion=None,
-              seeds=(0, 1, 2), max_poles=6, n_boundary=256,
-              n_measure=64) -> None:
+def cmd_sweep(out: Path, manifest: dict, *, shape, current, profile, omega,
+              noise_levels, domain=None, inversion=None, seeds=(0, 1, 2),
+              max_poles=6, n_boundary=256, n_measure=64) -> None:
     domain = DomainConfig(**(domain or {}))
-    manifest["seeds"] = list(seeds)
     res = stability_sweep(build_star_shape(*_fourier(**shape), domain),
                           _fourier(**current),
                           FrequencyProfile.from_dict(profile), _omega(omega),
                           noise_levels,
                           InversionSettings(**(inversion or {}), config=domain),
-                          seeds, max_poles=max_poles, threads=threads,
-                          n_forward=n_boundary, n_measure=n_measure,
-                          allow_degenerate=True)
+                          seeds, max_poles=max_poles, n_forward=n_boundary,
+                          n_measure=n_measure, allow_degenerate=True)
+    manifest["seeds"] = list(seeds)
     _write(out, "sweep.csv", res.to_csv(), manifest)
     _write(out, "summary.json", res.summary_json() + "\n", manifest)
 
@@ -232,7 +228,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads of sweep (default: 1)")
+                        help="accepted and ignored; sweep rows run in order")
     args = parser.parse_args(argv)
 
     try:
@@ -242,7 +238,7 @@ def main(argv=None) -> int:
         manifest = {"command": args.command,
                     "config_sha256": _sha256(Path(args.config)),
                     "inputs": {}, "outputs": {}, "seeds": []}
-        _COMMANDS[args.command](out, manifest, args.threads, **cfg)
+        _COMMANDS[args.command](out, manifest, **cfg)
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     except MissingInput as exc:

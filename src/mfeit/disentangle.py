@@ -19,7 +19,7 @@ import scipy.linalg as sla
 
 from .errors import (ContourCrossesPole, FitDiverged, InsufficientFrequencies,
                      NonRealLimit)
-from .forward import CauchyData, MultiFreqData
+from .forward import CauchyData, MultiFreqData, _is_count
 from .geometry import DomainConfig, circle
 from .spectrum import resonance_bound
 
@@ -105,9 +105,16 @@ def admissible_pole_region(config: DomainConfig) -> tuple[complex, float]:
     return center, 1.5 * delta_hat_inv
 
 
+def _check_max_poles(max_poles) -> None:
+    if not _is_count(max_poles):
+        raise ValueError(f"max_poles must be an integer >= 0, "
+                         f"got {max_poles!r}")
+
+
 def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
                  *, config: DomainConfig) -> RationalModel:
     """Shared-pole rational model of the voltage as a function of contrast."""
+    _check_max_poles(max_poles)
     kvals = np.asarray(data.k, dtype=complex)
     if np.unique(kvals).size < 2 * max_poles + 2:
         raise InsufficientFrequencies(

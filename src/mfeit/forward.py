@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,13 +269,9 @@ def _factor_saddle(grid: BoundaryGrid, S: np.ndarray) -> tuple:
 def _solve_saddle(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve the factored saddle system for [psi; rho].
 
-    ``rhs`` has nd + 1 rows and any number of columns. The factors may be
-    shared between threads (a sweep's starting solve): scipy's ``getrs``
-    wrapper shifts the pivot indices to 1-based in place for the duration
-    of the call, so each solve hands it a copy of them.
+    ``rhs`` has nd + 1 rows and any number of columns.
     """
-    lu, piv = factors
-    sol = sla.lu_solve((lu, piv.copy()), rhs, check_finite=False)
+    sol = sla.lu_solve(factors, rhs, check_finite=False)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("non-finite solution of the saddle system")
     return sol
@@ -437,6 +434,12 @@ def synthesize(kernels: KernelMatrices, f: np.ndarray,
     kvals = profile.contrast(omega_grid)
     U = solve_forward_batched(kernels, f, kvals, k0)
     return MultiFreqData(omega=omega_grid, k=kvals, U=_add_noise(U, eta, seed))
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 0; a bool is not."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 0)
 
 
 def _check_noise_level(eta: float) -> None:

@@ -113,7 +113,8 @@ def class_violation(shape: StarShape, config: DomainConfig,
     Samples the radius and its derivatives at ``N_CHECK`` angles and checks,
     in order, r > b0 + margin, r < 1 - delta - margin and the discrete C^2
     norm proxy |r| + |r'| + |r''| <= m; a violation names the bound and the
-    worst offending angle.
+    worst offending angle. A sample that is not finite breaks a bound too:
+    NaN, which compares false with every bound, the C^2 one.
     """
     theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
     r, r1, r2 = fourier_series(shape.cos, shape.sin, theta)
@@ -127,8 +128,8 @@ def class_violation(shape: StarShape, config: DomainConfig,
         return ConstraintViolation("upper bound 1 - delta", theta[j], r[j],
                                    upper)
     c2 = np.abs(r) + np.abs(r1) + np.abs(r2)
-    k = int(np.argmax(c2))
-    if c2[k] > config.m:
+    k = int(np.argmax(c2))  # the first NaN, if there is one
+    if not c2[k] <= config.m:
         return ConstraintViolation("C2 norm bound m", theta[k], c2[k], config.m)
     return None
 

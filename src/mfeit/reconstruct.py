@@ -24,7 +24,7 @@ Every inversion starts from the same circle, which depends only on the
 settings, and the start's perfect-conductor solve depends only on them and
 on the current f. A stability sweep therefore solves its starting circle
 once, before any row runs; every row then starts from that solve, which is
-read-only so that worker threads can share it.
+read-only.
 """
 from __future__ import annotations
 
@@ -33,16 +33,15 @@ import io
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .disentangle import extract_u0, fit_rational
+from .disentangle import _check_max_poles, extract_u0, fit_rational
 from .errors import Diverged, MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
-                      _check_noise_level, current_from_fourier, solve_u0,
-                      synthesize, u0_shape_derivative)
+                      _check_noise_level, _is_count, current_from_fourier,
+                      solve_u0, synthesize, u0_shape_derivative)
 from .geometry import (DomainConfig, StarShape, class_violation, discretize,
                        unit_circle_grid)
 from .potential import assemble, check_resolution
@@ -302,6 +301,15 @@ class SweepResult:
         return json.dumps(self.summary, sort_keys=True, indent=2)
 
 
+def _check_list(values, key: str, rule: str, ok) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``values`` is a non-empty
+    list whose every item passes ``ok``."""
+    if not (isinstance(values, (list, tuple)) and values
+            and all(map(ok, values))):
+        raise ValueError(f"{key} must be a non-empty list of {rule}, "
+                         f"got {values!r}")
+
+
 def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile,
                     omega_grid, noise_levels, settings: InversionSettings,
                     seeds, max_poles: int = 6, threads: int = 1,
@@ -314,16 +322,19 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     shared-pole rational model, extract u0, invert from the shared start,
     and compare with the truth by symmetric difference. Fits
     |D delta D~| = C (1/ln eps^-1)^tau and C' eps^tau' over the noisy levels.
-    A negative noise level raises ``ValueError`` before any solve.
+    Inputs of the wrong kind and negative noise levels raise ``ValueError``
+    before any solve. Rows run in order; ``threads`` is accepted and ignored.
     """
+    _check_list(noise_levels, "noise_levels", "numbers", lambda v:
+                isinstance(v, numbers.Real) and not isinstance(v, bool))
+    _check_list(seeds, "seeds", "integers >= 0", _is_count)
+    _check_max_poles(max_poles)
     noise_levels = sorted(float(v) for v in noise_levels)
     if not allow_degenerate:
         if len(noise_levels) < 4:
             raise ValueError("need at least 4 noise levels")
         if len(seeds) < 3:
             raise ValueError("need at least 3 seeds per level")
-    if not seeds:
-        raise ValueError("need at least one seed")
     for level in noise_levels:
         _check_noise_level(level)
     omega_grid = np.asarray(omega_grid, dtype=float)
@@ -331,7 +342,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
 
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
     start = _point(_start_params(settings), settings, f)
-    # rows share f and the start across threads: make every array read-only
+    # every row reads f and the start: make each array read-only
     x0, grid0, sim0 = start
     for a in (f, x0, grid0.t, grid0.points, grid0.normals, grid0.jacobian,
               grid0.curvature, sim0.u0, sim0.psi, *sim0.saddle[0],
@@ -368,11 +379,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
                     "sym_diff": float("nan"),
                     "status": f"failed:{type(exc).__name__}"}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = [run(job) for job in jobs]
 
     # per-level medians over seeds, noisy levels only, for the stability fits;
     # n_ok counts the rows each level's median rests on

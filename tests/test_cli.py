@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfeit import reconstruct
+from mfeit import disentangle, reconstruct
 from mfeit.cli import _COMMANDS, main
 from mfeit.disentangle import fit_rational
 from mfeit.forward import CauchyData, solve_u0
@@ -17,7 +17,7 @@ from mfeit.geometry import DomainConfig, StarShape, circle, unit_circle_grid
 from mfeit.reconstruct import InversionSettings, stability_sweep
 from mfeit.forward import current_from_fourier
 
-from conftest import R0, TREFOIL
+from conftest import R0
 
 BASE = {
     "domain": {"b0": 0.2, "delta": 0.1},
@@ -421,24 +421,53 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
                  id="omega-scalar"),
     pytest.param("synth", None, "seed", 1.5,
                  "seed must be an integer >= 0, got 1.5", id="seed-1.5"),
+    pytest.param("synth", None, "seed", True,
+                 "seed must be an integer >= 0, got True", id="seed-bool"),
     pytest.param("invert", "inversion", "n_fourier_modes", 2.5,
                  "n_fourier_modes must be an integer in 0..16, got 2.5",
                  id="inversion-n_fourier_modes-2.5"),
+    *(pytest.param("sweep", None, "seeds", value,
+                   f"seeds must be a non-empty list of integers >= 0, "
+                   f"got {value!r}", id=f"seeds-{kind}")
+      for kind, value in [("float", [1.5]), ("str", ["a"]), ("negative", [-1]),
+                          ("bool", [True]), ("scalar", 3), ("empty", [])]),
+    *(pytest.param("sweep", None, "noise_levels", value,
+                   f"noise_levels must be a non-empty list of numbers, "
+                   f"got {value!r}", id=f"noise_levels-{kind}")
+      for kind, value in [("scalar", 3), ("str", ["a"]), ("empty", [])]),
+    *(pytest.param(command, None, "max_poles", 2.5,
+                   "max_poles must be an integer >= 0, got 2.5",
+                   id=f"{command}-max_poles-2.5")
+      for command in ("sweep", "extract")),
 ])
 def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
-                                                      command, section, key,
-                                                      value, message):
+                                                      monkeypatch, command,
+                                                      section, key, value,
+                                                      message):
     if command == "invert":
         cfg = json.loads(Path(_invert_cfg(tmp_path, _cauchy_file(tmp_path))
                               ).read_text())
+    elif command == "extract":
+        assert run("synth", write_cfg(tmp_path, "s.json", BASE),
+                   tmp_path / "s") == 0
+        cfg = {"domain": BASE["domain"],
+               "inputs": {"dataset": str(tmp_path / "s/dataset.csv")}}
     else:
         cfg = copy.deepcopy({"synth": BASE, "sweep": dict(
             SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4)}[command])
     (cfg if section is None else cfg[section])[key] = value
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    # the sweep's start solve and clean synthesis, and extract's fit
+    for module, name in ((reconstruct, "_point"), (reconstruct, "synthesize"),
+                         (disentangle, "_aaa")):
+        monkeypatch.setattr(module, name, solve)
     out = tmp_path / "o"
     assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert not any(out.iterdir())
 
 
 def test_non_object_config_exits_2(tmp_path, capsys):
@@ -612,17 +641,13 @@ def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
             assert _sha256(fname) == digest
 
 
-def test_invert_identical_across_threads(tmp_path):
-    f = current_from_fourier([1.0], [], unit_circle_grid(64))
-    cauchy = tmp_path / "u0.csv"
-    cauchy.write_text(solve_u0(TREFOIL, f, n=128).to_csv())
-    inv = {"domain": BASE["domain"], "shape": {"cos": list(TREFOIL.cos)},
-           "inversion": {"n_fourier_modes": 3, "alpha": 1e-7},
-           "inputs": {"cauchy": str(cauchy)}}
-    p = write_cfg(tmp_path, "inv.json", inv)
-    for threads in ("1", "2"):
-        assert main(["invert", "--config", p, "--out",
+def test_sweep_identical_across_threads(tmp_path):
+    cfg = dict(SWEEP, noise_levels=[0.0, 1e-4, 1e-2], seeds=[1, 2],
+               max_poles=4, inversion={"n_fourier_modes": 1, "alpha": 1e-6})
+    p = write_cfg(tmp_path, "c.json", cfg)
+    for threads in ("1", "4"):
+        assert main(["sweep", "--config", p, "--out",
                      str(tmp_path / threads), "--threads", threads]) == 0
-    for name in ("shape.json", "inversion.json", "manifest.json"):
+    for name in ("sweep.csv", "summary.json", "manifest.json"):
         assert (tmp_path / "1" / name).read_bytes() \
-            == (tmp_path / "2" / name).read_bytes()
+            == (tmp_path / "4" / name).read_bytes()

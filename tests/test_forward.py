@@ -1,15 +1,12 @@
 import csv
 import io
-import sys
-import threading
 
 import numpy as np
 import pytest
 
 from mfeit.errors import NearResonance, SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                           _contrast_c, _recenter, _solve_saddle,
-                           current_from_fourier,
+                           _contrast_c, _recenter, current_from_fourier,
                            harmonic_lift_normal_derivative,
                            harmonic_lift_trace, solve_forward_batched,
                            solve_forward_direct, solve_forward_spectral,
@@ -64,41 +61,6 @@ def test_degenerate_saddle_raises_singular_system(f_cos, fill, cause):
     grid = discretize(circle(R0), 64)
     with pytest.raises(SingularSystem, match=cause):
         solve_u0(circle(R0), f_cos, grid=grid, S=np.full((64, 64), fill))
-
-
-def test_saddle_solves_leave_shared_factors_unwritten(f_cos):
-    """Threads of a sweep share one starting solve's LU factors.
-
-    A worker solves with them while this thread watches the pivots; a
-    pivot array written during a solve (scipy's getrs wrapper shifts it to
-    1-based in place) would race with the other threads' solves.
-    """
-    data = solve_u0(TREFOIL, f_cos, n=128)
-    lu, piv = data.saddle[0]
-    pristine = piv.copy()
-    rhs = np.ones((129, 3))
-    done = threading.Event()
-
-    def solve():
-        try:
-            for _ in range(300):
-                _solve_saddle(data.saddle[0], rhs)
-        finally:
-            done.set()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # hand the lock back to the worker promptly
-    worker = threading.Thread(target=solve)
-    try:
-        worker.start()
-        written = False
-        while not done.is_set():
-            written = written or not np.array_equal(piv, pristine)
-    finally:
-        sys.setswitchinterval(interval)
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert not written
 
 
 def test_solve_u0_concentric_closed_form(bgrid64, f_cos, conc_kernels):

@@ -94,6 +94,18 @@ def test_class_violation_margin_tightens_the_band():
     assert np.isclose(high.bound, 0.899)
 
 
+@pytest.mark.parametrize("cos,sin", [((np.nan,), ()), ((0.5, np.nan), ()),
+                                     ((0.5,), (np.nan,))],
+                         ids=["a0", "cos", "sin"])
+def test_nan_shape_violates_the_class(cos, sin):
+    """Every comparison with NaN is false; only ``not c2 <= m`` catches it."""
+    v = class_violation(StarShape(cos=cos, sin=sin), CFG)
+    assert v.which == "C2 norm bound m" and v.theta == 0.0
+    assert np.isnan(v.value)
+    with pytest.raises(ConstraintViolation):
+        build_star_shape(cos, sin, CFG)
+
+
 def test_constraint_violation_carries_location():
     with pytest.raises(ConstraintViolation) as e:
         build_star_shape((0.5, 0.35), (), CFG)
