@@ -17,8 +17,7 @@ from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       current_from_fourier, solve_forward_direct,
                       solve_forward_spectral, solve_u0, synthesize,
                       u0_shape_derivative)
-from .disentangle import (RationalModel, cauchy_integral_check, extract_u0,
-                          fit_rational)
+from .disentangle import RationalModel, extract_u0, fit_rational
 from .reconstruct import (InversionResult, InversionSettings, SweepResult,
                           invert, stability_sweep,
                           symmetric_difference)
@@ -31,7 +30,7 @@ __all__ = [
     "CauchyData", "FrequencyProfile", "MultiFreqData", "current_from_fourier",
     "solve_forward_direct", "solve_forward_spectral", "solve_u0", "synthesize",
     "u0_shape_derivative",
-    "RationalModel", "cauchy_integral_check", "extract_u0", "fit_rational",
+    "RationalModel", "extract_u0", "fit_rational",
     "InversionResult", "InversionSettings", "SweepResult", "invert",
     "stability_sweep", "symmetric_difference",
 ]

@@ -84,7 +84,7 @@ def _fourier(cos=(), sin=()):
 
 
 def _linspace(start, stop, count):
-    if not isinstance(count, int) or count < 1:
+    if not _is_count(count) or count < 1:
         raise ValueError(f"omega.count must be an integer >= 1, got {count!r}")
     return np.linspace(start, stop, count)
 
@@ -112,6 +112,8 @@ def _write(out: Path, name: str, text: str, manifest: dict) -> None:
 def cmd_spectrum(out: Path, manifest: dict, *, shape, domain=None,
                  n_boundary=256, n_modes=12, n_measure=256,
                  tail=DEFAULT_TAIL) -> None:
+    if not _is_count(n_modes):
+        raise ValueError(f"n_modes must be an integer >= 0, got {n_modes!r}")
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     kernels = assemble(discretize(shape, n_boundary))

@@ -17,15 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (ContourCrossesPole, FitDiverged, InsufficientFrequencies,
-                     NonRealLimit)
+from .errors import FitDiverged, InsufficientFrequencies, NonRealLimit
 from .forward import CauchyData, MultiFreqData, _is_count
 from .geometry import DomainConfig, circle
 from .spectrum import resonance_bound
-
-#: quadrature nodes on the contour of ``cauchy_integral_check``
-_N_CONTOUR = 4096
-
 
 @dataclass(frozen=True)
 class RationalModel:
@@ -184,30 +179,3 @@ def extract_u0(model: RationalModel, k0: float) -> CauchyData:
     u0 = k0 * alpha.real
     return CauchyData(f=None, u0=u0 - np.mean(u0))
 
-
-def cauchy_integral_check(model: RationalModel, center: complex,
-                          radius: float, k_eval: complex,
-                          index: int = 0) -> complex:
-    """Frequency part at an exterior contrast via the contour representation.
-
-    Integrates the fitted model's pole part over the circle of ``center``
-    and ``radius``, which must enclose all poles; must reproduce the direct
-    evaluation alpha(k_eval) - alpha_inf. This is the oracle of the paper's
-    contour representation of the frequency dependence: the pipeline never
-    calls it, and tests compare the fitted model's direct evaluation
-    against it.
-    """
-    if model.poles.size:
-        if np.max(np.abs(model.poles - center)) >= radius * (1 - 1e-12):
-            raise ContourCrossesPole("a model pole lies on or outside the contour")
-    if abs(k_eval - center) <= radius:
-        raise ContourCrossesPole("evaluation point inside the contour")
-    t = 2 * np.pi * np.arange(_N_CONTOUR) / _N_CONTOUR
-    kq = center + radius * np.exp(1j * t)
-    dk = 1j * radius * np.exp(1j * t) * (2 * np.pi / _N_CONTOUR)
-    pole_part = np.zeros(_N_CONTOUR, dtype=complex)
-    for p, r in zip(model.poles, model.residues[index]):
-        pole_part += r / (kq - p)
-    integral = np.sum(pole_part / (kq - k_eval) * dk) / (2j * np.pi)
-    # exterior-point orientation: the residue sum equals minus the integral
-    return -integral

@@ -67,10 +67,6 @@ class NonRealLimit(MfeitError):
     """Imaginary part of the fitted constant term exceeds tolerance."""
 
 
-class ContourCrossesPole(MfeitError):
-    """Integration contour does not separate poles from the evaluation point."""
-
-
 class Diverged(MfeitError):
     """Inversion could not decrease the misfit; best iterate is attached."""
 

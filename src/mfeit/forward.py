@@ -302,7 +302,8 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
     sol = _solve_saddle(factors, np.concatenate([-frak_d, [0.0]]))
     psi, rho = sol[:grid.n], float(sol[grid.n])
 
-    T = N * grid.weights[None, :]
+    T = N  # the lift is taken: the weights go into the kernel in place
+    T *= grid.weights[None, :]
     trace = _recenter(frak_omega + T @ psi, bgrid_omega)
     return CauchyData(f=f, u0=trace, rho=rho, psi=psi, saddle=(factors, T))
 

@@ -35,7 +35,9 @@ Traced peaks, in n x n matrices: assembly builds K* in the free-space
 buffer of its two parts (-1), drops the image part and builds S in the
 image-term buffer (5.3 against 6.0 without both); the eigensolve lets
 LAPACK overwrite sym(B K*) (-1); the direct solve shifts its copy of K* in
-place and drops it early (-2). Peak resident set of the benchmark's
+place and drops it early (-2). The m x n trace matrix is the Neumann kernel
+built in its image-term buffer and weighted in place (3.0 against 4.0 m x n
+matrices at m = 64, n = 256). Peak resident set of the benchmark's
 spectrum ladder (n up to 512): a fresh S, a rebound B or a rebound
 sym(B K*) each raise it, by about 0.3, 1 and 1.8 MB. The copy that
 ``np.linalg.solve`` makes of its matrix stays, because profilers and the
@@ -72,6 +74,7 @@ def _pair_terms(x, z):
     dy = x[..., 1] - z[..., 1]
     dy *= dy
     d2 += dy
+    del dy
     img2 = (1.0 - _dot(x, x)) * (1.0 - _dot(z, z))
     img2 += d2
     return d2, img2
@@ -94,11 +97,16 @@ def neumann_kernel(x, z):
 def _neumann(z, d2, img2):
     """N(x, z) from d2 = |x - z|^2 > 0 and the image term of ``_pair_terms``.
 
-    ``z`` must lie in the open disk.
+    ``z`` must lie in the open disk. N is built in the buffer of ``img2``,
+    which it overwrites (a scalar, for two single points, is copied).
     """
     if np.any(_dot(z, z) >= 1.0):
         raise DomainViolation("source point z must lie in the open unit disk")
-    return np.log(d2 * img2) / (4 * np.pi)
+    img2 = np.asarray(img2)
+    img2 *= d2
+    np.log(img2, out=img2)
+    img2 /= 4 * np.pi
+    return img2
 
 
 def _normal_derivative_parts(x, z, nu, d2, img2):
@@ -302,9 +310,12 @@ def _target_kernel(grid: BoundaryGrid, targets) -> np.ndarray:
 def trace_matrix(grid: BoundaryGrid, targets) -> np.ndarray:
     """Matrix of S_D from nodal densities to off-boundary targets (trapezoid).
 
-    Targets obey the distance rule of ``_target_kernel``.
+    Targets obey the distance rule of ``_target_kernel``; the weights are
+    applied in place.
     """
-    return _target_kernel(grid, targets) * grid.weights[None, :]
+    T = _target_kernel(grid, targets)
+    T *= grid.weights[None, :]
+    return T
 
 
 def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:

@@ -79,8 +79,8 @@ class InversionSettings:
         check_resolution(self.n_boundary)
         if self.alpha < 0:
             raise ValueError("regularization weight alpha must be >= 0")
-        if not (isinstance(self.n_fourier_modes, numbers.Integral)
-                and 0 <= self.n_fourier_modes <= 16):
+        if not (_is_count(self.n_fourier_modes)
+                and self.n_fourier_modes <= 16):
             raise ValueError(f"n_fourier_modes must be an integer in 0..16, "
                              f"got {self.n_fourier_modes!r}")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfeit import disentangle, reconstruct
+from mfeit import cli, disentangle, reconstruct
 from mfeit.cli import _COMMANDS, main
 from mfeit.disentangle import fit_rational
 from mfeit.forward import CauchyData, solve_u0
@@ -413,6 +413,9 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
     pytest.param("synth", "omega", "count", 0,
                  "omega.count must be an integer >= 1, got 0",
                  id="omega-count-0"),
+    pytest.param("synth", "omega", "count", True,
+                 "omega.count must be an integer >= 1, got True",
+                 id="omega-count-bool"),
     pytest.param("synth", None, "omega", [],
                  "omega must be a non-empty list of frequencies",
                  id="omega-empty"),
@@ -426,6 +429,12 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
     pytest.param("invert", "inversion", "n_fourier_modes", 2.5,
                  "n_fourier_modes must be an integer in 0..16, got 2.5",
                  id="inversion-n_fourier_modes-2.5"),
+    pytest.param("invert", "inversion", "n_fourier_modes", True,
+                 "n_fourier_modes must be an integer in 0..16, got True",
+                 id="inversion-n_fourier_modes-bool"),
+    *(pytest.param("spectrum", None, "n_modes", value,
+                   f"n_modes must be an integer >= 0, got {value!r}",
+                   id=f"spectrum-n_modes-{value}") for value in (True, -1)),
     *(pytest.param("sweep", None, "seeds", value,
                    f"seeds must be a non-empty list of integers >= 0, "
                    f"got {value!r}", id=f"seeds-{kind}")
@@ -454,15 +463,18 @@ def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
                "inputs": {"dataset": str(tmp_path / "s/dataset.csv")}}
     else:
         cfg = copy.deepcopy({"synth": BASE, "sweep": dict(
-            SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4)}[command])
+            SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4),
+            "spectrum": {"domain": BASE["domain"], "shape": {"cos": [0.5]},
+                         "n_modes": 4}}[command])
     (cfg if section is None else cfg[section])[key] = value
 
     def solve(*args, **kwargs):
         raise AssertionError("solved before the config was checked")
 
-    # the sweep's start solve and clean synthesis, and extract's fit
+    # the sweep's start solve and clean synthesis, extract's fit and the
+    # spectrum's eigensolve
     for module, name in ((reconstruct, "_point"), (reconstruct, "synthesize"),
-                         (disentangle, "_aaa")):
+                         (disentangle, "_aaa"), (cli, "compute_spectrum")):
         monkeypatch.setattr(module, name, solve)
     out = tmp_path / "o"
     assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2

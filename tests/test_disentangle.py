@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mfeit.disentangle import (RationalModel, admissible_pole_region,
-                               cauchy_integral_check, extract_u0, fit_rational)
-from mfeit.errors import (ContourCrossesPole, FitDiverged,
-                          InsufficientFrequencies, NonRealLimit)
+                               extract_u0, fit_rational)
+from mfeit.errors import FitDiverged, InsufficientFrequencies, NonRealLimit
 from mfeit.forward import (FrequencyProfile, MultiFreqData, solve_u0,
                            synthesize)
 from mfeit.geometry import DomainConfig, circle
@@ -144,26 +143,6 @@ def test_noise_perturbs_poles_mildly(f_cos, conc_kernels):
     tol = 1e-4 / float(np.max(np.abs(data.U)))
     model = fit_rational(data, max_poles=4, tol=tol, config=DOMAIN)
     assert np.min(np.abs(model.poles - (-0.6))) < 1e-3
-
-
-def test_cauchy_integral_matches_direct_evaluation():
-    data, *_ = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
-    k_eval = 2.0 + 0j
-    for i in (0, 5):
-        direct = _evaluate(model, [k_eval])[i, 0] - model.alpha_inf[i]
-        ci = cauchy_integral_check(model, radius=1.0, k_eval=k_eval, index=i,
-                                   center=-0.75 + 0j)
-        assert abs(ci - direct) < 1e-12
-
-
-def test_cauchy_integral_contour_guards():
-    data, *_ = _model_data()
-    model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
-    with pytest.raises(ContourCrossesPole):  # radius excludes the -0.9 pole
-        cauchy_integral_check(model, radius=0.1, k_eval=2.0, center=-0.6 + 0j)
-    with pytest.raises(ContourCrossesPole):  # evaluation point enclosed
-        cauchy_integral_check(model, radius=5.0, k_eval=2.0, center=-0.75 + 0j)
 
 
 def test_model_json_round_trip():

@@ -4,14 +4,15 @@ import io
 import numpy as np
 import pytest
 
-from mfeit.errors import NearResonance, SingularSystem
+from mfeit.errors import ConstraintViolation, NearResonance, SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
                            _contrast_c, _recenter, current_from_fourier,
                            harmonic_lift_normal_derivative,
                            harmonic_lift_trace, solve_forward_batched,
                            solve_forward_direct, solve_forward_spectral,
                            solve_u0, synthesize)
-from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
+from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
+                            discretize, unit_circle_grid)
 from mfeit.potential import (_target_kernel, assemble, eval_S,
                              neumann_kernel, trace_matrix)
 
@@ -150,6 +151,51 @@ def test_batched_matches_direct_oracle(request, shape, kernels_name, f_cos):
     Ud = np.column_stack([solve_forward_direct(shape, f_cos, k, kernels=kernels)
                           for k in kvals])
     assert np.max(np.abs(U - Ud)) <= 1e-12 * np.max(np.abs(Ud))
+
+
+def _contour_u0(kernels, f, k0=1.0, n_nodes=128):
+    """u0 = k0 U(k = inf) from batched voltages on a circle in c.
+
+    In c = (k0 + k) / (2 (k0 - k)) the voltage is rational with poles at
+    -mu, and k = inf is c = -1/2, k = k0 is c = inf. The circle |c| = rho
+    encloses every pole that a zero-mean current excites and leaves -1/2
+    outside, so U(-1/2) = U(inf) - (1/2 pi i) int U(z) / (z + 1/2) dz,
+    which the trapezoid rule resolves geometrically (Trefethen & Weideman,
+    SIAM Review 56, 2014). The constant-density mode (mu ~ 1/2) carries no
+    weight and is left out of rho.
+    """
+    mu, _ = kernels.eig
+    rho = (np.max(np.abs(mu[0.5 - mu > 1e-6])) + 0.5) / 2
+    c = rho * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    U = solve_forward_batched(kernels, f, k0 * (2 * c - 1) / (2 * c + 1), k0)
+    U_inf = solve_forward_batched(kernels, f, [k0], k0)[:, 0]
+    return k0 * (U_inf - np.mean(U * (c / (c + 0.5)), axis=1))
+
+
+def _random_admissible_shapes(count, seed=0):
+    """a0 in [0.4, 0.6] and 4 cos, 4 sin modes of size <= 0.05, admissible."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    while len(shapes) < count:
+        coef = rng.uniform(-0.05, 0.05, 8)
+        try:
+            shapes.append(build_star_shape((rng.uniform(0.4, 0.6), *coef[:4]),
+                                           coef[4:], DomainConfig()))
+        except ConstraintViolation:
+            pass
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "shape", [circle(R0), TREFOIL, *_random_admissible_shapes(8)],
+    ids=["circle", "trefoil", *(f"random{i}" for i in range(8))])
+def test_contour_of_batched_voltages_recovers_perfect_conductor(shape, f_cos):
+    # the second-kind K* solver swept around a contour against the
+    # first-kind saddle solve of S: u0 = k0 U(k = inf)
+    kernels = assemble(discretize(shape, 256))
+    u0 = _contour_u0(kernels, f_cos)
+    assert np.max(np.abs(u0.imag)) <= 1e-13
+    assert np.max(np.abs(u0 - solve_u0(shape, f_cos, n=256).u0)) <= 1e-13
 
 
 def _out_of_place_direct(kernels, f, k, k0=1.0):

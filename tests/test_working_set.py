@@ -11,6 +11,12 @@ and what one temporary per operation costs:
     direct      2.1 / 2.0              4.1 / 4.0 (2.5 at 512 without del A)
     spectrum    1.3 / 0.8              1.6 / 1.7
 
+The trace matrix is bounded at n = 256 with m = 64 targets, in m x n
+matrices: 3.0 in place, 4.0 with the kernel's product, log and weights each
+in a new matrix. About one of its three is the fixed buffer (some 128 kB)
+that numpy's ufunc machinery takes to broadcast an m x 1 against a 1 x n
+operand.
+
 Arrays that numpy and scipy create are traced, the LAPACK arguments and
 work arrays of scipy's wrappers included; the buffers that numpy's own
 ``np.linalg`` routines ``malloc`` for LAPACK are not, so the copy that
@@ -21,8 +27,8 @@ import tracemalloc
 import pytest
 
 from mfeit.forward import solve_forward_direct
-from mfeit.geometry import discretize
-from mfeit.potential import KernelMatrices, assemble
+from mfeit.geometry import discretize, unit_circle_grid
+from mfeit.potential import KernelMatrices, assemble, trace_matrix
 from mfeit.spectrum import compute_spectrum
 
 from conftest import TREFOIL
@@ -30,8 +36,9 @@ from conftest import TREFOIL
 SIZES = (256, 512)
 
 
-def _traced_peak(call, n) -> float:
-    """Peak traced allocation of ``call()``, in n x n matrices of doubles."""
+def _traced_peak(call, n, m=None) -> float:
+    """Peak traced allocation of ``call()``, in m x n matrices of doubles
+    (n x n without ``m``)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -39,7 +46,7 @@ def _traced_peak(call, n) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / (n * n * 8)
+    return (peak - base) / ((n if m is None else m) * n * 8)
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +82,8 @@ def test_spectrum_budget(kernels):
     for n, budget in zip(SIZES, (1.4, 1.2)):
         assert _traced_peak(lambda: compute_spectrum(
             kernels[n], n // 4, n_boundary=64, tail=1e-15), n) <= budget, n
+
+
+def test_trace_matrix_budget():
+    grid, targets = discretize(TREFOIL, 256), unit_circle_grid(64).points
+    assert _traced_peak(lambda: trace_matrix(grid, targets), 256, 64) <= 3.5
