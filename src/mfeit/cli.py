@@ -22,8 +22,8 @@ import numpy as np
 from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      _is_count, _write_table, current_from_fourier,
-                      solve_forward_batched, synthesize)
+                      _check_noise_level, _is_count, _is_number, _write_table,
+                      current_from_fourier, solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, build_star_shape, discretize,
                        unit_circle_grid)
 from .potential import assemble
@@ -148,9 +148,12 @@ def cmd_synth(out: Path, manifest: dict, *, shape, current, profile, omega,
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
     if seed is not None and not _is_count(seed):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    # checked before the assembly; synthesize checks them only after it
+    omega = _omega(omega)
+    _check_noise_level(eta)
     manifest["seeds"] = [seed] if seed is not None else []
     data = synthesize(assemble(discretize(shape, n_boundary)), f,
-                      FrequencyProfile.from_dict(profile), _omega(omega),
+                      FrequencyProfile.from_dict(profile), omega,
                       eta=eta, seed=seed, k0=domain.k0)
     _write(out, "dataset.csv", data.to_csv(), manifest)
 
@@ -158,11 +161,13 @@ def cmd_synth(out: Path, manifest: dict, *, shape, current, profile, omega,
 def cmd_extract(out: Path, manifest: dict, *, inputs, domain=None,
                 max_poles=6, fit_tol=1e-9) -> None:
     domain = DomainConfig(**(domain or {}))
+    if not (_is_number(fit_tol) and fit_tol > 0):
+        raise ValueError(f"fit_tol must be a number > 0, got {fit_tol!r}")
     data = _read_input((lambda dataset: dataset)(**inputs), MultiFreqData,
                        manifest)
     model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
     u0 = extract_u0(model, domain.k0)
-    _write(out, "model.json", model.to_json() + "\n", manifest)
+    _write(out, "model.json", model.to_json(domain.k0) + "\n", manifest)
     _write(out, "u0.csv", u0.to_csv(), manifest)
     _write(out, "u0.json", json.dumps(u0.sidecar(), sort_keys=True) + "\n",
            manifest)

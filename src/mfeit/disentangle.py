@@ -1,103 +1,62 @@
 """Recover the frequency-independent voltage from multifrequency data.
 
-The boundary voltage at a fixed point is a meromorphic function of the
-contrast k with shared poles (the plasmonic resonances) across boundary
-points. Stage 1 fits an adaptive barycentric rational model at a reference
-boundary point (greedy support selection, least-squares weights); stage 2
-keeps the extracted pole set fixed and solves one linear least-squares
-problem per boundary point for constants and residues. The value at
-k = infinity is the frequency-free part u0 / k0.
+In the shift c = (k0 + k) / (2 (k0 - k)) of the forward equation
+(c + K*) phi = g, the spectral decomposition of K* makes each boundary
+voltage a real rational function U_i(c) = a_i + sum_n R_in / (c - s_n),
+whose poles s_n = -mu_n lie on the segment |c| <= L of the admissible
+class. ``fit_rational`` fits that form to all boundary points at once: the
+constants and residues by one real least-squares solve, the poles
+s = L tanh z by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
+10, 1973) with Kaufman's Jacobian (BIT 15, 1975) and Levenberg-Marquardt
+steps. Poles are added one at a time, each seeded at the best point of a
+scan of the segment, until the sup residual meets the discrepancy
+TAU * tol * max|U|. The contrast k = infinity is c = -1/2, where the
+voltage is the frequency-free part u0 / k0.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import FitDiverged, InsufficientFrequencies, NonRealLimit
-from .forward import CauchyData, MultiFreqData, _is_count
-from .geometry import DomainConfig, circle
-from .spectrum import resonance_bound
+from .errors import FitDiverged, InsufficientFrequencies
+from .forward import CauchyData, MultiFreqData, _check_contrasts, _is_count
+from .geometry import DomainConfig
+
+#: discrepancy factor: poles are added until sup residual <= TAU tol max|U|
+TAU = 1.5
+#: z of the segment points s = L tanh z that seed each new pole
+_SCAN = np.linspace(-3.0, 3.0, 41)
+#: bound on |z|, below which tanh z < 1 and ds/dz > 0 in double precision
+_Z_MAX = 18.0
+#: Levenberg-Marquardt stops below this predicted relative decrease of
+#: |P_perp Y|^2, or after this many accepted steps
+_LM_RTOL = 1e-6
+_LM_MAX_STEPS = 50
+
 
 @dataclass(frozen=True)
 class RationalModel:
-    """Shared-pole rational surrogate alpha_i(k) = a_inf_i + sum_n R_in/(k-p_n)."""
+    """Real shared-pole model U_i(c) = a_i + sum_n R_in / (c - s_n)."""
 
-    poles: np.ndarray      # (P,) complex, shared across boundary points
-    alpha_inf: np.ndarray  # (m,) complex constants
-    residues: np.ndarray   # (m, P) complex
+    poles: np.ndarray      # (P,) s_n in c, shared across boundary points
+    constants: np.ndarray  # (m,) a_i, the voltage at c = infinity (k = k0)
+    residues: np.ndarray   # (m, P) R_in
     residual: float        # sup fit residual over all data
     scale: float           # sup magnitude of the fitted data
 
-    def to_json(self) -> str:
+    def to_json(self, k0: float) -> str:
+        """The poles in c and in k = k0 (2c - 1) / (2c + 1), and the rest."""
+        s = self.poles
         return json.dumps({
-            "poles": [[p.real, p.imag] for p in self.poles],
-            "alpha_inf": [[a.real, a.imag] for a in self.alpha_inf],
-            "residues": [[[r.real, r.imag] for r in row]
-                         for row in self.residues],
+            "poles_c": s.tolist(),
+            "poles_k": (k0 * (2 * s - 1) / (2 * s + 1)).tolist(),
+            "constants": self.constants.tolist(),
+            "residues": self.residues.tolist(),
             "residual": self.residual,
             "scale": self.scale,
         }, sort_keys=True)
-
-
-def _aaa(Z: np.ndarray, F: np.ndarray, rtol: float, max_support: int):
-    """Greedy barycentric interpolation; returns (support z, f, weights)."""
-    J = Z.size
-    mask = np.ones(J, dtype=bool)
-    zs, fs = [], []
-    R = np.full(J, np.mean(F), dtype=complex)
-    scale = np.max(np.abs(F))
-    if scale == 0:
-        return np.array([]), np.array([]), np.array([])
-    w = np.array([])
-    for _ in range(max_support):
-        j = int(np.argmax(np.abs(F - R) * mask))
-        if not mask[j]:
-            break
-        zs.append(Z[j]); fs.append(F[j]); mask[j] = False
-        zsa, fsa = np.array(zs), np.array(fs)
-        C = 1.0 / (Z[mask, None] - zsa[None, :])
-        A = (F[mask, None] - fsa[None, :]) * C
-        _, _, Vh = np.linalg.svd(A)
-        w = Vh[-1].conj()
-        num = C @ (w * fsa)
-        den = C @ w
-        R = F.copy()
-        R[mask] = num / den
-        if np.max(np.abs(F - R)) <= rtol * scale:
-            break
-    return np.array(zs), np.array(fs), w
-
-
-def _barycentric_poles(zs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Poles of the barycentric form via the generalized arrowhead eigenproblem."""
-    m = zs.size
-    if m < 2:
-        return np.array([], dtype=complex)
-    E = np.zeros((m + 1, m + 1), dtype=complex)
-    E[1:, 1:] = np.eye(m)
-    A = np.zeros((m + 1, m + 1), dtype=complex)
-    A[0, 1:] = w
-    A[1:, 0] = 1.0
-    A[1:, 1:] = np.diag(zs)
-    ev = sla.eigvals(A, E)
-    return ev[np.isfinite(ev)]
-
-
-@functools.lru_cache(maxsize=32)
-def admissible_pole_region(config: DomainConfig) -> tuple[complex, float]:
-    """(center, radius) disk around the class-uniform resonance segment.
-
-    Uses the prior lower bound from the class constant b0, not the unknown
-    shape, so the same region works for every admissible inclusion. Computed
-    once per (frozen, hashable) config.
-    """
-    delta_hat_inv = abs(resonance_bound(circle(config.b0), config.k0))
-    center = complex(-0.5 * delta_hat_inv, 0.0)
-    return center, 1.5 * delta_hat_inv
 
 
 def _check_max_poles(max_poles) -> None:
@@ -108,74 +67,108 @@ def _check_max_poles(max_poles) -> None:
 
 def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
                  *, config: DomainConfig) -> RationalModel:
-    """Shared-pole rational model of the voltage as a function of contrast."""
+    """Shared real-pole rational model of the voltage in the variable c.
+
+    Raises ``ValueError`` for a contrast on the closed negative real axis,
+    whose c lies on the pole segment; ``InsufficientFrequencies`` below
+    2 max_poles + 2 distinct contrasts; ``FitDiverged`` when no pole count
+    up to ``max_poles`` brings the sup residual to TAU * tol * max|U|.
+    """
     _check_max_poles(max_poles)
     kvals = np.asarray(data.k, dtype=complex)
+    _check_contrasts(kvals)
     if np.unique(kvals).size < 2 * max_poles + 2:
         raise InsufficientFrequencies(
             f"need at least {2 * max_poles + 2} distinct contrasts, "
             f"got {np.unique(kvals).size}")
     U = data.U
     scale = float(np.max(np.abs(U)))
-    if scale == 0:
-        m = U.shape[0]
-        return RationalModel(poles=np.zeros(0, dtype=complex),
-                             alpha_inf=np.zeros(m, dtype=complex),
-                             residues=np.zeros((m, 0), dtype=complex),
-                             residual=0.0, scale=0.0)
+    # c of the class bound -k0 (1 + ((b0 + 2) / b0)^2) of
+    # ``spectrum.resonance_bound``; r_inf of the circle b0 is b0
+    L = 0.5 - 1.0 / (2.0 + ((config.b0 + 2.0) / config.b0) ** 2)
+    J = kvals.size
+    num, den = 2.0 * (config.k0 - kvals), config.k0 + kvals
+    # complex columns are split into real and imaginary rows
+    Y = np.concatenate([U.real.T, U.imag.T])
 
-    # reference point: strongest frequency variation
-    ref = int(np.argmax(np.std(U, axis=1)))
-    zs, _, w = _aaa(kvals, U[ref], tol, max_support=max_poles + 1)
-    poles = _barycentric_poles(zs, w)
+    def split(B):
+        return np.concatenate([B.real, B.imag])
 
-    center, radius = admissible_pole_region(config)
-    poles = poles[np.abs(poles - center) <= radius]
-    # a pole sitting on a data sample would make the LS basis singular
-    if poles.size:
-        dmin = np.min(np.abs(poles[:, None] - kvals[None, :]), axis=1)
-        poles = poles[dmin > 1e-13 * max(1.0, float(np.max(np.abs(kvals))))]
+    def columns(z):
+        """1/(c_j - s) at s = L tanh z, written as
+        2 (k0 - k_j) / ((k0 + k_j) - 2 s (k0 - k_j)) to stay finite at
+        k_j = k0 (c = infinity)."""
+        return num[:, None] / (den[:, None] - L * np.tanh(z) * num[:, None])
 
-    def _least_squares(p):
-        basis = np.ones((kvals.size, p.size + 1), dtype=complex)
-        for j, pole in enumerate(p):
-            basis[:, j + 1] = 1.0 / (kvals - pole)
-        X, *_ = np.linalg.lstsq(basis, U.T, rcond=None)
-        resid = float(np.max(np.abs(basis @ X - U.T)))
-        return X, resid
+    def project(z):
+        """Q, X = Phi^+ Y, R = P_perp Y and |R|^2 at the poles L tanh z."""
+        Q, T = np.linalg.qr(split(np.column_stack([np.ones(J), columns(z)])))
+        QY = Q.T @ Y
+        R = Y - Q @ QY
+        return Q, np.linalg.solve(T, QY), R, float(np.vdot(R, R))
 
-    X, resid = _least_squares(poles)
-    if poles.size:
-        strength = np.max(np.abs(X[1:]), axis=1)
-        keep = strength >= tol * scale
-        if not np.all(keep):
-            poles = poles[keep]
-            X, resid = _least_squares(poles)
+    def sup_residual(R):
+        return float(np.sqrt(np.max(R[:J] ** 2 + R[J:] ** 2)))
 
-    # allow an order of magnitude of slack for quadrature/noise floors
-    if resid > 10 * tol * scale:
-        raise FitDiverged(
-            f"residual {resid:.3g} above tolerance {tol * scale:.3g} "
-            f"with {poles.size} poles")
+    def refine(z):
+        """Levenberg-Marquardt on |P_perp Y|^2 over the poles' z.
 
-    return RationalModel(poles=poles, alpha_inf=X[0].copy(),
-                         residues=X[1:].T.copy(), residual=resid, scale=scale)
+        Kaufman's Gauss-Newton matrix is G_kl = (P_perp d_k . P_perp d_l)
+        (x_k . x_l) and the gradient g_k = -(P_perp d_k)^T R x_k, with
+        d_k = dPhi/ds_k and x_k the residues of pole k, both times ds/dz.
+        Stops when the step's predicted decrease falls below _LM_RTOL |R|^2.
+        """
+        Q, X, R, f = project(z)
+        lam = 1e-3
+        for _ in range(_LM_MAX_STEPS):
+            D = split(columns(z) ** 2)  # d/ds 1/(c - s) = 1/(c - s)^2
+            PD = D - Q @ (Q.T @ D)
+            dsdz = L / np.cosh(z) ** 2
+            G = (PD.T @ PD) * (X[1:] @ X[1:].T) * np.outer(dsdz, dsdz)
+            g = -np.sum((D.T @ R) * X[1:], axis=1) * dsdz
+            # Marquardt's scaling, floored where a residue vanishes
+            diag = np.diag(np.maximum(np.diag(G), 1e-12 * np.max(np.diag(G))))
+            while True:
+                step = np.linalg.solve(G + lam * diag, -g)
+                if (lam > 1e10 or -(g @ step) - 0.5 * (step @ G @ step)
+                        <= _LM_RTOL * f):
+                    return z, (Q, X, R, f)
+                z_try = np.clip(z + step, -_Z_MAX, _Z_MAX)
+                trial = project(z_try)
+                if trial[3] < f:
+                    break
+                lam *= 10.0
+            z, (Q, X, R, f), lam = z_try, trial, max(lam / 10.0, 1e-12)
+        return z, (Q, X, R, f)
+
+    z = np.zeros(0)
+    Q, X, R, f = project(z)
+    target = TAU * tol * scale
+    while (resid := sup_residual(R)) > target:
+        if z.size == max_poles:
+            raise FitDiverged(
+                f"residual {resid:.3g} above tolerance "
+                f"{target:.3g} with {z.size} poles")
+        # seed at the scan point whose column most reduces |P_perp Y|^2;
+        # one already in the basis's span to rounding adds nothing
+        D = split(columns(_SCAN))
+        norm2 = np.sum((D - Q @ (Q.T @ D)) ** 2, axis=0)
+        gain = np.sum((D.T @ R) ** 2, axis=1)
+        score = np.divide(gain, norm2, out=np.zeros_like(gain),
+                          where=norm2 > 1e-16 * np.sum(D * D, axis=0))
+        z, (Q, X, R, f) = refine(np.append(z, _SCAN[np.argmax(score)]))
+
+    return RationalModel(poles=L * np.tanh(z), constants=X[0].copy(),
+                         residues=X[1:].T.copy(), residual=resid,
+                         scale=scale)
 
 
 def extract_u0(model: RationalModel, k0: float) -> CauchyData:
-    """Frequency-free voltage u0 = k0 * alpha(infinity), recentered.
+    """Frequency-free voltage u0 = k0 U(c = -1/2), the limit k -> infinity,
+    recentered.
 
-    alpha(infinity) must be real up to 50 times the relative fit residual
-    (at least 1e-8). The constant value rho on the inclusion is not
-    observable here; the voltages sit on the equispaced angles 2 pi i / m.
+    The constant value rho on the inclusion is not observable here; the
+    voltages sit on the equispaced angles 2 pi i / m.
     """
-    imag_tol = max(1e-8, 50 * model.residual / max(model.scale, 1e-300))
-    alpha = model.alpha_inf
-    scale = max(float(np.max(np.abs(alpha))), 1e-300)
-    worst = float(np.max(np.abs(alpha.imag))) / scale
-    if worst > imag_tol:
-        raise NonRealLimit(
-            f"relative imaginary part {worst:.3g} exceeds {imag_tol:.3g}")
-    u0 = k0 * alpha.real
+    u0 = k0 * (model.constants + model.residues @ (-1.0 / (0.5 + model.poles)))
     return CauchyData(f=None, u0=u0 - np.mean(u0))
-

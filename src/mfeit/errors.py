@@ -63,10 +63,6 @@ class FitDiverged(MfeitError):
     """Rational fit residual stayed above tolerance at the pole budget."""
 
 
-class NonRealLimit(MfeitError):
-    """Imaginary part of the fitted constant term exceeds tolerance."""
-
-
 class Diverged(MfeitError):
     """Inversion could not decrease the misfit; best iterate is attached."""
 

@@ -58,6 +58,15 @@ def _recenter(values: np.ndarray, bgrid: BoundaryGrid) -> np.ndarray:
     return values - np.sum(values * w, axis=0) / bgrid.perimeter
 
 
+def _check_contrasts(k: np.ndarray) -> None:
+    """Raise ``ValueError`` if a contrast touches the closed negative real
+    axis, where the resonances lie."""
+    on_axis = (np.abs(k.imag) < 1e-14) & (k.real <= 0)
+    if np.any(on_axis):
+        raise ValueError(f"contrast {k[on_axis][0]} touches the closed "
+                         f"negative real axis")
+
+
 def _affine(omega, *, k_r, c):
     return k_r + 1j * c * omega
 
@@ -89,10 +98,7 @@ class FrequencyProfile:
                                      **self.params)
 
     def validate(self, omega_grid) -> None:
-        k = self.contrast(omega_grid)
-        on_axis = (np.abs(k.imag) < 1e-14) & (k.real <= 0)
-        if np.any(on_axis):
-            raise ValueError("profile touches the closed negative real axis")
+        _check_contrasts(self.contrast(omega_grid))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyProfile":
@@ -443,10 +449,16 @@ def _is_count(value) -> bool:
             and not isinstance(value, bool) and value >= 0)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_noise_level(eta: float) -> None:
-    """Raise ``ValueError`` unless the noise level eta is >= 0."""
-    if not eta >= 0:
-        raise ValueError(f"noise level must be >= 0, got {eta:g}")
+    """Raise ``ValueError`` unless the noise level eta is a number >= 0."""
+    if not (_is_number(eta) and eta >= 0):
+        raise ValueError(f"noise level eta must be a number >= 0, "
+                         f"got {eta!r}")
 
 
 def _add_noise(U: np.ndarray, eta: float, seed: int | None) -> np.ndarray:

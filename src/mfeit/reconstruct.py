@@ -32,7 +32,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,7 +39,8 @@ import numpy as np
 from .disentangle import _check_max_poles, extract_u0, fit_rational
 from .errors import Diverged, MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
-                      _check_noise_level, _is_count, current_from_fourier,
+                      _check_noise_level, _is_count, _is_number,
+                      current_from_fourier,
                       solve_u0, synthesize, u0_shape_derivative)
 from .geometry import (DomainConfig, StarShape, class_violation, discretize,
                        unit_circle_grid)
@@ -77,8 +77,9 @@ class InversionSettings:
     def __post_init__(self):
         # the saddle solves skip assemble, so its resolution rule is applied here
         check_resolution(self.n_boundary)
-        if self.alpha < 0:
-            raise ValueError("regularization weight alpha must be >= 0")
+        if not (_is_number(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"regularization weight alpha must be a number "
+                             f">= 0, got {self.alpha!r}")
         if not (_is_count(self.n_fourier_modes)
                 and self.n_fourier_modes <= 16):
             raise ValueError(f"n_fourier_modes must be an integer in 0..16, "
@@ -325,8 +326,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     Inputs of the wrong kind and negative noise levels raise ``ValueError``
     before any solve. Rows run in order; ``threads`` is accepted and ignored.
     """
-    _check_list(noise_levels, "noise_levels", "numbers", lambda v:
-                isinstance(v, numbers.Real) and not isinstance(v, bool))
+    _check_list(noise_levels, "noise_levels", "numbers", _is_number)
     _check_list(seeds, "seeds", "integers >= 0", _is_count)
     _check_max_poles(max_poles)
     noise_levels = sorted(float(v) for v in noise_levels)

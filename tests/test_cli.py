@@ -448,6 +448,14 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
                    "max_poles must be an integer >= 0, got 2.5",
                    id=f"{command}-max_poles-2.5")
       for command in ("sweep", "extract")),
+    pytest.param("synth", None, "eta", True,
+                 "noise level eta must be a number >= 0, got True",
+                 id="eta-bool"),
+    *(pytest.param("extract", None, "fit_tol", value,
+                   f"fit_tol must be a number > 0, got {value!r}",
+                   id=f"fit_tol-{value}") for value in (True, -1, 0)),
+    pytest.param("invert", "inversion", "alpha", True,
+                 "alpha must be a number >= 0, got True", id="alpha-bool"),
 ])
 def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
                                                       monkeypatch, command,
@@ -471,10 +479,10 @@ def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
     def solve(*args, **kwargs):
         raise AssertionError("solved before the config was checked")
 
-    # the sweep's start solve and clean synthesis, extract's fit and the
-    # spectrum's eigensolve
+    # the sweep's start solve and clean synthesis, extract's fit, and the
+    # assembly that synth and spectrum start with
     for module, name in ((reconstruct, "_point"), (reconstruct, "synthesize"),
-                         (disentangle, "_aaa"), (cli, "compute_spectrum")):
+                         (disentangle, "_check_contrasts"), (cli, "assemble")):
         monkeypatch.setattr(module, name, solve)
     out = tmp_path / "o"
     assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
@@ -519,7 +527,7 @@ def test_negative_eta_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("synth", write_cfg(tmp_path, "c.json", dict(BASE, eta=-1e-4)),
                out) == 2
-    assert "noise level must be >= 0, got -0.0001" in capsys.readouterr().err
+    assert "noise level eta must be a number >= 0, got -0.0001" in capsys.readouterr().err
     assert not (out / "dataset.csv").exists()
 
 
@@ -528,7 +536,7 @@ def test_negative_sweep_noise_level_exits_2(tmp_path, capsys):
                inversion={"n_fourier_modes": 0, "alpha": 0.0})
     out = tmp_path / "sw"
     assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 2
-    assert "noise level must be >= 0, got -0.001" in capsys.readouterr().err
+    assert "noise level eta must be a number >= 0, got -0.001" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
 
 
@@ -651,6 +659,30 @@ def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
             assert _sha256(tmp_path / out / fname) == digest
         for fname, digest in manifest["inputs"].items():
             assert _sha256(fname) == digest
+
+
+def test_trefoil_sweep_config_rows_are_all_ok(tmp_path):
+    # every level of the checked-in trefoil sweep, fitted and inverted
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(CONFIGS / "stability_trefoil.json"),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_ok"] == [3, 3, 3, 3, 3]
+
+
+def test_extract_rejects_a_contrast_on_the_negative_real_axis(tmp_path,
+                                                              capsys):
+    # ``forward`` accepts any contrast; its c lies on the fit's pole segment
+    cfg = dict(FORWARD, contrasts=[[-0.5, 0.0]] + [[-0.5, 0.1 * j]
+                                                  for j in range(1, 16)])
+    assert run("forward", write_cfg(tmp_path, "f.json", cfg),
+               tmp_path / "f") == 0
+    ext = {"domain": BASE["domain"], "max_poles": 4,
+           "inputs": {"dataset": str(tmp_path / "f/forward.csv")}}
+    out = tmp_path / "e"
+    assert run("extract", write_cfg(tmp_path, "e.json", ext), out) == 2
+    assert "touches the closed negative real axis" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
 
 
 def test_sweep_identical_across_threads(tmp_path):

@@ -198,6 +198,30 @@ def test_contour_of_batched_voltages_recovers_perfect_conductor(shape, f_cos):
     assert np.max(np.abs(u0 - solve_u0(shape, f_cos, n=256).u0)) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "shape", [TREFOIL, *_random_admissible_shapes(8)],
+    ids=["trefoil", *(f"random{i}" for i in range(8))])
+def test_f_channel_weights_are_positive(shape, f_cos):
+    # <f, U(c)> = <f, frak> + sum_n w_n / (c + mu_n), w_n = ((f w)^T T v_n) q_n
+    # with the T, V and q of solve_forward_batched: a Stieltjes function of
+    # c, the structure behind the real-pole fit in c
+    kernels = assemble(discretize(shape, 256))
+    mu, V = kernels.eig
+    bgrid = unit_circle_grid(f_cos.size)
+    fw = f_cos * bgrid.weights
+    q = V.T @ (kernels.B @ -harmonic_lift_normal_derivative(
+        f_cos, bgrid, kernels.grid.points, kernels.grid.normals))
+    weights = (fw @ trace_matrix(kernels.grid, bgrid.points) @ V) * q
+    kvals = np.array([-0.5 + 0.5j, 2.0 + 1.0j, 0.3 - 4.0j])
+    c = _contrast_c(kvals, 1.0)
+    expect = fw @ harmonic_lift_trace(f_cos, bgrid) + np.sum(
+        weights[:, None] / (c[None, :] + mu[:, None]), axis=0)
+    got = fw @ solve_forward_batched(kernels, f_cos, kvals)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+    significant = weights[np.abs(weights) > 1e-12 * np.max(np.abs(weights))]
+    assert significant.size > 1 and np.all(significant > 0)
+
+
 def _out_of_place_direct(kernels, f, k, k0=1.0):
     """Oracle: the LU solve with c I + K* built and cast out of place."""
     bgrid = unit_circle_grid(f.size)
