@@ -4,7 +4,7 @@ Pipeline: forward simulation of boundary voltages for a frequency-dependent
 conductivity inclusion via the Neumann-Poincare spectral decomposition,
 extraction of the frequency-independent perfect-conductor Cauchy data from
 multifrequency measurements by shared-pole rational fitting, and
-Gauss-Newton recovery of the star-shaped inclusion.
+Levenberg-Marquardt recovery of the star-shaped inclusion.
 """
 
 from .errors import MfeitError

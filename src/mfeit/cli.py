@@ -46,7 +46,8 @@ def _sha256(path: Path) -> str:
 
 def _load_config(path: str) -> dict:
     """The parsed config; ``NaN``, ``Infinity`` and overflowing numbers such
-    as ``1e999`` raise ``ValueError`` naming the literal."""
+    as ``1e999`` raise ``ValueError`` naming the literal, and ``true`` or
+    ``false`` anywhere, which no key takes, naming its key path."""
     p = Path(path)
     if not p.is_file():
         raise MissingInput(f"config file not found: {path}")
@@ -57,13 +58,26 @@ def _load_config(path: str) -> dict:
             raise ValueError(f"non-finite number {literal} in {path}")
         return value
 
+    def no_booleans(node, key: str) -> None:
+        if isinstance(node, bool):
+            raise ValueError(f"no config key takes true or false: {key} is "
+                             f"{json.dumps(node)} in {path}")
+        if isinstance(node, dict):
+            for k, v in node.items():
+                no_booleans(v, f"{key}.{k}" if key else k)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                no_booleans(v, f"{key}[{i}]")
+
     try:
-        return json.loads(p.read_text(), parse_float=finite,
-                          parse_constant=finite)
+        cfg = json.loads(p.read_text(), parse_float=finite,
+                         parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    no_booleans(cfg, "")
+    return cfg
 
 
 def _read_input(rel: str, cls, manifest: dict):

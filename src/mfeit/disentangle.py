@@ -7,11 +7,14 @@ whose poles s_n = -mu_n lie on the segment |c| <= L of the admissible
 class. ``fit_rational`` fits that form to all boundary points at once: the
 constants and residues by one real least-squares solve, the poles
 s = L tanh z by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
-10, 1973) with Kaufman's Jacobian (BIT 15, 1975) and Levenberg-Marquardt
-steps. Poles are added one at a time, each seeded at the best point of a
-scan of the segment, until the sup residual meets the discrepancy
-TAU * tol * max|U|. The contrast k = infinity is c = -1/2, where the
-voltage is the frequency-free part u0 / k0.
+10, 1973) with Kaufman's Jacobian (BIT 15, 1975) and the Levenberg-Marquardt
+iteration of ``lsq``, with z clipped to |z| <= _Z_MAX. Poles are added one
+at a time, each seeded at the best point of a scan of the segment, until
+the sup residual meets the discrepancy TAU * tol * max|U|. A fit that ends
+with a pole pinned at an end of the segment is refused: only data with a
+pole outside the admissible class put one there. The contrast
+k = infinity is c = -1/2, where the voltage is the frequency-free part
+u0 / k0.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import numpy as np
 from .errors import FitDiverged, InsufficientFrequencies
 from .forward import CauchyData, MultiFreqData, _check_contrasts, _is_count
 from .geometry import DomainConfig
+from .lsq import levenberg_marquardt
 
 #: discrepancy factor: poles are added until sup residual <= TAU tol max|U|
 TAU = 1.5
@@ -30,10 +34,6 @@ TAU = 1.5
 _SCAN = np.linspace(-3.0, 3.0, 41)
 #: bound on |z|, below which tanh z < 1 and ds/dz > 0 in double precision
 _Z_MAX = 18.0
-#: Levenberg-Marquardt stops below this predicted relative decrease of
-#: |P_perp Y|^2, or after this many accepted steps
-_LM_RTOL = 1e-6
-_LM_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,9 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
     Raises ``ValueError`` for a contrast on the closed negative real axis,
     whose c lies on the pole segment; ``InsufficientFrequencies`` below
     2 max_poles + 2 distinct contrasts; ``FitDiverged`` when no pole count
-    up to ``max_poles`` brings the sup residual to TAU * tol * max|U|.
+    up to ``max_poles`` brings the sup residual to TAU * tol * max|U|, or
+    when a fitted pole is pinned at an end of the segment, |z| = _Z_MAX,
+    which data with a pole outside the admissible class drive it to.
     """
     _check_max_poles(max_poles)
     kvals = np.asarray(data.k, dtype=complex)
@@ -100,49 +102,31 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
         k_j = k0 (c = infinity)."""
         return num[:, None] / (den[:, None] - L * np.tanh(z) * num[:, None])
 
-    def project(z):
-        """Q, X = Phi^+ Y, R = P_perp Y and |R|^2 at the poles L tanh z."""
+    def value(z):
+        """|R|^2 and (Q, X = Phi^+ Y, R = P_perp Y) at the poles L tanh z."""
         Q, T = np.linalg.qr(split(np.column_stack([np.ones(J), columns(z)])))
         QY = Q.T @ Y
         R = Y - Q @ QY
-        return Q, np.linalg.solve(T, QY), R, float(np.vdot(R, R))
+        return float(np.vdot(R, R)), (Q, np.linalg.solve(T, QY), R)
+
+    def normal(z, state):
+        """Kaufman's Gauss-Newton matrix G_kl = (P_perp d_k . P_perp d_l)
+        (x_k . x_l) and gradient g_k = -(P_perp d_k)^T R x_k of |R|^2 over
+        the poles' z, with d_k = dPhi/ds_k and x_k the residues of pole k,
+        both times ds/dz."""
+        Q, X, R = state
+        D = split(columns(z) ** 2)  # d/ds 1/(c - s) = 1/(c - s)^2
+        PD = D - Q @ (Q.T @ D)
+        dsdz = L / np.cosh(z) ** 2
+        G = (PD.T @ PD) * (X[1:] @ X[1:].T) * np.outer(dsdz, dsdz)
+        g = -np.sum((D.T @ R) * X[1:], axis=1) * dsdz
+        return G, g
 
     def sup_residual(R):
         return float(np.sqrt(np.max(R[:J] ** 2 + R[J:] ** 2)))
 
-    def refine(z):
-        """Levenberg-Marquardt on |P_perp Y|^2 over the poles' z.
-
-        Kaufman's Gauss-Newton matrix is G_kl = (P_perp d_k . P_perp d_l)
-        (x_k . x_l) and the gradient g_k = -(P_perp d_k)^T R x_k, with
-        d_k = dPhi/ds_k and x_k the residues of pole k, both times ds/dz.
-        Stops when the step's predicted decrease falls below _LM_RTOL |R|^2.
-        """
-        Q, X, R, f = project(z)
-        lam = 1e-3
-        for _ in range(_LM_MAX_STEPS):
-            D = split(columns(z) ** 2)  # d/ds 1/(c - s) = 1/(c - s)^2
-            PD = D - Q @ (Q.T @ D)
-            dsdz = L / np.cosh(z) ** 2
-            G = (PD.T @ PD) * (X[1:] @ X[1:].T) * np.outer(dsdz, dsdz)
-            g = -np.sum((D.T @ R) * X[1:], axis=1) * dsdz
-            # Marquardt's scaling, floored where a residue vanishes
-            diag = np.diag(np.maximum(np.diag(G), 1e-12 * np.max(np.diag(G))))
-            while True:
-                step = np.linalg.solve(G + lam * diag, -g)
-                if (lam > 1e10 or -(g @ step) - 0.5 * (step @ G @ step)
-                        <= _LM_RTOL * f):
-                    return z, (Q, X, R, f)
-                z_try = np.clip(z + step, -_Z_MAX, _Z_MAX)
-                trial = project(z_try)
-                if trial[3] < f:
-                    break
-                lam *= 10.0
-            z, (Q, X, R, f), lam = z_try, trial, max(lam / 10.0, 1e-12)
-        return z, (Q, X, R, f)
-
     z = np.zeros(0)
-    Q, X, R, f = project(z)
+    _, (Q, X, R) = value(z)
     target = TAU * tol * scale
     while (resid := sup_residual(R)) > target:
         if z.size == max_poles:
@@ -156,7 +140,14 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
         gain = np.sum((D.T @ R) ** 2, axis=1)
         score = np.divide(gain, norm2, out=np.zeros_like(gain),
                           where=norm2 > 1e-16 * np.sum(D * D, axis=0))
-        z, (Q, X, R, f) = refine(np.append(z, _SCAN[np.argmax(score)]))
+        z, (Q, X, R), *_ = levenberg_marquardt(
+            np.append(z, _SCAN[np.argmax(score)]), value, normal,
+            lambda z: np.clip(z, -_Z_MAX, _Z_MAX))
+    if np.any(pinned := np.abs(z) >= _Z_MAX):
+        raise FitDiverged(
+            f"pole c = {L * np.tanh(z[pinned][0]):.6g} pinned at the end of "
+            f"the segment |c| <= {L:.6g}: the data have a pole outside the "
+            f"admissible class")
 
     return RationalModel(poles=L * np.tanh(z), constants=X[0].copy(),
                          residues=X[1:].T.copy(), residual=resid,

@@ -60,12 +60,7 @@ class InsufficientFrequencies(MfeitError):
 
 
 class FitDiverged(MfeitError):
-    """Rational fit residual stayed above tolerance at the pole budget."""
+    """Rational fit failed: its residual stayed above tolerance at the pole
+    budget, or a fitted pole is pinned at an end of the class segment, so
+    the data have a pole outside the admissible class."""
 
-
-class Diverged(MfeitError):
-    """Inversion could not decrease the misfit; best iterate is attached."""
-
-    def __init__(self, message, result=None):
-        self.result = result
-        super().__init__(message)

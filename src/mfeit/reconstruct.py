@@ -2,9 +2,11 @@
 
 A single zero-mean current f and the trace u0 of the perfect-conductor
 voltage on the unit circle determine a star-shaped inclusion uniquely; the
-inverter here is a damped Gauss-Newton iteration on the radial Fourier
-coefficients with a curvature penalty and a projection of every trial
-iterate back into the admissible class (``geometry.class_violation``). Its
+inverter here is the Levenberg-Marquardt iteration of ``lsq`` on the radial
+Fourier coefficients with a curvature penalty and a projection of every
+trial iterate back into the admissible class (``geometry.class_violation``).
+It stops where a step's predicted decrease of the misfit is negligible, so
+a shape outside the class ends on the class's edge, converged. Its
 Jacobian is the domain derivative of the perfect conductor (Kirsch, Inverse
 Problems 9, 1993; Hettlich & Rundell, Inverse Problems 14, 1998): for the
 radial velocity h = phi_j e_r of Fourier mode j, u0' is harmonic outside D
@@ -37,24 +39,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .disentangle import _check_max_poles, extract_u0, fit_rational
-from .errors import Diverged, MfeitError
+from .errors import MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
                       _check_noise_level, _is_count, _is_number,
                       current_from_fourier,
                       solve_u0, synthesize, u0_shape_derivative)
 from .geometry import (DomainConfig, StarShape, class_violation, discretize,
                        unit_circle_grid)
+from .lsq import levenberg_marquardt
 from .potential import assemble, check_resolution
 
 _FD_BASE_STEP = 1e-6
-#: Gauss-Newton iteration cap and gradient-norm stopping tolerance
-_MAX_ITER = 60
-_GRAD_TOL = 1e-10
-#: line search: step shrink factor and number of tries per iterate
-_BACKTRACK = 0.5
-_MAX_BACKTRACKS = 25
-#: floor damping of the normal equations, relative to their mean diagonal
-_LEVENBERG = 1e-10
 #: strict distance projected iterates keep from the radial band's edges
 _BAND_MARGIN = 1e-3
 #: quadrature nodes of the symmetric-difference integral
@@ -63,7 +58,7 @@ _N_QUAD = 8192
 
 @dataclass(frozen=True)
 class InversionSettings:
-    """Settings of the Gauss-Newton shape inverter.
+    """Settings of the Levenberg-Marquardt shape inverter.
 
     The iteration starts from the circle of radius (b0 + 1 - delta) / 2,
     the middle of the admissible band of ``config``.
@@ -111,25 +106,22 @@ def _band_middle(config: DomainConfig) -> float:
     return 0.5 * (config.b0 + 1 - config.delta)
 
 
-def _project_band(x: np.ndarray, M: int,
-                  config: DomainConfig) -> tuple[np.ndarray, bool]:
+def _project_band(x: np.ndarray, M: int, config: DomainConfig) -> np.ndarray:
     """Shrink the shape toward the band's middle circle until it is admissible.
 
     Scales the oscillatory part and blends a0 toward the middle radius until
     ``class_violation`` finds no broken bound at ``_BAND_MARGIN``; a no-op
-    for admissible iterates. Returns the parameters and whether they moved.
+    for admissible iterates.
     """
     mid = _band_middle(config)
     x = x.copy()
-    hit = False
     for _ in range(60):
         if class_violation(_params_to_shape(x, M), config,
                            _BAND_MARGIN) is None:
-            return x, hit
-        hit = True
+            return x
         x[0] = mid + 0.8 * (x[0] - mid)
         x[1:] *= 0.8
-    return x, hit
+    return x
 
 
 def _start_params(settings: InversionSettings) -> np.ndarray:
@@ -202,67 +194,31 @@ class _Objective:
 
 def invert(data: CauchyData, settings: InversionSettings, *,
            _start: tuple | None = None) -> InversionResult:
-    """Damped Gauss-Newton recovery of the inclusion from Cauchy data.
+    """Levenberg-Marquardt recovery of the inclusion from Cauchy data.
 
+    Minimises J = 1/2 |r|^2 from the band's middle circle with
+    ``lsq.levenberg_marquardt``, on the Gauss-Newton matrix of the
+    domain-derivative Jacobian, projecting every trial into the class.
     ``_start`` is internal: the ``_point`` of the starting circle when the
     caller has solved it with ``data.f`` already (``stability_sweep``).
     """
-    cfg = settings.config
     M = settings.n_fourier_modes
-    x = _start_params(settings)
-
     obj = _Objective(data, settings, _start)
-    r = obj.residual(x)
-    J = 0.5 * float(r @ r)
-    history = [J]
-    hit = False
-    converged = False
-    it = 0
-    for it in range(1, _MAX_ITER + 1):
+
+    def value(x):
+        r = obj.residual(x)
+        return 0.5 * float(r @ r), (r, obj._solve(x)[1].rho)
+
+    def normal(x, state):
         Jac = obj.jacobian(x)
-        grad = Jac.T @ r
-        if np.linalg.norm(grad) < _GRAD_TOL:
-            converged = True
-            break
-        H = Jac.T @ Jac
-        nu = _LEVENBERG * max(np.trace(H).real / H.shape[0], 1.0)
-        step = np.linalg.solve(H + nu * np.eye(H.shape[0]), -grad)
+        return Jac.T @ Jac, Jac.T @ state[0]
 
-        accepted = False
-        s = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            x_try, hit_try = _project_band(x + s * step, M, cfg)
-            r_try = obj.residual(x_try)
-            J_try = 0.5 * float(r_try @ r_try)
-            if J_try < J:
-                x, r, J = x_try, r_try, J_try
-                hit = hit or hit_try
-                history.append(J)
-                accepted = True
-                break
-            s *= _BACKTRACK
-        if not accepted:
-            # stationary up to line-search resolution: treat tiny gradients
-            # relative to the data scale as convergence, else report divergence
-            scale = max(J, 1e-300)
-            if np.linalg.norm(grad) < 1e-6 * math.sqrt(scale) + _GRAD_TOL:
-                converged = True
-                break
-            best = _finalize(obj, x, history, hit, False, it)
-            raise Diverged("no descent direction found", result=best)
-        if len(history) >= 2 and abs(history[-2] - history[-1]) \
-                < 1e-15 * max(1.0, history[-2]):
-            converged = True
-            break
-
-    return _finalize(obj, x, history, hit, converged, it)
-
-
-def _finalize(obj, x, history, hit, converged, it):
-    shape = _params_to_shape(x, obj.M)
-    return InversionResult(shape=shape, history=history,
-                           rho=obj._solve(x)[1].rho, hit_constraint=hit,
-                           converged=converged, n_iter=it)
+    x, (_, rho), history, projected, stopped = levenberg_marquardt(
+        _start_params(settings), value, normal,
+        lambda x: _project_band(x, M, settings.config))
+    return InversionResult(shape=_params_to_shape(x, M), history=history,
+                           rho=rho, hit_constraint=projected,
+                           converged=stopped, n_iter=len(history) - 1)
 
 
 def symmetric_difference(shape_a: StarShape, shape_b: StarShape) -> float:
@@ -356,7 +312,6 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
 
     def run(job):
         level, seed = job
-        eps = float("nan")
         try:
             data = replace(clean, U=_add_noise(clean.U, level, seed))
             eps = float(np.max(np.abs(data.U - clean.U)))
@@ -370,10 +325,6 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
             d = symmetric_difference(truth, res.shape)
             return {"level": level, "eps_measured": eps, "seed": seed,
                     "sym_diff": d, "status": "ok"}
-        except Diverged as exc:
-            d = symmetric_difference(truth, exc.result.shape)
-            return {"level": level, "eps_measured": eps, "seed": seed,
-                    "sym_diff": d, "status": "diverged"}
         except MfeitError as exc:
             return {"level": level, "eps_measured": float("nan"), "seed": seed,
                     "sym_diff": float("nan"),

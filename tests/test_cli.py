@@ -12,7 +12,7 @@ import pytest
 from mfeit import cli, disentangle, reconstruct
 from mfeit.cli import _COMMANDS, main
 from mfeit.disentangle import fit_rational
-from mfeit.forward import CauchyData, solve_u0
+from mfeit.forward import CauchyData, MultiFreqData, solve_u0
 from mfeit.geometry import DomainConfig, StarShape, circle, unit_circle_grid
 from mfeit.reconstruct import InversionSettings, stability_sweep
 from mfeit.forward import current_from_fourier
@@ -339,22 +339,6 @@ def test_invert_without_f_or_current_exits_2_naming_both(tmp_path, capsys):
         in capsys.readouterr().err
 
 
-def test_invert_without_descent_exits_3_writing_nothing(tmp_path, capsys,
-                                                        monkeypatch):
-    monkeypatch.setattr(reconstruct, "_MAX_BACKTRACKS", 0)
-    f = current_from_fourier([1.0], [], unit_circle_grid(64))
-    cauchy = tmp_path / "u0.csv"
-    cauchy.write_text(solve_u0(StarShape(cos=(0.5, 0.0, 0.05)), f,
-                               n=128).to_csv())
-    cfg = json.loads(Path(_invert_cfg(tmp_path, cauchy)).read_text())
-    cfg["inversion"] = {"n_fourier_modes": 2}
-    out = tmp_path / "i"
-    assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 3
-    assert "Diverged: no descent direction found" in capsys.readouterr().err
-    assert not (out / "shape.json").exists()
-    assert not (out / "manifest.json").exists()
-
-
 def test_max_poles_defaults_agree():
     defaults = {inspect.signature(fn).parameters["max_poles"].default
                 for fn in (fit_rational, stability_sweep,
@@ -406,6 +390,11 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
     assert repr(key) in capsys.readouterr().err
 
 
+def _boolean(key, literal="true"):
+    """The config loader's message for a JSON boolean at ``key``."""
+    return f"no config key takes true or false: {key} is {literal}"
+
+
 @pytest.mark.parametrize("command,section,key,value,message", [
     pytest.param("synth", "omega", "count", 2.5,
                  "omega.count must be an integer >= 1, got 2.5",
@@ -413,8 +402,7 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
     pytest.param("synth", "omega", "count", 0,
                  "omega.count must be an integer >= 1, got 0",
                  id="omega-count-0"),
-    pytest.param("synth", "omega", "count", True,
-                 "omega.count must be an integer >= 1, got True",
+    pytest.param("synth", "omega", "count", True, _boolean("omega.count"),
                  id="omega-count-bool"),
     pytest.param("synth", None, "omega", [],
                  "omega must be a non-empty list of frequencies",
@@ -424,22 +412,26 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
                  id="omega-scalar"),
     pytest.param("synth", None, "seed", 1.5,
                  "seed must be an integer >= 0, got 1.5", id="seed-1.5"),
-    pytest.param("synth", None, "seed", True,
-                 "seed must be an integer >= 0, got True", id="seed-bool"),
+    pytest.param("synth", None, "seed", True, _boolean("seed"),
+                 id="seed-bool"),
     pytest.param("invert", "inversion", "n_fourier_modes", 2.5,
                  "n_fourier_modes must be an integer in 0..16, got 2.5",
                  id="inversion-n_fourier_modes-2.5"),
     pytest.param("invert", "inversion", "n_fourier_modes", True,
-                 "n_fourier_modes must be an integer in 0..16, got True",
+                 _boolean("inversion.n_fourier_modes"),
                  id="inversion-n_fourier_modes-bool"),
-    *(pytest.param("spectrum", None, "n_modes", value,
-                   f"n_modes must be an integer >= 0, got {value!r}",
-                   id=f"spectrum-n_modes-{value}") for value in (True, -1)),
+    pytest.param("spectrum", None, "n_modes", True, _boolean("n_modes"),
+                 id="spectrum-n_modes-True"),
+    pytest.param("spectrum", None, "n_modes", -1,
+                 "n_modes must be an integer >= 0, got -1",
+                 id="spectrum-n_modes--1"),
     *(pytest.param("sweep", None, "seeds", value,
                    f"seeds must be a non-empty list of integers >= 0, "
                    f"got {value!r}", id=f"seeds-{kind}")
       for kind, value in [("float", [1.5]), ("str", ["a"]), ("negative", [-1]),
-                          ("bool", [True]), ("scalar", 3), ("empty", [])]),
+                          ("scalar", 3), ("empty", [])]),
+    pytest.param("sweep", None, "seeds", [True], _boolean("seeds[0]"),
+                 id="seeds-bool"),
     *(pytest.param("sweep", None, "noise_levels", value,
                    f"noise_levels must be a non-empty list of numbers, "
                    f"got {value!r}", id=f"noise_levels-{kind}")
@@ -448,14 +440,29 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
                    "max_poles must be an integer >= 0, got 2.5",
                    id=f"{command}-max_poles-2.5")
       for command in ("sweep", "extract")),
-    pytest.param("synth", None, "eta", True,
-                 "noise level eta must be a number >= 0, got True",
-                 id="eta-bool"),
+    pytest.param("synth", None, "eta", True, _boolean("eta"), id="eta-bool"),
+    pytest.param("extract", None, "fit_tol", True, _boolean("fit_tol"),
+                 id="fit_tol-True"),
     *(pytest.param("extract", None, "fit_tol", value,
                    f"fit_tol must be a number > 0, got {value!r}",
-                   id=f"fit_tol-{value}") for value in (True, -1, 0)),
+                   id=f"fit_tol-{value}") for value in (-1, 0)),
     pytest.param("invert", "inversion", "alpha", True,
-                 "alpha must be a number >= 0, got True", id="alpha-bool"),
+                 _boolean("inversion.alpha"), id="alpha-bool"),
+    # no config key takes a boolean, wherever it sits
+    pytest.param("synth", "domain", "k0", True, _boolean("domain.k0"),
+                 id="domain-k0-bool"),
+    pytest.param("synth", "omega", "start", True, _boolean("omega.start"),
+                 id="omega-start-bool"),
+    pytest.param("synth", None, "omega", [True, 20, 30], _boolean("omega[0]"),
+                 id="omega-list-bool"),
+    pytest.param("synth", "current", "cos", [True], _boolean("current.cos[0]"),
+                 id="current-cos-bool"),
+    pytest.param("synth", "profile", "k_r", False,
+                 _boolean("profile.k_r", "false"), id="profile-k_r-bool"),
+    pytest.param("forward", None, "contrasts", [[True, 0]],
+                 _boolean("contrasts[0][0]"), id="contrasts-bool"),
+    pytest.param("spectrum", None, "tail", True, _boolean("tail"),
+                 id="spectrum-tail-bool"),
 ])
 def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
                                                       monkeypatch, command,
@@ -472,6 +479,7 @@ def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
     else:
         cfg = copy.deepcopy({"synth": BASE, "sweep": dict(
             SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4),
+            "forward": dict(FORWARD, contrasts=[[1.0, 0.0]]),
             "spectrum": {"domain": BASE["domain"], "shape": {"cos": [0.5]},
                          "n_modes": 4}}[command])
     (cfg if section is None else cfg[section])[key] = value
@@ -487,7 +495,8 @@ def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
     out = tmp_path / "o"
     assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    # the config loader refuses a boolean before the output directory exists
+    assert not (out.exists() and any(out.iterdir()))
 
 
 def test_non_object_config_exits_2(tmp_path, capsys):
@@ -683,6 +692,24 @@ def test_extract_rejects_a_contrast_on_the_negative_real_axis(tmp_path,
     assert run("extract", write_cfg(tmp_path, "e.json", ext), out) == 2
     assert "touches the closed negative real axis" in capsys.readouterr().err
     assert not (out / "model.json").exists()
+
+
+def test_extract_of_data_with_a_pole_outside_the_class_exits_3(tmp_path,
+                                                              capsys):
+    # one pole at c = -0.8, past the class segment |c| <= 0.4919 (b0 = 0.2)
+    k = -0.3 + 1j * np.linspace(0.4, 3.0, 24)
+    c = (1.0 + k) / (2 * (1.0 - k))
+    rng = np.random.default_rng(1)
+    U = rng.standard_normal(6)[:, None] + rng.standard_normal((6, 1)) / (c + 0.8)
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(MultiFreqData(omega=np.arange(24.0), k=k, U=U).to_csv())
+    ext = {"domain": BASE["domain"], "fit_tol": 1e-3,
+           "inputs": {"dataset": str(dataset)}}
+    out = tmp_path / "e"
+    assert run("extract", write_cfg(tmp_path, "e.json", ext), out) == 3
+    assert ("FitDiverged: pole c = -0.49187 pinned at the end of the segment"
+            in capsys.readouterr().err)
+    assert not any(out.iterdir())
 
 
 def test_sweep_identical_across_threads(tmp_path):

@@ -94,19 +94,38 @@ def test_fit_diverged_on_non_rational_data():
         fit_rational(data, max_poles=2, tol=1e-13, config=DOMAIN)
 
 
+def _one_pole_data(pole):
+    rng = np.random.default_rng(1)
+    return MultiFreqData(omega=np.arange(KVALS.size, dtype=float), k=KVALS,
+                         U=_evaluate(np.array([pole]), rng.standard_normal(6),
+                                     rng.standard_normal((6, 1)), KVALS))
+
+
+#: the refusal of a fit that ends with a pole on the clip |z| = 18
+_PINNED = "pinned at the end of the segment.*pole outside the admissible class"
+
+
 @pytest.mark.parametrize("pole", [-0.49187, 0.4919])
 @pytest.mark.parametrize("tol", [1e-3, 1e-12])
 def test_pole_at_the_segment_end_leaves_the_fit_on_it(pole, tol):
     # the poles press against |c| = L = 0.491870 (b0 = 0.2), where s = L tanh z
-    # saturates: z stays bounded and the fit finite
-    rng = np.random.default_rng(1)
-    data = MultiFreqData(omega=np.arange(KVALS.size, dtype=float), k=KVALS,
-                         U=_evaluate(np.array([pole]), rng.standard_normal(6),
-                                     rng.standard_normal((6, 1)), KVALS))
+    # saturates; all but one of these fits end with a pole on the clip and
+    # are refused, and (-0.49187, 1e-12) ends below it with finite residues
+    data = _one_pole_data(pole)
+    if (pole, tol) != (-0.49187, 1e-12):
+        with pytest.raises(FitDiverged, match=_PINNED):
+            fit_rational(data, max_poles=4, tol=tol, config=DOMAIN)
+        return
     model = fit_rational(data, max_poles=4, tol=tol, config=DOMAIN)
     L = 0.5 - 1 / (2 + ((DOMAIN.b0 + 2) / DOMAIN.b0) ** 2)
-    assert np.all(np.abs(model.poles) <= L)
+    assert np.all(np.abs(model.poles) < L)
     assert np.all(np.isfinite(model.residues))
+
+
+def test_fit_with_a_pole_past_the_segment_end_is_refused():
+    with pytest.raises(FitDiverged, match=_PINNED):
+        fit_rational(_one_pole_data(0.7), max_poles=4, tol=1e-3,
+                     config=DOMAIN)
 
 
 @pytest.mark.parametrize("k", [-0.5, 0.0, -0.5 + 1e-15j])

@@ -1,0 +1,64 @@
+import numpy as np
+
+from mfeit.lsq import MAX_STEPS, RTOL, levenberg_marquardt
+
+
+def test_rejected_trials_reach_the_stop_test():
+    """Predicted decrease <= 2 n f / lambda: when every trial is rejected,
+    the tenfold damping reaches the stop within 12 trials for n <= 33."""
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n = int(rng.integers(1, 34))
+        # columns scaled over twelve decades, some of them zero but not all
+        A = (rng.standard_normal((n + int(rng.integers(0, 40)), n))
+             * 10.0 ** rng.uniform(-6, 6, n) * (rng.random(n) > 0.1))
+        A[:, 0] += 1.0
+        b = rng.standard_normal(A.shape[0])
+        z0 = rng.standard_normal(n)
+        r0 = A @ z0 - b
+        f0 = 0.5 * float(r0 @ r0)
+        trials = []
+
+        def value(z):
+            if z is z0:
+                return f0, r0
+            trials.append(z)
+            return np.inf, None
+
+        z, state, history, projected, stopped = levenberg_marquardt(
+            z0, value, lambda z, r: (A.T @ A, A.T @ r), lambda z: z)
+        assert stopped and z is z0 and state is r0
+        assert history == [f0] and not projected
+        assert len(trials) <= 12
+
+
+def test_linear_problem_reaches_the_least_squares_solution():
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((20, 5))
+    b = rng.standard_normal(20)
+
+    def value(z):
+        r = A @ z - b
+        return 0.5 * float(r @ r), r
+
+    z, r, history, projected, stopped = levenberg_marquardt(
+        np.zeros(5), value, lambda z, r: (A.T @ A, A.T @ r), lambda z: z)
+    z_ls = np.linalg.lstsq(A, b, rcond=None)[0]
+    assert stopped and len(history) - 1 < MAX_STEPS and not projected
+    assert np.all(np.diff(history) < 0)
+    # the stop leaves at most RTOL f of predicted decrease
+    assert history[-1] - 0.5 * float((A @ z_ls - b) @ (A @ z_ls - b)) \
+        <= 2 * RTOL * history[-1]
+    assert np.array_equal(r, A @ z - b)
+
+
+def test_an_accepted_projected_trial_is_reported():
+    # minimise 1/2 (z - 2)^2 over z <= 1: the solution is on the bound
+    def value(z):
+        r = z - 2.0
+        return 0.5 * float(r @ r), r
+
+    z, _, _, projected, stopped = levenberg_marquardt(
+        np.zeros(1), value, lambda z, r: (np.eye(1), r),
+        lambda z: np.minimum(z, 1.0))
+    assert stopped and projected and z[0] == 1.0
