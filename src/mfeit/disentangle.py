@@ -5,14 +5,14 @@ In the shift c = (k0 + k) / (2 (k0 - k)) of the forward equation
 voltage a real rational function U_i(c) = a_i + sum_n R_in / (c - s_n),
 whose poles s_n = -mu_n lie on the segment |c| <= L of the admissible
 class. ``fit_rational`` fits that form to all boundary points at once: the
-constants and residues by one real least-squares solve, the poles
-s = L tanh z by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
-10, 1973) with Kaufman's Jacobian (BIT 15, 1975) and the Levenberg-Marquardt
-iteration of ``lsq``, with z clipped to |z| <= _Z_MAX. Poles are added one
-at a time, each seeded at the best point of a scan of the segment, until
-the sup residual meets the discrepancy TAU * tol * max|U|. A fit that ends
-with a pole pinned at an end of the segment is refused: only data with a
-pole outside the admissible class put one there. The contrast
+constants and residues by one real least-squares solve, the poles s by
+variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973) with
+Kaufman's Jacobian (BIT 15, 1975) and the Levenberg-Marquardt iteration of
+``lsq``, free on the real line. Poles are added one at a time, each seeded
+at the best point of a scan of the segment, until the sup residual meets
+the discrepancy TAU * tol * max|U|. A fit that ends with a pole at or
+beyond an end of the segment is refused: no admissible shape has one
+there, so the data have a pole outside the admissible class. The contrast
 k = infinity is c = -1/2, where the voltage is the frequency-free part
 u0 / k0.
 """
@@ -30,10 +30,8 @@ from .lsq import levenberg_marquardt
 
 #: discrepancy factor: poles are added until sup residual <= TAU tol max|U|
 TAU = 1.5
-#: z of the segment points s = L tanh z that seed each new pole
-_SCAN = np.linspace(-3.0, 3.0, 41)
-#: bound on |z|, below which tanh z < 1 and ds/dz > 0 in double precision
-_Z_MAX = 18.0
+#: the segment points s = L _SCAN that seed each new pole, denser at its ends
+_SCAN = np.tanh(np.linspace(-3.0, 3.0, 41))
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,8 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
     whose c lies on the pole segment; ``InsufficientFrequencies`` below
     2 max_poles + 2 distinct contrasts; ``FitDiverged`` when no pole count
     up to ``max_poles`` brings the sup residual to TAU * tol * max|U|, or
-    when a fitted pole is pinned at an end of the segment, |z| = _Z_MAX,
-    which data with a pole outside the admissible class drive it to.
+    when a fitted pole lies at or beyond an end of the segment, |s| >= L,
+    where only data with a pole outside the admissible class put one.
     """
     _check_max_poles(max_poles)
     kvals = np.asarray(data.k, dtype=complex)
@@ -96,60 +94,58 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
     def split(B):
         return np.concatenate([B.real, B.imag])
 
-    def columns(z):
-        """1/(c_j - s) at s = L tanh z, written as
-        2 (k0 - k_j) / ((k0 + k_j) - 2 s (k0 - k_j)) to stay finite at
-        k_j = k0 (c = infinity)."""
-        return num[:, None] / (den[:, None] - L * np.tanh(z) * num[:, None])
+    def columns(s):
+        """1/(c_j - s), written as 2 (k0 - k_j) / ((k0 + k_j) - 2 s (k0 - k_j))
+        to stay finite at k_j = k0 (c = infinity)."""
+        return num[:, None] / (den[:, None] - s * num[:, None])
 
-    def value(z):
-        """|R|^2 and (Q, X = Phi^+ Y, R = P_perp Y) at the poles L tanh z."""
-        Q, T = np.linalg.qr(split(np.column_stack([np.ones(J), columns(z)])))
+    def value(s):
+        """|R|^2 and (Q, X = Phi^+ Y, R = P_perp Y) at the poles s."""
+        Q, T = np.linalg.qr(split(np.column_stack([np.ones(J), columns(s)])))
         QY = Q.T @ Y
         R = Y - Q @ QY
         return float(np.vdot(R, R)), (Q, np.linalg.solve(T, QY), R)
 
-    def normal(z, state):
+    def normal(s, state):
         """Kaufman's Gauss-Newton matrix G_kl = (P_perp d_k . P_perp d_l)
         (x_k . x_l) and gradient g_k = -(P_perp d_k)^T R x_k of |R|^2 over
-        the poles' z, with d_k = dPhi/ds_k and x_k the residues of pole k,
-        both times ds/dz."""
+        the poles, with d_k = dPhi/ds_k and x_k the residues of pole k."""
         Q, X, R = state
-        D = split(columns(z) ** 2)  # d/ds 1/(c - s) = 1/(c - s)^2
+        D = split(columns(s) ** 2)  # d/ds 1/(c - s) = 1/(c - s)^2
         PD = D - Q @ (Q.T @ D)
-        dsdz = L / np.cosh(z) ** 2
-        G = (PD.T @ PD) * (X[1:] @ X[1:].T) * np.outer(dsdz, dsdz)
-        g = -np.sum((D.T @ R) * X[1:], axis=1) * dsdz
+        G = (PD.T @ PD) * (X[1:] @ X[1:].T)
+        g = -np.sum((D.T @ R) * X[1:], axis=1)
         return G, g
 
     def sup_residual(R):
         return float(np.sqrt(np.max(R[:J] ** 2 + R[J:] ** 2)))
 
-    z = np.zeros(0)
-    _, (Q, X, R) = value(z)
+    s = np.zeros(0)
+    _, (Q, X, R) = value(s)
     target = TAU * tol * scale
     while (resid := sup_residual(R)) > target:
-        if z.size == max_poles:
+        if s.size == max_poles:
             raise FitDiverged(
                 f"residual {resid:.3g} above tolerance "
-                f"{target:.3g} with {z.size} poles")
+                f"{target:.3g} with {s.size} poles")
         # seed at the scan point whose column most reduces |P_perp Y|^2;
         # one already in the basis's span to rounding adds nothing
-        D = split(columns(_SCAN))
+        D = split(columns(L * _SCAN))
         norm2 = np.sum((D - Q @ (Q.T @ D)) ** 2, axis=0)
         gain = np.sum((D.T @ R) ** 2, axis=1)
         score = np.divide(gain, norm2, out=np.zeros_like(gain),
                           where=norm2 > 1e-16 * np.sum(D * D, axis=0))
-        z, (Q, X, R), *_ = levenberg_marquardt(
-            np.append(z, _SCAN[np.argmax(score)]), value, normal,
-            lambda z: np.clip(z, -_Z_MAX, _Z_MAX))
-    if np.any(pinned := np.abs(z) >= _Z_MAX):
+        # no rows: a pole the data put outside the segment is not held
+        # back, it is the reason to refuse the data
+        s, (Q, X, R), *_ = levenberg_marquardt(
+            np.append(s, L * _SCAN[np.argmax(score)]), value, normal,
+            np.zeros((0, s.size + 1)), np.zeros(0))
+    if np.any(outside := np.abs(s) >= L):
         raise FitDiverged(
-            f"pole c = {L * np.tanh(z[pinned][0]):.6g} pinned at the end of "
-            f"the segment |c| <= {L:.6g}: the data have a pole outside the "
-            f"admissible class")
+            f"pole c = {s[outside][0]:.6g} outside the segment |c| < "
+            f"{L:.6g}: the data have a pole outside the admissible class")
 
-    return RationalModel(poles=L * np.tanh(z), constants=X[0].copy(),
+    return RationalModel(poles=s, constants=X[0].copy(),
                          residues=X[1:].T.copy(), residual=resid,
                          scale=scale)
 

@@ -61,6 +61,6 @@ class InsufficientFrequencies(MfeitError):
 
 class FitDiverged(MfeitError):
     """Rational fit failed: its residual stayed above tolerance at the pole
-    budget, or a fitted pole is pinned at an end of the class segment, so
-    the data have a pole outside the admissible class."""
+    budget, or a fitted pole lies at or beyond an end of the class segment,
+    so the data have a pole outside the admissible class."""
 

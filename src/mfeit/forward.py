@@ -32,7 +32,7 @@ from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, discretize, fourier_series,
                        unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
-                        _target_kernel, assemble, eval_S, kress_log_matrix,
+                        _target_kernel, eval_S, kress_log_matrix,
                         neumann_normal_derivative, trace_matrix)
 from .spectrum import NPSpectrum
 
@@ -342,11 +342,13 @@ def _contrast_c(k, k0: float):
 
 
 def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
-                         k0: float = 1.0, *, n: int = 256,
-                         kernels: KernelMatrices | None = None) -> np.ndarray:
+                         k0: float = 1.0, *,
+                         kernels: KernelMatrices) -> np.ndarray:
     """Boundary voltage from the second-kind integral equation in k, by LU.
 
     The oracle for ``solve_forward_batched``; it has no resonance guard.
+    ``kernels`` are the operators of the inclusion; ``shape`` is not read
+    and stays first only because the benchmark passes it positionally.
     The system matrix is one complex copy of K* with c added to its
     diagonal in place. It is solved by ``np.linalg.solve``, which copies it
     into its own LAPACK buffer: that call is the LU factorization that
@@ -357,8 +359,6 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
     if k == k0:
         return _recenter(frak_omega / k0, bgrid_omega)
-    if kernels is None:
-        kernels = assemble(discretize(shape, n))
     grid = kernels.grid
 
     dn_frak = harmonic_lift_normal_derivative(f, bgrid_omega, grid.points,

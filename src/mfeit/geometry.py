@@ -3,7 +3,9 @@
 The ambient domain is always the unit disk, so the admissible radial band
 (b0, 1 - delta) pins every inclusion strictly inside it. ``class_violation``
 is the one check of the admissible class: the band and the C^2 bound m,
-sampled on one grid of ``N_CHECK`` angles. Radial functions are truncated
+sampled on one grid of ``N_CHECK`` angles; ``class_rows`` writes the same
+sampled class as linear rows in the Fourier coefficients, the constraints
+the inversion keeps its iterates in. Radial functions are truncated
 Fourier series
 
     r(theta) = a0 + sum_m a_m cos(m theta) + b_m sin(m theta),
@@ -106,24 +108,23 @@ def circle(radius: float) -> StarShape:
     return StarShape(cos=(float(radius),))
 
 
-def class_violation(shape: StarShape, config: DomainConfig,
-                    margin: float = 0.0) -> ConstraintViolation | None:
+def class_violation(shape: StarShape,
+                    config: DomainConfig) -> ConstraintViolation | None:
     """First bound of the admissible class that ``shape`` breaks, or None.
 
     Samples the radius and its derivatives at ``N_CHECK`` angles and checks,
-    in order, r > b0 + margin, r < 1 - delta - margin and the discrete C^2
-    norm proxy |r| + |r'| + |r''| <= m; a violation names the bound and the
-    worst offending angle. A sample that is not finite breaks a bound too:
-    NaN, which compares false with every bound, the C^2 one.
+    in order, r > b0, r < 1 - delta and the discrete C^2 norm proxy
+    |r| + |r'| + |r''| <= m; a violation names the bound and the worst
+    offending angle. A sample that is not finite breaks a bound too: NaN,
+    which compares false with every bound, the C^2 one.
     """
     theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
     r, r1, r2 = fourier_series(shape.cos, shape.sin, theta)
     i = int(np.argmin(r))
-    lower = config.b0 + margin
-    if r[i] <= lower:
-        return ConstraintViolation("lower bound b0", theta[i], r[i], lower)
+    if r[i] <= config.b0:
+        return ConstraintViolation("lower bound b0", theta[i], r[i], config.b0)
     j = int(np.argmax(r))
-    upper = 1 - config.delta - margin
+    upper = 1 - config.delta
     if r[j] >= upper:
         return ConstraintViolation("upper bound 1 - delta", theta[j], r[j],
                                    upper)
@@ -132,6 +133,29 @@ def class_violation(shape: StarShape, config: DomainConfig,
     if not c2[k] <= config.m:
         return ConstraintViolation("C2 norm bound m", theta[k], c2[k], config.m)
     return None
+
+
+@lru_cache(maxsize=16)
+def class_rows(M: int, config: DomainConfig,
+               margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled class of ``class_violation`` as rows E x <= h.
+
+    x = (a0, a1..aM, b1..bM). At each of the ``N_CHECK`` angles: the band
+    b0 + margin <= r <= 1 - delta - margin, and +r +- r' +- r'' <= m - margin,
+    which with r > 0 is the C^2 bound |r| + |r'| + |r''| <= m - margin.
+    Built once per arguments; the arrays are shared, so they are read-only.
+    """
+    theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
+    # r, r', r'' at each angle of each coefficient alone: (3, N_CHECK, 2M + 1)
+    r, r1, r2 = np.stack([fourier_series(e[:M + 1], e[M + 1:], theta)
+                          for e in np.eye(2 * M + 1)], -1)
+    E = np.concatenate([-r, r] + [r + a * r1 + b * r2 for a in (1, -1)
+                                  for b in (1, -1)])
+    h = np.repeat([-(config.b0 + margin), 1 - config.delta - margin]
+                  + [config.m - margin] * 4, N_CHECK)
+    E.setflags(write=False)
+    h.setflags(write=False)
+    return E, h
 
 
 def build_star_shape(cos_coeffs, sin_coeffs, config: DomainConfig) -> StarShape:

@@ -3,10 +3,11 @@
 A single zero-mean current f and the trace u0 of the perfect-conductor
 voltage on the unit circle determine a star-shaped inclusion uniquely; the
 inverter here is the Levenberg-Marquardt iteration of ``lsq`` on the radial
-Fourier coefficients with a curvature penalty and a projection of every
-trial iterate back into the admissible class (``geometry.class_violation``).
-It stops where a step's predicted decrease of the misfit is negligible, so
-a shape outside the class ends on the class's edge, converged. Its
+Fourier coefficients with a curvature penalty, each step solved exactly
+under the admissible class written as linear rows (``geometry.class_rows``),
+so every iterate is admissible. It stops where a step's predicted decrease
+of the misfit is negligible, so a shape outside the class ends at the
+constrained optimum on the class's edge, converged. Its
 Jacobian is the domain derivative of the perfect conductor (Kirsch, Inverse
 Problems 9, 1993; Hettlich & Rundell, Inverse Problems 14, 1998): for the
 radial velocity h = phi_j e_r of Fourier mode j, u0' is harmonic outside D
@@ -44,13 +45,13 @@ from .forward import (CauchyData, FrequencyProfile, _add_noise,
                       _check_noise_level, _is_count, _is_number,
                       current_from_fourier,
                       solve_u0, synthesize, u0_shape_derivative)
-from .geometry import (DomainConfig, StarShape, class_violation, discretize,
+from .geometry import (DomainConfig, StarShape, class_rows, discretize,
                        unit_circle_grid)
 from .lsq import levenberg_marquardt
 from .potential import assemble, check_resolution
 
 _FD_BASE_STEP = 1e-6
-#: strict distance projected iterates keep from the radial band's edges
+#: strict distance the iterates keep from the admissible class's bounds
 _BAND_MARGIN = 1e-3
 #: quadrature nodes of the symmetric-difference integral
 _N_QUAD = 8192
@@ -101,33 +102,11 @@ def _shape_to_params(shape: StarShape, M: int) -> np.ndarray:
     return np.array(cos[:M + 1] + sin[:M], dtype=float)
 
 
-def _band_middle(config: DomainConfig) -> float:
-    """Radius (b0 + 1 - delta) / 2 of the middle of the admissible band."""
-    return 0.5 * (config.b0 + 1 - config.delta)
-
-
-def _project_band(x: np.ndarray, M: int, config: DomainConfig) -> np.ndarray:
-    """Shrink the shape toward the band's middle circle until it is admissible.
-
-    Scales the oscillatory part and blends a0 toward the middle radius until
-    ``class_violation`` finds no broken bound at ``_BAND_MARGIN``; a no-op
-    for admissible iterates.
-    """
-    mid = _band_middle(config)
-    x = x.copy()
-    for _ in range(60):
-        if class_violation(_params_to_shape(x, M), config,
-                           _BAND_MARGIN) is None:
-            return x
-        x[0] = mid + 0.8 * (x[0] - mid)
-        x[1:] *= 0.8
-    return x
-
-
 def _start_params(settings: InversionSettings) -> np.ndarray:
-    """Parameters of the starting circle, the middle of the admissible band."""
-    return _shape_to_params(StarShape(cos=(_band_middle(settings.config),)),
-                            settings.n_fourier_modes)
+    """Parameters of the starting circle, the middle of the admissible band:
+    radius (b0 + 1 - delta) / 2."""
+    mid = 0.5 * (settings.config.b0 + 1 - settings.config.delta)
+    return _shape_to_params(StarShape(cos=(mid,)), settings.n_fourier_modes)
 
 
 def _point(x: np.ndarray, settings: InversionSettings, f: np.ndarray) -> tuple:
@@ -198,7 +177,9 @@ def invert(data: CauchyData, settings: InversionSettings, *,
 
     Minimises J = 1/2 |r|^2 from the band's middle circle with
     ``lsq.levenberg_marquardt``, on the Gauss-Newton matrix of the
-    domain-derivative Jacobian, projecting every trial into the class.
+    domain-derivative Jacobian, under the rows of ``geometry.class_rows``
+    with the margin ``_BAND_MARGIN``. ``converged`` means a first-order
+    point under those rows, ``hit_constraint`` a row active at the stop.
     ``_start`` is internal: the ``_point`` of the starting circle when the
     caller has solved it with ``data.f`` already (``stability_sweep``).
     """
@@ -213,11 +194,11 @@ def invert(data: CauchyData, settings: InversionSettings, *,
         Jac = obj.jacobian(x)
         return Jac.T @ Jac, Jac.T @ state[0]
 
-    x, (_, rho), history, projected, stopped = levenberg_marquardt(
+    x, (_, rho), history, active, stopped = levenberg_marquardt(
         _start_params(settings), value, normal,
-        lambda x: _project_band(x, M, settings.config))
+        *class_rows(M, settings.config, _BAND_MARGIN))
     return InversionResult(shape=_params_to_shape(x, M), history=history,
-                           rho=rho, hit_constraint=projected,
+                           rho=rho, hit_constraint=active,
                            converged=stopped, n_iter=len(history) - 1)
 
 

@@ -642,7 +642,8 @@ CONFIG_RUNS = [("pipeline/synth.json", "synth", "pipeline_out/synth"),
                ("spectrum.json", "spectrum", "spectrum_out"),
                ("forward.json", "forward", "forward_out"),
                ("stability.json", "sweep", "stability_out"),
-               ("stability_trefoil.json", "sweep", "stability_trefoil_out")]
+               ("stability_trefoil.json", "sweep", "stability_trefoil_out"),
+               ("outside/invert.json", "invert", "outside_out")]
 
 
 def _sha256(path):
@@ -653,6 +654,10 @@ def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     found = sorted(str(p.relative_to(CONFIGS)) for p in CONFIGS.rglob("*.json"))
     assert found == sorted(name for name, _, _ in CONFIG_RUNS)
+    # the out-of-class inversion reads the u0 of a circle outside the band
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside/u0.csv").write_text(solve_u0(
+        circle(0.93), np.cos(unit_circle_grid(64).t), n=256).to_csv())
     for name, command, out in CONFIG_RUNS:
         cfg_path = CONFIGS / name
         if command == "sweep":  # one level and one seed keep the suite fast
@@ -707,7 +712,7 @@ def test_extract_of_data_with_a_pole_outside_the_class_exits_3(tmp_path,
            "inputs": {"dataset": str(dataset)}}
     out = tmp_path / "e"
     assert run("extract", write_cfg(tmp_path, "e.json", ext), out) == 3
-    assert ("FitDiverged: pole c = -0.49187 pinned at the end of the segment"
+    assert ("FitDiverged: pole c = -0.8 outside the segment |c| < 0.49187"
             in capsys.readouterr().err)
     assert not any(out.iterdir())
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,31 +102,53 @@ def _one_pole_data(pole):
                                      rng.standard_normal((6, 1)), KVALS))
 
 
-#: the refusal of a fit that ends with a pole on the clip |z| = 18
-_PINNED = "pinned at the end of the segment.*pole outside the admissible class"
+#: the refusal of a fit that ends with a pole at or beyond an end of the
+#: class segment |c| < L = 0.491870 (b0 = 0.2)
+_OUTSIDE = (r"pole c = (\S+) outside the segment \|c\| < 0\.49187: "
+            r"the data have a pole outside the admissible class")
+_L = 0.5 - 1 / (2 + ((DOMAIN.b0 + 2) / DOMAIN.b0) ** 2)
 
 
 @pytest.mark.parametrize("pole", [-0.49187, 0.4919])
 @pytest.mark.parametrize("tol", [1e-3, 1e-12])
-def test_pole_at_the_segment_end_leaves_the_fit_on_it(pole, tol):
-    # the poles press against |c| = L = 0.491870 (b0 = 0.2), where s = L tanh z
-    # saturates; all but one of these fits end with a pole on the clip and
-    # are refused, and (-0.49187, 1e-12) ends below it with finite residues
-    data = _one_pole_data(pole)
-    if (pole, tol) != (-0.49187, 1e-12):
-        with pytest.raises(FitDiverged, match=_PINNED):
-            fit_rational(data, max_poles=4, tol=tol, config=DOMAIN)
-        return
-    model = fit_rational(data, max_poles=4, tol=tol, config=DOMAIN)
-    L = 0.5 - 1 / (2 + ((DOMAIN.b0 + 2) / DOMAIN.b0) ** 2)
-    assert np.all(np.abs(model.poles) < L)
-    assert np.all(np.isfinite(model.residues))
+def test_pole_at_the_segment_end_is_refused(pole, tol):
+    # poles at |c| = L to five digits come from no admissible shape: the
+    # free poles end at or past the end, and every fit is refused
+    with pytest.raises(FitDiverged, match=_OUTSIDE):
+        fit_rational(_one_pole_data(pole), max_poles=4, tol=tol,
+                     config=DOMAIN)
 
 
 def test_fit_with_a_pole_past_the_segment_end_is_refused():
-    with pytest.raises(FitDiverged, match=_PINNED):
+    with pytest.raises(FitDiverged, match=_OUTSIDE) as e:
         fit_rational(_one_pole_data(0.7), max_poles=4, tol=1e-3,
                      config=DOMAIN)
+    assert float(re.search(_OUTSIDE, str(e.value))[1]) == pytest.approx(0.7)
+
+
+def _survey():
+    """64 datasets, each with one pole outside the class segment: four
+    poles, seeds 0-3, 6 or 16 boundary points, the model evaluated as a
+    product and as a quotient, which differ in the last bits."""
+    c = _c(KVALS)
+    for pole in (0.55, 0.7, -0.6, -0.8):
+        for seed in range(4):
+            for m in (6, 16):
+                rng = np.random.default_rng(seed)
+                a, R = rng.standard_normal(m), rng.standard_normal((m, 1))
+                for U in (a[:, None] + R @ (1.0 / (c[None, :] - pole)),
+                          a[:, None] + R / (c[None, :] - pole)):
+                    yield MultiFreqData(omega=np.arange(KVALS.size, dtype=float),
+                                        k=KVALS, U=U)
+
+
+def test_every_dataset_with_a_pole_outside_the_class_is_refused():
+    refused = []
+    for data in _survey():
+        with pytest.raises(FitDiverged, match=_OUTSIDE) as e:
+            fit_rational(data, max_poles=6, tol=1e-3, config=DOMAIN)
+        refused.append(abs(float(re.search(_OUTSIDE, str(e.value))[1])))
+    assert len(refused) == 64 and min(refused) >= _L
 
 
 @pytest.mark.parametrize("k", [-0.5, 0.0, -0.5 + 1e-15j])

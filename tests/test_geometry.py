@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from mfeit.errors import ConstraintViolation, InvalidResolution
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
-                            class_violation, discretize, fourier_series,
-                            r_inf, unit_circle_grid)
+                            class_rows, class_violation, discretize,
+                            fourier_series, r_inf, unit_circle_grid)
 
 from conftest import TREFOIL
 
@@ -84,14 +84,19 @@ def test_build_star_shape_validates_band_and_norm():
     assert "norm" in str(e.value) or "m" in str(e.value)
 
 
-def test_class_violation_margin_tightens_the_band():
-    assert class_violation(TREFOIL, CFG) is None
-    assert class_violation(circle(0.2005), CFG) is None
-    low = class_violation(circle(0.2005), CFG, margin=1e-3)
-    assert low.which == "lower bound b0" and np.isclose(low.bound, 0.201)
-    high = class_violation(circle(0.8995), CFG, margin=1e-3)
-    assert high.which == "upper bound 1 - delta"
-    assert np.isclose(high.bound, 0.899)
+def test_class_rows_margin_tightens_the_band():
+    """E x <= h at margin 0 exactly when ``class_violation`` passes; the
+    margin moves every bound inward, past both circles near the band's
+    edges."""
+    mode16 = StarShape(cos=(0.5,) + (0.0,) * 15 + (0.25,))
+    for shape, M in [(TREFOIL, 3), (circle(0.2005), 0), (circle(0.8995), 0),
+                     (mode16, 16)]:
+        x = np.array(list(shape.cos) + [0.0] * (2 * M + 1 - len(shape.cos)))
+        E, h = class_rows(M, CFG, 0.0)
+        assert np.all(E @ x <= h) == (class_violation(shape, CFG) is None)
+        E, h = class_rows(M, CFG, 1e-3)
+        assert np.all(E @ x <= h) == (shape == TREFOIL)
+    assert not E.flags.writeable and not h.flags.writeable
 
 
 @pytest.mark.parametrize("cos,sin", [((np.nan,), ()), ((0.5, np.nan), ()),
