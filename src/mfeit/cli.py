@@ -1,12 +1,14 @@
 """Command-line pipeline harness.
 
-Every subcommand is a pure function of (config file, input files) to output
-files in ``--out``: identical inputs yield byte-identical outputs. A
-``manifest.json`` in the output directory records the command, the SHA-256
-of the config and of every input file consumed, and the seeds in play.
+Every subcommand is a pure function of (config file, input files) to the
+``{name: text}`` of its output files: identical inputs yield byte-identical
+outputs. Only ``main`` writes them to ``--out``, after the command returns,
+with a ``manifest.json`` of the command, the seeds in play, and the SHA-256
+of the config, of every input file consumed and of every output.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numeric failure,
-4 missing input file.
+4 missing input file. A command that exits non-zero writes no output file
+(``--out`` may exist, empty).
 """
 from __future__ import annotations
 
@@ -36,10 +38,6 @@ EXIT_NUMERIC = 3
 EXIT_MISSING_INPUT = 4
 
 
-class MissingInput(Exception):
-    pass
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -50,7 +48,7 @@ def _load_config(path: str) -> dict:
     ``false`` anywhere, which no key takes, naming its key path."""
     p = Path(path)
     if not p.is_file():
-        raise MissingInput(f"config file not found: {path}")
+        raise FileNotFoundError(f"config file not found: {path}")
 
     def finite(literal: str) -> float:
         value = float(literal)
@@ -84,7 +82,7 @@ def _read_input(rel: str, cls, manifest: dict):
     """Load the CSV file ``rel`` as ``cls`` and hash it."""
     p = Path(rel)
     if not p.is_file():
-        raise MissingInput(f"input file not found: {p}")
+        raise FileNotFoundError(f"input file not found: {p}")
     manifest["inputs"][str(p)] = _sha256(p)
     try:
         return cls.from_csv(p.read_text())
@@ -112,51 +110,42 @@ def _omega(omega) -> np.ndarray:
     return np.asarray(omega, dtype=float)
 
 
-def _write(out: Path, name: str, text: str, manifest: dict) -> None:
-    path = out / name
-    path.write_text(text)
-    manifest["outputs"][name] = hashlib.sha256(text.encode()).hexdigest()
-
-
 # Each command's keyword-only parameters are its config keys: a key without
 # a default is required, and an unknown or missing key is a TypeError naming
 # it. Each section is unpacked into the callable that consumes it, so its
 # keys are checked the same way; ``inputs`` into a one-argument lambda.
 
-def cmd_spectrum(out: Path, manifest: dict, *, shape, domain=None,
-                 n_boundary=256, n_modes=12, n_measure=256,
-                 tail=DEFAULT_TAIL) -> None:
+def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
+                 n_modes=12, n_measure=256, tail=DEFAULT_TAIL) -> dict:
     if not _is_count(n_modes):
         raise ValueError(f"n_modes must be an integer >= 0, got {n_modes!r}")
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
+    theta = unit_circle_grid(n_measure).t  # checked before the assembly
     kernels = assemble(discretize(shape, n_boundary))
     spec = compute_spectrum(kernels, n_modes, k0=domain.k0,
                             n_boundary=n_measure, tail=tail)
     bound = resonance_bound(shape, domain.k0)
-    _write(out, "spectrum.json", spec.report_json(bound) + "\n", manifest)
     header = ["theta"] + [f"w{j}" for j in range(spec.lam.size)]
-    table = np.column_stack([unit_circle_grid(n_measure).t,
-                             spec.traces_bd_omega])
-    _write(out, "traces.csv", _write_table(header, table), manifest)
+    table = np.column_stack([theta, spec.traces_bd_omega])
+    return {"spectrum.json": spec.report_json(bound) + "\n",
+            "traces.csv": _write_table(header, table)}
 
 
-def cmd_forward(out: Path, manifest: dict, *, shape, current, contrasts,
-                domain=None, n_measure=64, n_boundary=256) -> None:
+def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
+                n_measure=64, n_boundary=256) -> dict:
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
     kvals = np.array([complex(re, im) for re, im in contrasts])
     kernels = assemble(discretize(shape, n_boundary))
     U = solve_forward_batched(kernels, f, kvals, domain.k0)
-    data = MultiFreqData(omega=np.arange(kvals.size, dtype=float), k=kvals,
-                         U=U)
-    _write(out, "forward.csv", data.to_csv(), manifest)
+    return {"forward.csv": MultiFreqData(
+        omega=np.arange(kvals.size, dtype=float), k=kvals, U=U).to_csv()}
 
 
-def cmd_synth(out: Path, manifest: dict, *, shape, current, profile, omega,
-              domain=None, n_measure=64, eta=0.0, seed=None,
-              n_boundary=256) -> None:
+def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
+              n_measure=64, eta=0.0, seed=None, n_boundary=256) -> dict:
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
@@ -169,11 +158,11 @@ def cmd_synth(out: Path, manifest: dict, *, shape, current, profile, omega,
     data = synthesize(assemble(discretize(shape, n_boundary)), f,
                       FrequencyProfile.from_dict(profile), omega,
                       eta=eta, seed=seed, k0=domain.k0)
-    _write(out, "dataset.csv", data.to_csv(), manifest)
+    return {"dataset.csv": data.to_csv()}
 
 
-def cmd_extract(out: Path, manifest: dict, *, inputs, domain=None,
-                max_poles=6, fit_tol=1e-9) -> None:
+def cmd_extract(manifest: dict, *, inputs, domain=None, max_poles=6,
+                fit_tol=1e-9) -> dict:
     domain = DomainConfig(**(domain or {}))
     if not (_is_number(fit_tol) and fit_tol > 0):
         raise ValueError(f"fit_tol must be a number > 0, got {fit_tol!r}")
@@ -181,17 +170,18 @@ def cmd_extract(out: Path, manifest: dict, *, inputs, domain=None,
                        manifest)
     model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
     u0 = extract_u0(model, domain.k0)
-    _write(out, "model.json", model.to_json(domain.k0) + "\n", manifest)
-    _write(out, "u0.csv", u0.to_csv(), manifest)
-    _write(out, "u0.json", json.dumps(u0.sidecar(), sort_keys=True) + "\n",
-           manifest)
+    return {"model.json": model.to_json(domain.k0) + "\n",
+            "u0.csv": u0.to_csv(),
+            "u0.json": json.dumps(u0.sidecar(), sort_keys=True) + "\n"}
 
 
-def cmd_invert(out: Path, manifest: dict, *, inputs, domain=None,
-               shape=None, current=None, inversion=None) -> None:
+def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
+               current=None, inversion=None) -> dict:
     """``shape`` is the truth to score against; ``current`` fills in a
     Cauchy file without an ``f`` column and must match one that has it."""
     domain = DomainConfig(**(domain or {}))
+    truth = None if shape is None else build_star_shape(*_fourier(**shape),
+                                                        domain)
     path = (lambda cauchy: cauchy)(**inputs)
     data = _read_input(path, CauchyData, manifest)
     # unpacked even when the file has f, so a misspelt key still exits 2
@@ -207,21 +197,20 @@ def cmd_invert(out: Path, manifest: dict, *, inputs, domain=None,
             raise ValueError(f"config current disagrees with the f column of "
                              f"{path}: max difference {gap:.3g}")
     result = invert(data, InversionSettings(**(inversion or {}), config=domain))
-    _write(out, "shape.json", result.shape.to_json() + "\n", manifest)
     report = {"misfit": result.history[-1], "history": result.history,
               "rho": result.rho, "converged": result.converged,
               "n_iter": result.n_iter,
               "hit_constraint": result.hit_constraint}
-    if shape is not None:
-        truth = build_star_shape(*_fourier(**shape), domain)
+    if truth is not None:
         report["sym_diff_vs_truth"] = symmetric_difference(result.shape, truth)
-    _write(out, "inversion.json",
-           json.dumps(report, sort_keys=True, indent=2) + "\n", manifest)
+    return {"shape.json": result.shape.to_json() + "\n",
+            "inversion.json": json.dumps(report, sort_keys=True, indent=2)
+            + "\n"}
 
 
-def cmd_sweep(out: Path, manifest: dict, *, shape, current, profile, omega,
-              noise_levels, domain=None, inversion=None, seeds=(0, 1, 2),
-              max_poles=6, n_boundary=256, n_measure=64) -> None:
+def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
+              domain=None, inversion=None, seeds=(0, 1, 2), max_poles=6,
+              n_boundary=256, n_measure=64) -> dict:
     domain = DomainConfig(**(domain or {}))
     res = stability_sweep(build_star_shape(*_fourier(**shape), domain),
                           _fourier(**current),
@@ -231,8 +220,8 @@ def cmd_sweep(out: Path, manifest: dict, *, shape, current, profile, omega,
                           seeds, max_poles=max_poles, n_forward=n_boundary,
                           n_measure=n_measure, allow_degenerate=True)
     manifest["seeds"] = list(seeds)
-    _write(out, "sweep.csv", res.to_csv(), manifest)
-    _write(out, "summary.json", res.summary_json() + "\n", manifest)
+    return {"sweep.csv": res.to_csv(),
+            "summary.json": res.summary_json() + "\n"}
 
 
 _COMMANDS = {"spectrum": cmd_spectrum, "forward": cmd_forward,
@@ -258,11 +247,14 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         manifest = {"command": args.command,
                     "config_sha256": _sha256(Path(args.config)),
-                    "inputs": {}, "outputs": {}, "seeds": []}
-        _COMMANDS[args.command](out, manifest, **cfg)
+                    "inputs": {}, "seeds": []}
+        files = _COMMANDS[args.command](manifest, **cfg)
+        for name, text in files.items():
+            (out / name).write_text(text)
+        manifest["outputs"] = {name: _sha256(out / name) for name in files}
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    except MissingInput as exc:
+    except FileNotFoundError as exc:
         print(f"mfeit: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (ValueError, KeyError, TypeError, ConstraintViolation,

@@ -143,6 +143,7 @@ def class_rows(M: int, config: DomainConfig,
     x = (a0, a1..aM, b1..bM). At each of the ``N_CHECK`` angles: the band
     b0 + margin <= r <= 1 - delta - margin, and +r +- r' +- r'' <= m - margin,
     which with r > 0 is the C^2 bound |r| + |r'| + |r''| <= m - margin.
+    Each distinct row is kept once, in first-seen order (three at M = 0).
     Built once per arguments; the arrays are shared, so they are read-only.
     """
     theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
@@ -153,6 +154,8 @@ def class_rows(M: int, config: DomainConfig,
                                   for b in (1, -1)])
     h = np.repeat([-(config.b0 + margin), 1 - config.delta - margin]
                   + [config.m - margin] * 4, N_CHECK)
+    first = np.unique(np.column_stack([E, h]), axis=0, return_index=True)[1]
+    E, h = E[np.sort(first)], h[np.sort(first)]
     E.setflags(write=False)
     h.setflags(write=False)
     return E, h

@@ -42,12 +42,13 @@ def _step(A: np.ndarray, g: np.ndarray, E: np.ndarray,
     s_u = s = np.linalg.solve(A, -g)
     rows = np.zeros(slack.size, dtype=bool)
     while np.max(v := np.where(rows, 0.0, E @ s - slack), initial=0.0) > 0:
-        # deferred: importing scipy.optimize costs about 0.25 s and 20 MB
-        from scipy.optimize import nnls
+        if not rows.any():  # the first round; A is factored once per step
+            # deferred: importing scipy.optimize costs about 0.25 s and 20 MB
+            from scipy.optimize import nnls
+            C = np.linalg.cholesky(A)
         rows |= (v > 0) & (v >= np.roll(v, 1)) & (v >= np.roll(v, -1))
-        C = np.linalg.cholesky(A)
-        M = -np.vstack([np.linalg.solve(C, E[rows].T),
-                        slack[rows] - E[rows] @ s_u])
+        E_W = E[rows]
+        M = -np.vstack([np.linalg.solve(C, E_W.T), slack[rows] - E_W @ s_u])
         u, _ = nnls(M, np.eye(M.shape[0])[-1], maxiter=10 * M.shape[1])
         r = M @ u
         s = s_u + np.linalg.solve(C.T, -r[:-1] / (r[-1] - 1.0))

@@ -326,6 +326,23 @@ def test_invert_current_disagreeing_with_f_exits_2(tmp_path, capsys):
     assert not (tmp_path / "i" / "shape.json").exists()
 
 
+def test_failure_after_the_inversion_writes_no_file(tmp_path, capsys,
+                                                     monkeypatch):
+    """Outputs reach --out only after the command returns: scoring against
+    the truth fails after the inversion, and shape.json is not written."""
+    def fail(*args):
+        raise ValueError("scoring failed")
+
+    monkeypatch.setattr(cli, "symmetric_difference", fail)
+    cfg = json.loads(Path(_invert_cfg(tmp_path, _cauchy_file(tmp_path)))
+                     .read_text())
+    cfg["shape"] = {"cos": [R0]}
+    out = tmp_path / "i"
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 2
+    assert "scoring failed" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_invert_without_f_or_current_exits_2_naming_both(tmp_path, capsys):
     cauchy = _cauchy_file(tmp_path)
     data = CauchyData.from_csv(cauchy.read_text())
@@ -463,6 +480,12 @@ def _boolean(key, literal="true"):
                  _boolean("contrasts[0][0]"), id="contrasts-bool"),
     pytest.param("spectrum", None, "tail", True, _boolean("tail"),
                  id="spectrum-tail-bool"),
+    # checked before the inversion and before the assembly
+    pytest.param("invert", None, "shape", {"cos": [0.95]},
+                 "upper bound 1 - delta violated: value 0.95",
+                 id="invert-truth-outside-the-class"),
+    pytest.param("spectrum", None, "n_measure", 15,
+                 "need even n >= 16, got 15", id="spectrum-n_measure-15"),
 ])
 def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
                                                       monkeypatch, command,
@@ -669,6 +692,8 @@ def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
         assert manifest["config_sha256"] == _sha256(cfg_path)
         assert manifest["outputs"]
+        written = {p.name for p in (tmp_path / out).iterdir()}
+        assert written - {"manifest.json"} == set(manifest["outputs"])
         for fname, digest in manifest["outputs"].items():
             assert _sha256(tmp_path / out / fname) == digest
         for fname, digest in manifest["inputs"].items():

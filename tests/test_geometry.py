@@ -99,6 +99,14 @@ def test_class_rows_margin_tightens_the_band():
     assert not E.flags.writeable and not h.flags.writeable
 
 
+def test_class_rows_keep_each_distinct_row_once():
+    """At M = 0 every angle gives the same band and C^2 rows in a0."""
+    E, h = class_rows(0, CFG, 1e-3)
+    assert E.shape == (3, 1)
+    assert E[:, 0].tolist() == [-1.0, 1.0, 1.0]
+    assert h.tolist() == [-(CFG.b0 + 1e-3), 1 - CFG.delta - 1e-3, CFG.m - 1e-3]
+
+
 @pytest.mark.parametrize("cos,sin", [((np.nan,), ()), ((0.5, np.nan), ()),
                                      ((0.5,), (np.nan,))],
                          ids=["a0", "cos", "sin"])

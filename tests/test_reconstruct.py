@@ -269,6 +269,20 @@ def test_shape_outside_the_class_reaches_the_constrained_optimum(
     assert res.history[-1] <= J and res.n_iter <= steps
 
 
+@pytest.mark.parametrize("shape,M,J,steps", [
+    (circle(0.93), 0, 1.769699e-3, 1), (circle(0.15), 0, 1.779124e-3, 2),
+    (StarShape(cos=(0.8, 0.0, 0.15)), 4, 1.376018e-3, 3),
+    (StarShape(cos=(0.3, 0.0, 0.0, 0.1), sin=(0.0, 0.05)), 4, 5.419486e-8, 6)])
+def test_out_of_class_optimum_and_step_count_are_kept(f_cos, shape, M, J,
+                                                      steps):
+    """The constrained optima of ROADMAP's out-of-class table, to 6 digits,
+    each in the same number of steps (64 nodes, alpha = 0)."""
+    settings_ = InversionSettings(n_fourier_modes=M, alpha=0.0, n_boundary=64)
+    res = invert(solve_u0(shape, f_cos, n=256), settings_)
+    assert f"{res.history[-1]:.6e}" == f"{J:.6e}" and res.n_iter == steps
+    assert res.converged and res.hit_constraint
+
+
 def test_stability_sweep_validates_inputs():
     st0 = InversionSettings(n_fourier_modes=0, alpha=0.0)
     from mfeit.forward import FrequencyProfile
