@@ -1,10 +1,13 @@
 """Command-line pipeline harness.
 
-Every subcommand is a pure function of (config file, input files) to the
-``{name: text}`` of its output files: identical inputs yield byte-identical
-outputs. Only ``main`` writes them to ``--out``, after the command returns,
-with a ``manifest.json`` of the command, the seeds in play, and the SHA-256
-of the config, of every input file consumed and of every output.
+Every subcommand is a pure function of (config, input files) to its
+output files by name: CSV text, or a dict for a JSON report. Only ``main``
+turns them into bytes, every JSON file in one form (sorted keys, indent 2),
+and writes them to ``--out`` after the command returns, with a
+``manifest.json`` of the command, the seeds in play, and the SHA-256 of the
+config, of every input file and of every output. Each file is read once, and
+a hash is of the very bytes parsed or written: identical inputs yield
+byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numeric failure,
 4 missing input file. A command that exits non-zero writes no output file
@@ -13,6 +16,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,17 +42,23 @@ EXIT_NUMERIC = 3
 EXIT_MISSING_INPUT = 4
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_config(path: str) -> dict:
-    """The parsed config; ``NaN``, ``Infinity`` and overflowing numbers such
-    as ``1e999`` raise ``ValueError`` naming the literal, and ``true`` or
-    ``false`` anywhere, which no key takes, naming its key path."""
+def _read(path: str, what: str) -> bytes:
+    """The bytes of the file ``path``, read once for both parse and hash."""
     p = Path(path)
     if not p.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return p.read_bytes()
+
+
+def _dump(obj) -> str:
+    """The one JSON form of every report and of the manifest."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _load_config(raw: bytes, path: str) -> dict:
+    """The config parsed from ``raw``; ``NaN``, ``Infinity`` and overflowing
+    numbers such as ``1e999`` raise ``ValueError`` naming the literal, and
+    ``true`` or ``false`` anywhere, which no key takes, naming its key path."""
 
     def finite(literal: str) -> float:
         value = float(literal)
@@ -68,7 +78,7 @@ def _load_config(path: str) -> dict:
                 no_booleans(v, f"{key}[{i}]")
 
     try:
-        cfg = json.loads(p.read_text(), parse_float=finite,
+        cfg = json.loads(raw.decode(), parse_float=finite,
                          parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(
@@ -79,13 +89,12 @@ def _load_config(path: str) -> dict:
 
 
 def _read_input(rel: str, cls, manifest: dict):
-    """Load the CSV file ``rel`` as ``cls`` and hash it."""
-    p = Path(rel)
-    if not p.is_file():
-        raise FileNotFoundError(f"input file not found: {p}")
-    manifest["inputs"][str(p)] = _sha256(p)
+    """Load the CSV file ``rel`` as ``cls`` and hash the same bytes."""
+    p = str(Path(rel))
+    raw = _read(p, "input file")
+    manifest["inputs"][p] = hashlib.sha256(raw).hexdigest()
     try:
-        return cls.from_csv(p.read_text())
+        return cls.from_csv(raw.decode())
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from exc
 
@@ -128,8 +137,8 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
     bound = resonance_bound(shape, domain.k0)
     header = ["theta"] + [f"w{j}" for j in range(spec.lam.size)]
     table = np.column_stack([theta, spec.traces_bd_omega])
-    return {"spectrum.json": spec.report_json(bound) + "\n",
-            "traces.csv": _write_table(header, table)}
+    return {"spectrum.json": spec.report(bound),
+            "traces.csv": _write_table(header, table.tolist())}
 
 
 def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
@@ -170,9 +179,8 @@ def cmd_extract(manifest: dict, *, inputs, domain=None, max_poles=6,
                        manifest)
     model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
     u0 = extract_u0(model, domain.k0)
-    return {"model.json": model.to_json(domain.k0) + "\n",
-            "u0.csv": u0.to_csv(),
-            "u0.json": json.dumps(u0.sidecar(), sort_keys=True) + "\n"}
+    return {"model.json": model.report(domain.k0), "u0.csv": u0.to_csv(),
+            "u0.json": u0.sidecar()}
 
 
 def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
@@ -203,9 +211,8 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
               "hit_constraint": result.hit_constraint}
     if truth is not None:
         report["sym_diff_vs_truth"] = symmetric_difference(result.shape, truth)
-    return {"shape.json": result.shape.to_json() + "\n",
-            "inversion.json": json.dumps(report, sort_keys=True, indent=2)
-            + "\n"}
+    return {"shape.json": dataclasses.asdict(result.shape),
+            "inversion.json": report}
 
 
 def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
@@ -220,8 +227,7 @@ def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
                           seeds, max_poles=max_poles, n_forward=n_boundary,
                           n_measure=n_measure, allow_degenerate=True)
     manifest["seeds"] = list(seeds)
-    return {"sweep.csv": res.to_csv(),
-            "summary.json": res.summary_json() + "\n"}
+    return {"sweep.csv": res.to_csv(), "summary.json": res.summary}
 
 
 _COMMANDS = {"spectrum": cmd_spectrum, "forward": cmd_forward,
@@ -242,18 +248,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args.config)
+        raw = _read(args.config, "config file")
+        cfg = _load_config(raw, args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         manifest = {"command": args.command,
-                    "config_sha256": _sha256(Path(args.config)),
+                    "config_sha256": hashlib.sha256(raw).hexdigest(),
                     "inputs": {}, "seeds": []}
-        files = _COMMANDS[args.command](manifest, **cfg)
-        for name, text in files.items():
-            (out / name).write_text(text)
-        manifest["outputs"] = {name: _sha256(out / name) for name in files}
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        made = _COMMANDS[args.command](manifest, **cfg)
+        files = {name: (v if isinstance(v, str) else _dump(v)).encode()
+                 for name, v in made.items()}
+        manifest["outputs"] = {name: hashlib.sha256(b).hexdigest()
+                               for name, b in files.items()}
+        files["manifest.json"] = _dump(manifest).encode()
+        for name, b in files.items():
+            (out / name).write_bytes(b)
     except FileNotFoundError as exc:
         print(f"mfeit: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -18,7 +18,6 @@ u0 / k0.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +43,14 @@ class RationalModel:
     residual: float        # sup fit residual over all data
     scale: float           # sup magnitude of the fitted data
 
-    def to_json(self, k0: float) -> str:
+    def report(self, k0: float) -> dict:
         """The poles in c and in k = k0 (2c - 1) / (2c + 1), and the rest."""
         s = self.poles
-        return json.dumps({
-            "poles_c": s.tolist(),
-            "poles_k": (k0 * (2 * s - 1) / (2 * s + 1)).tolist(),
-            "constants": self.constants.tolist(),
-            "residues": self.residues.tolist(),
-            "residual": self.residual,
-            "scale": self.scale,
-        }, sort_keys=True)
+        return {"poles_c": s.tolist(),
+                "poles_k": (k0 * (2 * s - 1) / (2 * s + 1)).tolist(),
+                "constants": self.constants.tolist(),
+                "residues": self.residues.tolist(),
+                "residual": self.residual, "scale": self.scale}
 
 
 def _check_max_poles(max_poles) -> None:

@@ -159,10 +159,11 @@ def _angles(m: int) -> np.ndarray:
     return 2 * np.pi * np.arange(m) / m
 
 
-def _write_table(header: list, table: np.ndarray) -> str:
-    """CSV text of a float table, each value as its shortest round-trip repr."""
+def _write_table(header: list, rows: list) -> str:
+    """CSV text of rows of numbers and words; a float is written as its
+    shortest round-trip repr."""
     lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -183,7 +184,7 @@ class CauchyData:
         fvals = self.f if self.f is not None else np.full_like(self.u0, np.nan)
         return _write_table(["theta", "f", "u0"],
                             np.column_stack([_angles(self.u0.size), fvals,
-                                             self.u0]))
+                                             self.u0]).tolist())
 
     def sidecar(self) -> dict:
         return {"rho": None if self.rho is None else float(self.rho)}
@@ -220,7 +221,7 @@ class MultiFreqData:
         table[:, 2] = self.k.imag
         table[:, 3::2] = self.U.real.T
         table[:, 4::2] = self.U.imag.T
-        return _write_table(header, table)
+        return _write_table(header, table.tolist())
 
     @classmethod
     def from_csv(cls, text: str) -> "MultiFreqData":

@@ -94,10 +94,6 @@ class StarShape:
     def radius(self, theta):
         return fourier_series(self.cos, self.sin, theta)[0]
 
-    def to_json(self) -> str:
-        return json.dumps({"cos": list(self.cos), "sin": list(self.sin)},
-                          sort_keys=True)
-
     @classmethod
     def from_json(cls, s: str) -> "StarShape":
         d = json.loads(s)

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SingularSystem, TargetTooClose
+
 #: the loop stops when a step's predicted decrease is at most RTOL f, or
 #: after MAX_STEPS accepted steps
 RTOL = 1e-6
@@ -66,9 +68,12 @@ def levenberg_marquardt(z: np.ndarray, value: Callable, normal: Callable,
     its damped model exactly under the rows, with the slack h - E z of the
     current point, negative slack read as zero. A trial is accepted when it
     lowers f, and lambda then falls tenfold (to 1e-12 at least), else it
-    rises tenfold. Returns z, its state, the accepted values of f from the
-    start's on, whether a row is active at the stop (slack <= 1e-12 of
-    max(|h|, 1)), and whether the stop test was met before ``MAX_STEPS``.
+    rises tenfold, as it does after a trial whose ``value`` raises
+    ``TargetTooClose`` or ``SingularSystem`` (at the start, and in
+    ``normal``, these still raise). Returns z, its state, the accepted
+    values of f from the start's on, whether a row is active at the stop
+    (slack <= 1e-12 of max(|h|, 1)), and whether the stop test was met
+    before ``MAX_STEPS``.
     """
     f, state = value(z)
     history = [f]
@@ -86,7 +91,10 @@ def levenberg_marquardt(z: np.ndarray, value: Callable, normal: Callable,
             if -(g @ step) - 0.5 * (step @ G @ step) <= RTOL * f:
                 return z, state, history, active(), True
             z_try = z + step
-            f_try, state_try = value(z_try)
+            try:
+                f_try, state_try = value(z_try)
+            except (TargetTooClose, SingularSystem):
+                f_try = np.inf  # a trial that cannot be evaluated
             if f_try < f:
                 break
             lam *= 10.0

@@ -31,9 +31,6 @@ read-only.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -42,9 +39,9 @@ import numpy as np
 from .disentangle import _check_max_poles, extract_u0, fit_rational
 from .errors import MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
-                      _check_noise_level, _is_count, _is_number,
-                      current_from_fourier,
-                      solve_u0, synthesize, u0_shape_derivative)
+                      _check_noise_level, _is_count, _is_number, _write_table,
+                      current_from_fourier, solve_u0, synthesize,
+                      u0_shape_derivative)
 from .geometry import (DomainConfig, StarShape, class_rows, discretize,
                        unit_circle_grid)
 from .lsq import levenberg_marquardt
@@ -225,18 +222,8 @@ class SweepResult:
     summary: dict    # fitted (C, tau) and (C, tau_prime) with residuals
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["level", "eps_measured", "seed", "sym_diff", "status"])
-        for row in self.rows:
-            w.writerow([repr(float(row["level"])),
-                        repr(float(row["eps_measured"])),
-                        "" if row["seed"] is None else int(row["seed"]),
-                        repr(float(row["sym_diff"])), row["status"]])
-        return buf.getvalue()
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary, sort_keys=True, indent=2)
+        keys = ["level", "eps_measured", "seed", "sym_diff", "status"]
+        return _write_table(keys, [[r[k] for k in keys] for r in self.rows])
 
 
 def _check_list(values, key: str, rule: str, ok) -> None:

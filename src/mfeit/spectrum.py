@@ -12,7 +12,6 @@ hence k_n = k0 (1 - 1/lambda_n); they accumulate at -k0.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,10 @@ class NPSpectrum:
     k0: float
     n_discarded: int            # tail modes dropped below the threshold
 
-    def report_json(self, bound: float) -> str:
-        return json.dumps({"lambda": [float(v) for v in self.lam],
-                           "resonances": [float(v) for v in self.resonances],
-                           "k0": self.k0, "n_discarded": self.n_discarded,
-                           "bound": float(bound)}, sort_keys=True, indent=2)
+    def report(self, bound: float) -> dict:
+        return {"lambda": self.lam.tolist(),
+                "resonances": self.resonances.tolist(), "k0": self.k0,
+                "n_discarded": self.n_discarded, "bound": float(bound)}
 
 
 def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,

@@ -166,6 +166,60 @@ def test_end_to_end_synth_extract_invert(tmp_path):
     assert report["sym_diff_vs_truth"] < 1e-6
 
 
+def test_manifest_hashes_the_input_bytes_the_command_parsed(tmp_path,
+                                                            monkeypatch):
+    # the dataset is replaced on disk right after extract reads it: the
+    # manifest attests the bytes parsed, not the file left behind
+    assert run("synth", write_cfg(tmp_path, "a.json", BASE),
+               tmp_path / "a") == 0
+    assert run("synth", write_cfg(tmp_path, "b.json",
+                                  dict(BASE, shape={"cos": [0.45]})),
+               tmp_path / "b") == 0
+    dataset = tmp_path / "a/dataset.csv"
+    replacement = (tmp_path / "b/dataset.csv").read_bytes()
+    read_bytes = Path.read_bytes
+
+    def read_then_replace(self):
+        raw = read_bytes(self)
+        if self == dataset:
+            dataset.write_bytes(replacement)
+        return raw
+
+    parsed = []
+    from_csv = MultiFreqData.from_csv.__func__
+
+    def spy(cls, text):
+        parsed.append(text)
+        return from_csv(cls, text)
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+    monkeypatch.setattr(MultiFreqData, "from_csv", classmethod(spy))
+    ext = {"domain": BASE["domain"], "max_poles": 4, "fit_tol": 1e-10,
+           "inputs": {"dataset": str(dataset)}}
+    assert run("extract", write_cfg(tmp_path, "ext.json", ext),
+               tmp_path / "e") == 0
+    manifest = json.loads((tmp_path / "e/manifest.json").read_text())
+    assert len(parsed) == 1
+    assert manifest["inputs"] == {
+        str(dataset): hashlib.sha256(parsed[0].encode()).hexdigest()}
+
+
+def test_invert_survives_a_trial_inside_the_accuracy_zone(tmp_path):
+    # exact u0 of a truth with 23 modes, fitted with 16 of them: a trial
+    # comes within the quadrature accuracy zone of the circle at 128 nodes,
+    # which the loop rejects like a trial that does not descend
+    m = np.arange(2, 25)
+    truth = StarShape(cos=(0.5, 0.0, *(0.25 * (-1.0) ** m / m ** 3)))
+    cauchy = tmp_path / "u0.csv"
+    cauchy.write_text(solve_u0(truth, np.cos(unit_circle_grid(64).t),
+                               n=512).to_csv())
+    cfg = {"domain": BASE["domain"], "current": {"cos": [1.0]},
+           "inputs": {"cauchy": str(cauchy)},
+           "inversion": {"n_fourier_modes": 16, "alpha": 0.0}}
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg),
+               tmp_path / "i") == 0
+
+
 def test_degenerate_sweep_emits_one_row(tmp_path):
     cfg = dict(SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4,
                inversion={"n_fourier_modes": 0, "alpha": 0.0})
@@ -698,6 +752,10 @@ def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
             assert _sha256(tmp_path / out / fname) == digest
         for fname, digest in manifest["inputs"].items():
             assert _sha256(fname) == digest
+        for p in (tmp_path / out).glob("*.json"):  # the one JSON form
+            t = p.read_text()
+            assert t == json.dumps(json.loads(t), sort_keys=True,
+                                   indent=2) + "\n"
 
 
 def test_trefoil_sweep_config_rows_are_all_ok(tmp_path):

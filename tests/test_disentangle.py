@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from mfeit.cli import _dump
 from mfeit.disentangle import extract_u0, fit_rational
 from mfeit.errors import FitDiverged, InsufficientFrequencies
 from mfeit.forward import (FrequencyProfile, MultiFreqData, solve_u0,
@@ -213,7 +214,7 @@ def test_noisy_extraction_does_not_depend_on_the_contrast_law(
 def test_model_json_round_trip():
     data, *_ = _model_data()
     model = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
-    assert json.loads(model.to_json(2.0)) == {
+    assert json.loads(_dump(model.report(2.0))) == {
         "poles_c": model.poles.tolist(),
         "poles_k": _k(model.poles, 2.0).tolist(),
         "constants": model.constants.tolist(),

@@ -1,11 +1,11 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfeit.cli import _dump
 from mfeit.errors import ConstraintViolation, InvalidResolution
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             class_rows, class_violation, discretize,
@@ -65,7 +65,7 @@ def test_points_lie_at_radius():
 @settings(max_examples=30)
 def test_shape_json_round_trip(cos_tail, sin_coeffs):
     shape = StarShape(cos=tuple([0.5] + cos_tail), sin=tuple(sin_coeffs))
-    again = StarShape.from_json(shape.to_json())
+    again = StarShape.from_json(_dump(dataclasses.asdict(shape)))
     assert again == shape
 
 

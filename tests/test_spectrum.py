@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mfeit.cli import _dump
 from mfeit.errors import NotConverged
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import assemble, eval_S
@@ -123,7 +124,7 @@ def test_all_resonances_above_bound(tre_spectrum):
 
 
 def test_report_json_round_trip(conc_spectrum):
-    rep = json.loads(conc_spectrum.report_json(bound=-26.0))
+    rep = json.loads(_dump(conc_spectrum.report(bound=-26.0)))
     assert rep["bound"] == -26.0
     assert rep["k0"] == 1.0
     assert len(rep["lambda"]) == len(rep["resonances"]) == conc_spectrum.lam.size
