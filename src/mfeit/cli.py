@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .disentangle import extract_u0, fit_rational
+from .disentangle import _check_max_poles, extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       _check_noise_level, _is_count, _is_number, _write_table,
@@ -128,6 +128,8 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
                  n_modes=12, n_measure=256, tail=DEFAULT_TAIL) -> dict:
     if not _is_count(n_modes):
         raise ValueError(f"n_modes must be an integer >= 0, got {n_modes!r}")
+    if not (_is_number(tail) and tail >= 0):
+        raise ValueError(f"tail must be a number >= 0, got {tail!r}")
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     theta = unit_circle_grid(n_measure).t  # checked before the assembly
@@ -160,12 +162,11 @@ def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
     if seed is not None and not _is_count(seed):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    # checked before the assembly; synthesize checks them only after it
     omega = _omega(omega)
-    _check_noise_level(eta)
+    kvals = FrequencyProfile.from_dict(profile).contrast(omega)
+    _check_noise_level(eta)  # all checked before the assembly
     manifest["seeds"] = [seed] if seed is not None else []
-    data = synthesize(assemble(discretize(shape, n_boundary)), f,
-                      FrequencyProfile.from_dict(profile), omega,
+    data = synthesize(assemble(discretize(shape, n_boundary)), f, omega, kvals,
                       eta=eta, seed=seed, k0=domain.k0)
     return {"dataset.csv": data.to_csv()}
 
@@ -175,6 +176,7 @@ def cmd_extract(manifest: dict, *, inputs, domain=None, max_poles=6,
     domain = DomainConfig(**(domain or {}))
     if not (_is_number(fit_tol) and fit_tol > 0):
         raise ValueError(f"fit_tol must be a number > 0, got {fit_tol!r}")
+    _check_max_poles(max_poles)
     data = _read_input((lambda dataset: dataset)(**inputs), MultiFreqData,
                        manifest)
     model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
@@ -190,11 +192,13 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
     domain = DomainConfig(**(domain or {}))
     truth = None if shape is None else build_star_shape(*_fourier(**shape),
                                                         domain)
+    settings = InversionSettings(**(inversion or {}), config=domain)
+    # unpacked even when the file has f, so a misspelt key still exits 2
+    coeffs = None if current is None else _fourier(**current)
     path = (lambda cauchy: cauchy)(**inputs)
     data = _read_input(path, CauchyData, manifest)
-    # unpacked even when the file has f, so a misspelt key still exits 2
-    f = None if current is None else current_from_fourier(
-        *_fourier(**current), unit_circle_grid(data.u0.size))
+    f = None if coeffs is None else current_from_fourier(
+        *coeffs, unit_circle_grid(data.u0.size))
     if data.f is None:
         if f is None:
             raise ValueError(f"config needs current: {path} has no f column")
@@ -204,7 +208,7 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
         if gap > 1e-12 * float(np.max(np.abs(f))):
             raise ValueError(f"config current disagrees with the f column of "
                              f"{path}: max difference {gap:.3g}")
-    result = invert(data, InversionSettings(**(inversion or {}), config=domain))
+    result = invert(data, settings)
     report = {"misfit": result.history[-1], "history": result.history,
               "rho": result.rho, "converged": result.converged,
               "n_iter": result.n_iter,

@@ -91,14 +91,13 @@ class FrequencyProfile:
     params: dict
 
     def contrast(self, omega) -> np.ndarray:
-        """An unknown or missing parameter raises ``TypeError`` naming it."""
+        """An unknown or missing parameter raises ``TypeError`` naming it,
+        and a contrast on the closed negative real axis ``ValueError``."""
         if self.model not in _PROFILES:
             raise ValueError(f"unknown frequency profile model {self.model!r}")
-        return _PROFILES[self.model](np.asarray(omega, dtype=float),
-                                     **self.params)
-
-    def validate(self, omega_grid) -> None:
-        _check_contrasts(self.contrast(omega_grid))
+        k = _PROFILES[self.model](np.asarray(omega, dtype=float), **self.params)
+        _check_contrasts(k)
+        return k
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyProfile":
@@ -106,51 +105,48 @@ class FrequencyProfile:
         return cls(model=d.pop("model"), params=d)
 
 
-def _parse_cell(value: str, row: int, column: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"row {row}, column {column}: not a number: "
-                         f"{value!r}") from None
+def _read_table(text: str, optional: int | None = None) -> tuple:
+    """(header, numeric CSV body), the body all finite bar an all-NaN
+    (unrecorded) ``optional`` column.
 
-
-def _read_table(text: str, optional: int | None = None) -> np.ndarray:
-    """Numeric CSV body, all finite bar an all-NaN (unrecorded) ``optional``.
-
-    The body is converted in one call; only a body that fails it is walked
-    cell by cell, so that errors name the row (the header is row 1) and the
-    column.
+    The body is converted in one call, which parses each cell as ``float``
+    does; a body it refuses is walked only to name the first bad cell by
+    row (the header is row 1) and column.
     """
     rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2:
-        raise ValueError("no data rows")
+    if len(rows) < 2 or not rows[0]:  # csv reads a blank line as no cells
+        raise ValueError("no header or no data rows")
     header = rows[0]
     try:
         data = np.array(rows[1:], dtype=float)
     except ValueError:
         data = None
     if data is None or data.shape[1] != len(header):
-        data = np.array(_parse_rows(rows[1:], header))
+        _raise_at_bad_cell(rows[1:], header)
     bad = ~np.isfinite(data)
     if optional is not None and np.all(np.isnan(data[:, optional])):
         bad[:, optional] = False
     if np.any(bad):
         i, j = np.argwhere(bad)[0]  # the header is row 1
         raise ValueError(f"row {i + 2}, column {header[j]}: not finite")
-    return data
+    return header, data
 
 
-def _parse_rows(body: list, header: list) -> list:
-    """Cell-by-cell conversion of a CSV body; raises at the first bad cell."""
-    values = []
+def _raise_at_bad_cell(body: list, header: list) -> None:
+    """Raise ``ValueError`` naming the first cell of a CSV body that is
+    missing, beyond the header, or not a number."""
     for i, row in enumerate(body, 2):
         if len(row) < len(header):
             raise ValueError(f"row {i}, column {header[len(row)]}: missing")
         if len(row) > len(header):
             raise ValueError(f"row {i}, column {len(header) + 1}: beyond the "
                              f"{len(header)} header columns")
-        values.append([_parse_cell(v, i, name) for v, name in zip(row, header)])
-    return values
+        for value, name in zip(row, header):
+            try:
+                float(value)
+            except ValueError:
+                raise ValueError(f"row {i}, column {name}: not a number: "
+                                 f"{value!r}") from None
 
 
 def _angles(m: int) -> np.ndarray:
@@ -191,7 +187,7 @@ class CauchyData:
 
     @classmethod
     def from_csv(cls, text: str) -> "CauchyData":
-        data = _read_table(text, optional=1)
+        data = _read_table(text, optional=1)[1]
         m = data.shape[0]
         off = np.abs(data[:, 0] - _angles(m))
         if np.max(off) > 1e-9:
@@ -225,9 +221,8 @@ class MultiFreqData:
 
     @classmethod
     def from_csv(cls, text: str) -> "MultiFreqData":
-        data = _read_table(text)
+        header, data = _read_table(text)
         if data.shape[1] < 5 or data.shape[1] % 2 == 0:
-            header = text.partition("\n")[0].split(",")
             raise ValueError(f"row 1, column {header[-1]}: need omega, re_k, "
                              f"im_k and re/im pairs, got {data.shape[1]} "
                              f"columns")
@@ -425,21 +420,19 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
     return _recenter(u, bgrid_omega)
 
 
-def synthesize(kernels: KernelMatrices, f: np.ndarray,
-               profile: FrequencyProfile, omega_grid, eta: float,
-               seed: int | None, *, k0: float) -> MultiFreqData:
+def synthesize(kernels: KernelMatrices, f: np.ndarray, omega_grid, kvals,
+               eta: float, seed: int | None, *, k0: float) -> MultiFreqData:
     """Multifrequency dataset from the batched solver plus calibrated noise.
 
-    ``kernels`` are the operators of the inclusion's grid. Additive complex
-    Gaussian noise rescaled so its sup magnitude over all entries equals
-    eta exactly; a negative eta raises ``ValueError``. Raises
-    ``NearResonance`` if a contrast of the sweep is within the solver
-    tolerance of a resonance.
+    ``kernels`` are the operators of the inclusion's grid, ``kvals`` the
+    array of contrasts at the array ``omega_grid``, as
+    ``FrequencyProfile.contrast`` gives them. Additive complex Gaussian
+    noise rescaled so its sup magnitude over all entries equals eta
+    exactly; a negative eta raises ``ValueError``. Raises ``NearResonance``
+    if a contrast of the sweep is within the solver tolerance of a
+    resonance.
     """
     _check_noise_level(eta)
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    profile.validate(omega_grid)
-    kvals = profile.contrast(omega_grid)
     U = solve_forward_batched(kernels, f, kvals, k0)
     return MultiFreqData(omega=omega_grid, k=kvals, U=_add_noise(U, eta, seed))
 

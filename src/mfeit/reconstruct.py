@@ -247,8 +247,8 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     shared-pole rational model, extract u0, invert from the shared start,
     and compare with the truth by symmetric difference. Fits
     |D delta D~| = C (1/ln eps^-1)^tau and C' eps^tau' over the noisy levels.
-    Inputs of the wrong kind and negative noise levels raise ``ValueError``
-    before any solve. Rows run in order; ``threads`` is accepted and ignored.
+    Every input, the contrasts too, is checked before any solve. Rows run
+    in order; ``threads`` is accepted and ignored.
     """
     _check_list(noise_levels, "noise_levels", "numbers", _is_number)
     _check_list(seeds, "seeds", "integers >= 0", _is_count)
@@ -262,6 +262,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     for level in noise_levels:
         _check_noise_level(level)
     omega_grid = np.asarray(omega_grid, dtype=float)
+    kvals = profile.contrast(omega_grid)
     bgrid_omega = unit_circle_grid(n_measure)
 
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
@@ -272,8 +273,8 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
               grid0.curvature, sim0.u0, sim0.psi, *sim0.saddle[0],
               sim0.saddle[1]):
         a.setflags(write=False)
-    clean = synthesize(assemble(discretize(truth, n_forward)), f, profile,
-                       omega_grid, eta=0.0, seed=None, k0=settings.config.k0)
+    clean = synthesize(assemble(discretize(truth, n_forward)), f, omega_grid,
+                       kvals, eta=0.0, seed=None, k0=settings.config.k0)
 
     jobs = [(lv, sd) for lv in noise_levels
             for sd in (seeds if lv > 0 else [seeds[0]])]

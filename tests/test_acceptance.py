@@ -108,7 +108,8 @@ def test_criterion_5_u0_extraction(conc_kernels, tre_kernels, f_cos):
     for name, kern, shape, mp, tol, sup_tol in [
             ("concentric", conc_kernels, circle(R0), 6, 1e-11, 1e-5),
             ("trefoil", tre_kernels, TREFOIL, 6, 1e-7, 1e-4)]:
-        data = synthesize(kern, f_cos, prof, omega, 0.0, None, k0=1.0)
+        data = synthesize(kern, f_cos, omega, prof.contrast(omega), 0.0, None,
+                          k0=1.0)
         model = fit_rational(data, max_poles=mp, tol=tol,
                              config=DomainConfig())
         u0_hat = extract_u0(model, 1.0)
@@ -137,8 +138,8 @@ def test_criterion_6_noise_stability_of_extraction(conc_kernels, f_cos):
     for eta in etas:
         errs = []
         for seed in (1, 2, 3, 4, 5):
-            data = synthesize(conc_kernels, f_cos, prof, omega, eta, seed,
-                              k0=1.0)
+            data = synthesize(conc_kernels, f_cos, omega, prof.contrast(omega),
+                              eta, seed, k0=1.0)
             tol = max(eta / float(np.max(np.abs(data.U))), 1e-11)
             model = fit_rational(data, max_poles=6, tol=tol,
                                  config=DomainConfig())

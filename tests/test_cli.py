@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfeit import cli, disentangle, reconstruct
+from mfeit import cli, disentangle, forward, reconstruct
 from mfeit.cli import _COMMANDS, main
 from mfeit.disentangle import fit_rational
 from mfeit.forward import CauchyData, MultiFreqData, solve_u0
@@ -218,6 +218,18 @@ def test_invert_survives_a_trial_inside_the_accuracy_zone(tmp_path):
            "inversion": {"n_fourier_modes": 16, "alpha": 0.0}}
     assert run("invert", write_cfg(tmp_path, "inv.json", cfg),
                tmp_path / "i") == 0
+
+
+def test_synth_evaluates_its_profile_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(omega, **params):
+        calls.append(omega.size)
+        return forward._affine(omega, **params)
+
+    monkeypatch.setitem(forward._PROFILES, "affine", counted)
+    assert run("synth", write_cfg(tmp_path, "s.json", BASE), tmp_path / "s") == 0
+    assert calls == [40]
 
 
 def test_degenerate_sweep_emits_one_row(tmp_path):
@@ -534,6 +546,22 @@ def _boolean(key, literal="true"):
                  _boolean("contrasts[0][0]"), id="contrasts-bool"),
     pytest.param("spectrum", None, "tail", True, _boolean("tail"),
                  id="spectrum-tail-bool"),
+    # a negative tail would keep the unresolved modes at lambda = 1/2
+    *(pytest.param("spectrum", None, "tail", value,
+                   f"tail must be a number >= 0, got {value!r}",
+                   id=f"spectrum-tail-{value}") for value in (-1.0, "x")),
+    # the contrasts are computed, and so checked, before any solve
+    *(pytest.param(command, None, "profile", profile, message,
+                   id=f"{command}-profile-{kind}")
+      for command in ("synth", "sweep")
+      for kind, profile, message in [
+          ("unknown-parameter", dict(BASE["profile"], tau=0.1),
+           "unexpected keyword argument 'tau'"),
+          ("no-model", {"k_r": -0.5, "c": 0.05}, "'model'"),
+          ("unknown-model", {"model": "cole", "k_r": -0.5},
+           "unknown frequency profile model 'cole'"),
+          ("on-the-axis", {"model": "affine", "k_r": -0.5, "c": 0.0},
+           "contrast (-0.5+0j) touches the closed negative real axis")]),
     # checked before the inversion and before the assembly
     pytest.param("invert", None, "shape", {"cos": [0.95]},
                  "upper bound 1 - delta violated: value 0.95",
@@ -562,12 +590,13 @@ def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
     (cfg if section is None else cfg[section])[key] = value
 
     def solve(*args, **kwargs):
-        raise AssertionError("solved before the config was checked")
+        raise AssertionError("solved or read before the config was checked")
 
-    # the sweep's start solve and clean synthesis, extract's fit, and the
-    # assembly that synth and spectrum start with
+    # the sweep's start solve and clean synthesis, extract's fit, the
+    # assembly that synth and spectrum start with, and every input read
     for module, name in ((reconstruct, "_point"), (reconstruct, "synthesize"),
-                         (disentangle, "_check_contrasts"), (cli, "assemble")):
+                         (disentangle, "_check_contrasts"), (cli, "assemble"),
+                         (cli, "_read_input")):
         monkeypatch.setattr(module, name, solve)
     out = tmp_path / "o"
     assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2

@@ -176,7 +176,8 @@ def test_extract_u0_recenters_and_strips_k0():
 
 def test_end_to_end_concentric_extraction(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
-    data = synthesize(conc_kernels, f_cos, prof, np.linspace(10, 50, 40), 0.0,
+    omega = np.linspace(10, 50, 40)
+    data = synthesize(conc_kernels, f_cos, omega, prof.contrast(omega), 0.0,
                       None, k0=1.0)
     model = fit_rational(data, max_poles=4, tol=1e-11, config=DOMAIN)
     assert np.max(np.abs(_k(model.poles) - (-0.6))) < 1e-8
@@ -187,7 +188,8 @@ def test_end_to_end_concentric_extraction(f_cos, conc_kernels):
 
 def test_noise_perturbs_poles_mildly(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
-    data = synthesize(conc_kernels, f_cos, prof, np.linspace(10, 50, 60), 1e-4,
+    omega = np.linspace(10, 50, 60)
+    data = synthesize(conc_kernels, f_cos, omega, prof.contrast(omega), 1e-4,
                       7, k0=1.0)
     tol = 1e-4 / float(np.max(np.abs(data.U)))
     model = fit_rational(data, max_poles=4, tol=tol, config=DOMAIN)
@@ -203,7 +205,8 @@ def test_noisy_extraction_does_not_depend_on_the_contrast_law(
         profile, omega, f_cos, tre_kernels):
     # the fit works in c, so any sweep of contrasts off the negative real
     # axis serves: both land near 2.6e-5 at noise 1e-4
-    data = synthesize(tre_kernels, f_cos, profile, omega, 1e-4, 1, k0=1.0)
+    data = synthesize(tre_kernels, f_cos, omega, profile.contrast(omega), 1e-4,
+                      1, k0=1.0)
     model = fit_rational(data, max_poles=6,
                          tol=1e-4 / float(np.max(np.abs(data.U))),
                          config=DOMAIN)

@@ -275,8 +275,8 @@ def test_frequency_profiles():
     with pytest.raises(ValueError):
         FrequencyProfile("weird", {}).contrast(1.0)
     # touching the closed negative real axis is rejected
-    with pytest.raises(ValueError):
-        FrequencyProfile("affine", {"k_r": -1.0, "c": 1.0}).validate([0.0, 1.0])
+    with pytest.raises(ValueError, match="closed negative real axis"):
+        FrequencyProfile("affine", {"k_r": -1.0, "c": 1.0}).contrast([0.0, 1.0])
     rt = FrequencyProfile.from_dict({"model": affine.model, **affine.params})
     assert rt == affine
 
@@ -284,10 +284,11 @@ def test_frequency_profiles():
 def test_synthesize_deterministic_and_calibrated(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
     omega = np.linspace(1.0, 10.0, 8)
-    clean = synthesize(conc_kernels, f_cos, prof, omega, 0.0, None, k0=1.0)
-    a = synthesize(conc_kernels, f_cos, prof, omega, 1e-3, 42, k0=1.0)
-    b = synthesize(conc_kernels, f_cos, prof, omega, 1e-3, 42, k0=1.0)
-    c = synthesize(conc_kernels, f_cos, prof, omega, 1e-3, 43, k0=1.0)
+    kvals = prof.contrast(omega)
+    clean = synthesize(conc_kernels, f_cos, omega, kvals, 0.0, None, k0=1.0)
+    a = synthesize(conc_kernels, f_cos, omega, kvals, 1e-3, 42, k0=1.0)
+    b = synthesize(conc_kernels, f_cos, omega, kvals, 1e-3, 42, k0=1.0)
+    c = synthesize(conc_kernels, f_cos, omega, kvals, 1e-3, 43, k0=1.0)
     assert np.array_equal(a.U, b.U)
     assert not np.array_equal(a.U, c.U)
     # sup of the injected noise equals eta exactly
@@ -306,7 +307,8 @@ def test_cauchy_data_csv_round_trip(bgrid64, f_cos, conc_kernels):
 
 def test_multifreq_csv_round_trip(f_cos, conc_kernels):
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
-    data = synthesize(conc_kernels, f_cos, prof, np.linspace(1, 5, 4), 1e-4, 7,
+    omega = np.linspace(1, 5, 4)
+    data = synthesize(conc_kernels, f_cos, omega, prof.contrast(omega), 1e-4, 7,
                       k0=1.0)
     text = data.to_csv()
     again = MultiFreqData.from_csv(text)

@@ -310,6 +310,60 @@ def test_stability_sweep_synthesizes_at_the_background_k0():
     assert row["sym_diff"] < 1e-4
 
 
+#: a cheap sweep of a circle: radius only, 12 frequencies, 64 nodes
+_SMALL = dict(truth=circle(R0), f_coeffs=([1.0], []),
+              profile=FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05}),
+              omega_grid=np.linspace(10.0, 50.0, 12),
+              settings=InversionSettings(n_fourier_modes=0, alpha=0.0),
+              n_forward=64, allow_degenerate=True)
+
+
+def test_a_failed_sweep_row_is_reported_and_left_out_of_the_medians(
+        monkeypatch):
+    """A row whose fit raises keeps its level and seed, reads NaN and
+    ``failed:<Error>``, and counts in neither ``n_ok`` nor the medians."""
+    # no pole cannot fit a circle's one-pole response: every row fails
+    res = stability_sweep(**_SMALL, noise_levels=[1e-3], seeds=[1, 2],
+                          max_poles=0)
+    assert [r["status"] for r in res.rows] == ["failed:FitDiverged"] * 2
+    assert all(np.isnan(r["eps_measured"]) and np.isnan(r["sym_diff"])
+               for r in res.rows)
+    assert res.summary == {"levels": [1e-3], "n_ok": [0], "eps_median": [],
+                           "sym_diff_median": []}
+    assert res.to_csv().splitlines()[1] == "0.001,nan,1,nan,failed:FitDiverged"
+
+    # only the second row, (1e-5, seed 2), gets no pole
+    calls = []
+
+    def fit(data, *, max_poles, **kwargs):
+        calls.append(max_poles)
+        return fit_rational(data, max_poles=0 if len(calls) == 2 else max_poles,
+                            **kwargs)
+
+    monkeypatch.setattr(reconstruct, "fit_rational", fit)
+    res = stability_sweep(**_SMALL, noise_levels=[1e-5, 1e-3, 5e-2],
+                          seeds=[1, 2], max_poles=1)
+    first, failed = res.rows[:2]
+    assert failed["status"] == "failed:FitDiverged"
+    assert [r["status"] for r in res.rows].count("ok") == 5
+    assert res.summary["n_ok"] == [1, 2, 2]
+    assert res.summary["eps_median"][0] == first["eps_measured"]
+    assert res.summary["sym_diff_median"][0] == first["sym_diff"]
+    assert "log_model" in res.summary
+
+
+def test_stability_sweep_evaluates_its_profile_once(monkeypatch):
+    calls = []
+
+    def counted(omega, **params):
+        calls.append(omega.size)
+        return forward._affine(omega, **params)
+
+    monkeypatch.setitem(forward._PROFILES, "affine", counted)
+    stability_sweep(**_SMALL, noise_levels=[1e-3], seeds=[1], max_poles=1)
+    assert calls == [12]
+
+
 #: a small sweep: 3 noisy levels x 2 seeds = 6 rows, radius only
 _SWEEP = dict(truth=StarShape(cos=(0.45, 0.0, 0.03)), f_coeffs=([1.0], []),
               profile=FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05}),
@@ -346,7 +400,8 @@ def standalone_rows():
     k0 = s["settings"].config.k0
     f = current_from_fourier(*s["f_coeffs"], unit_circle_grid(64))
     kernels = assemble(discretize(s["truth"], s["n_forward"]))
-    clean = synthesize(kernels, f, s["profile"], s["omega_grid"], eta=0.0,
+    clean = synthesize(kernels, f, s["omega_grid"],
+                       s["profile"].contrast(s["omega_grid"]), eta=0.0,
                        seed=None, k0=k0)
     rows = []
     for level in s["noise_levels"]:
