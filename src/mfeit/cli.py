@@ -33,8 +33,8 @@ from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
 from .geometry import (DomainConfig, build_star_shape, discretize,
                        unit_circle_grid)
 from .potential import assemble
-from .reconstruct import (InversionSettings, invert, stability_sweep,
-                          symmetric_difference)
+from .reconstruct import (InversionSettings, _check_list, invert,
+                          stability_sweep, symmetric_difference)
 from .spectrum import DEFAULT_TAIL, compute_spectrum, resonance_bound
 
 EXIT_CONFIG = 2
@@ -148,6 +148,9 @@ def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
     domain = DomainConfig(**(domain or {}))
     shape = build_star_shape(*_fourier(**shape), domain)
     f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
+    _check_list(contrasts, "contrasts", "[re, im] number pairs",
+                lambda k: isinstance(k, list) and len(k) == 2
+                and all(map(_is_number, k)))
     kvals = np.array([complex(re, im) for re, im in contrasts])
     kernels = assemble(discretize(shape, n_boundary))
     U = solve_forward_batched(kernels, f, kvals, domain.k0)

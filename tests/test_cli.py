@@ -362,6 +362,18 @@ def test_nan_cauchy_data_exits_2_with_location(tmp_path, capsys, col, name):
     assert str(cauchy) in err and f"row 10, column {name}" in err
 
 
+@pytest.mark.parametrize("keep,name", [(1, "f"), (2, "u0")])
+def test_cauchy_file_without_a_column_exits_2_naming_it(tmp_path, capsys,
+                                                        keep, name):
+    cauchy = _cauchy_file(tmp_path)
+    lines = cauchy.read_text().splitlines()
+    cauchy.write_text("\n".join(",".join(ln.split(",")[:keep])
+                                for ln in lines) + "\n")
+    assert run("invert", _invert_cfg(tmp_path, cauchy), tmp_path / "i") == 2
+    err = capsys.readouterr().err
+    assert str(cauchy) in err and f"row 1, column {name}: missing" in err
+
+
 def test_off_grid_theta_exits_2(tmp_path, capsys):
     cauchy = _cauchy_file(tmp_path)
     _corrupt(cauchy, row=7, col=0, value="0.3")
@@ -544,6 +556,12 @@ def _boolean(key, literal="true"):
                  _boolean("profile.k_r", "false"), id="profile-k_r-bool"),
     pytest.param("forward", None, "contrasts", [[True, 0]],
                  _boolean("contrasts[0][0]"), id="contrasts-bool"),
+    *(pytest.param("forward", None, "contrasts", value,
+                   f"contrasts must be a non-empty list of [re, im] number "
+                   f"pairs, got {value!r}", id=f"contrasts-{kind}")
+      for kind, value in [("empty", []), ("scalar", [2.0]),
+                          ("single", [[2.0]]), ("triple", [[1, 2, 3]]),
+                          ("str", [["a", 0]])]),
     pytest.param("spectrum", None, "tail", True, _boolean("tail"),
                  id="spectrum-tail-bool"),
     # a negative tail would keep the unresolved modes at lambda = 1/2

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mfeit.errors import ConstraintViolation, NearResonance, SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
@@ -13,8 +14,8 @@ from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
                            solve_u0, synthesize)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             discretize, unit_circle_grid)
-from mfeit.potential import (_target_kernel, assemble, eval_S,
-                             neumann_kernel, trace_matrix)
+from mfeit.potential import (KernelMatrices, _target_kernel, assemble,
+                             eval_S, neumann_kernel, trace_matrix)
 
 from conftest import R0, TREFOIL, g_two_phase
 
@@ -62,6 +63,16 @@ def test_degenerate_saddle_raises_singular_system(f_cos, fill, cause):
     grid = discretize(circle(R0), 64)
     with pytest.raises(SingularSystem, match=cause):
         solve_u0(circle(R0), f_cos, grid=grid, S=np.full((64, 64), fill))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_direct_system_raises_singular_system(f_cos):
+    # K* = 0 and k = -k0 give c = 0: the system matrix is exactly zero
+    grid = discretize(circle(R0), 64)
+    zero = KernelMatrices(S=np.zeros((64, 64)), Kstar=np.zeros((64, 64)),
+                          grid=grid)
+    with pytest.raises(SingularSystem, match="zero pivot in the direct"):
+        solve_forward_direct(circle(R0), f_cos, -1.0, kernels=zero)
 
 
 def test_solve_u0_concentric_closed_form(bgrid64, f_cos, conc_kernels):
@@ -223,13 +234,19 @@ def test_f_channel_weights_are_positive(shape, f_cos):
 
 
 def _out_of_place_direct(kernels, f, k, k0=1.0):
-    """Oracle: the LU solve with c I + K* built and cast out of place."""
+    """Oracle: the LU solve with c I + K* built and cast out of place.
+
+    It factors by scipy's LAPACK, as the solver does: numpy bundles
+    another OpenBLAS build, whose threaded LU of a 64 x 64 matrix can
+    differ in the last bit.
+    """
     bgrid = unit_circle_grid(f.size)
     grid = kernels.grid
     dn_frak = harmonic_lift_normal_derivative(f, bgrid, grid.points,
                                               grid.normals)
     A = _contrast_c(k, k0) * np.eye(grid.n) + kernels.Kstar
-    phi = np.linalg.solve(A.astype(complex), -dn_frak.astype(complex) / k0)
+    phi = sla.lu_solve(sla.lu_factor(A.astype(complex)),
+                       -dn_frak.astype(complex) / k0)
     u = harmonic_lift_trace(f, bgrid) / k0 + eval_S(grid, phi, bgrid.points)
     return _recenter(u, bgrid)
 

@@ -11,6 +11,9 @@ and what one temporary per operation costs:
     direct      2.1 / 2.0              4.1 / 4.0 (2.5 at 512 without del A)
     spectrum    1.3 / 0.8              1.6 / 1.7
 
+The direct solve's 2.0 is its one complex copy of K*, shifted on the
+diagonal and factored by LAPACK, both in place.
+
 The trace matrix is bounded at n = 256 with m = 64 targets, in m x n
 matrices: 3.0 in place, 4.0 with the kernel's product, log and weights each
 in a new matrix. About one of its three is the fixed buffer (some 128 kB)
@@ -19,8 +22,9 @@ operand.
 
 Arrays that numpy and scipy create are traced, the LAPACK arguments and
 work arrays of scipy's wrappers included; the buffers that numpy's own
-``np.linalg`` routines ``malloc`` for LAPACK are not, so the copy that
-``np.linalg.solve`` makes of its matrix is outside the budget.
+``np.linalg`` routines ``malloc`` for LAPACK are not, so these budgets
+cannot see a stage that hands its matrix to ``np.linalg.solve``, which
+copies it into such a buffer. No stage here does.
 """
 import tracemalloc
 
