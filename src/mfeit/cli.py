@@ -28,10 +28,10 @@ import numpy as np
 from .disentangle import _check_max_poles, extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      _check_noise_level, _is_count, _is_number, _write_table,
-                      current_from_fourier, solve_forward_batched, synthesize)
-from .geometry import (DomainConfig, build_star_shape, discretize,
-                       unit_circle_grid)
+                      _check_noise_level, _write_table, current_from_fourier,
+                      solve_forward_batched, synthesize)
+from .geometry import (DomainConfig, _is_count, _is_number, build_star_shape,
+                       check_grid_size, discretize, unit_circle_grid)
 from .potential import assemble
 from .reconstruct import (InversionSettings, _check_list, invert,
                           stability_sweep, symmetric_difference)
@@ -99,9 +99,21 @@ def _read_input(rel: str, cls, manifest: dict):
         raise ValueError(f"{p}: {exc}") from exc
 
 
-def _fourier(cos=(), sin=()):
+def _fourier(section: str, cos=(), sin=()):
     """(cos, sin) coefficients of a ``shape`` or ``current`` section."""
+    for key, values in (("cos", cos), ("sin", sin)):
+        if not (isinstance(values, (list, tuple))
+                and all(map(_is_number, values))):
+            raise ValueError(f"{section}.{key} must be a list of numbers, "
+                             f"got {values!r}")
     return cos, sin
+
+
+def _check_grids(n_measure, n_boundary) -> None:
+    """The measurement circle's rule for ``n_measure``, an inclusion grid's
+    for ``n_boundary``; checked before any grid is built."""
+    check_grid_size(n_measure, 16, "n_measure")
+    check_grid_size(n_boundary, 32, "n_boundary")
 
 
 def _linspace(start, stop, count):
@@ -130,9 +142,10 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
         raise ValueError(f"n_modes must be an integer >= 0, got {n_modes!r}")
     if not (_is_number(tail) and tail >= 0):
         raise ValueError(f"tail must be a number >= 0, got {tail!r}")
+    _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**(domain or {}))
-    shape = build_star_shape(*_fourier(**shape), domain)
-    theta = unit_circle_grid(n_measure).t  # checked before the assembly
+    shape = build_star_shape(*_fourier("shape", **shape), domain)
+    theta = unit_circle_grid(n_measure).t
     kernels = assemble(discretize(shape, n_boundary))
     spec = compute_spectrum(kernels, n_modes, k0=domain.k0,
                             n_boundary=n_measure, tail=tail)
@@ -145,9 +158,11 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
 
 def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
                 n_measure=64, n_boundary=256) -> dict:
+    _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**(domain or {}))
-    shape = build_star_shape(*_fourier(**shape), domain)
-    f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
+    shape = build_star_shape(*_fourier("shape", **shape), domain)
+    f = current_from_fourier(*_fourier("current", **current),
+                             unit_circle_grid(n_measure))
     _check_list(contrasts, "contrasts", "[re, im] number pairs",
                 lambda k: isinstance(k, list) and len(k) == 2
                 and all(map(_is_number, k)))
@@ -160,9 +175,11 @@ def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
 
 def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
               n_measure=64, eta=0.0, seed=None, n_boundary=256) -> dict:
+    _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**(domain or {}))
-    shape = build_star_shape(*_fourier(**shape), domain)
-    f = current_from_fourier(*_fourier(**current), unit_circle_grid(n_measure))
+    shape = build_star_shape(*_fourier("shape", **shape), domain)
+    f = current_from_fourier(*_fourier("current", **current),
+                             unit_circle_grid(n_measure))
     if seed is not None and not _is_count(seed):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     omega = _omega(omega)
@@ -193,13 +210,15 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
     """``shape`` is the truth to score against; ``current`` fills in a
     Cauchy file without an ``f`` column and must match one that has it."""
     domain = DomainConfig(**(domain or {}))
-    truth = None if shape is None else build_star_shape(*_fourier(**shape),
-                                                        domain)
+    truth = None if shape is None else build_star_shape(
+        *_fourier("shape", **shape), domain)
     settings = InversionSettings(**(inversion or {}), config=domain)
     # unpacked even when the file has f, so a misspelt key still exits 2
-    coeffs = None if current is None else _fourier(**current)
+    coeffs = None if current is None else _fourier("current", **current)
     path = (lambda cauchy: cauchy)(**inputs)
     data = _read_input(path, CauchyData, manifest)
+    # the codec reads any row count, the measurement grid does not
+    check_grid_size(data.u0.size, 16, f"rows of {path}")
     f = None if coeffs is None else current_from_fourier(
         *coeffs, unit_circle_grid(data.u0.size))
     if data.f is None:
@@ -225,9 +244,10 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
 def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
               domain=None, inversion=None, seeds=(0, 1, 2), max_poles=6,
               n_boundary=256, n_measure=64) -> dict:
+    _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**(domain or {}))
-    res = stability_sweep(build_star_shape(*_fourier(**shape), domain),
-                          _fourier(**current),
+    shape = build_star_shape(*_fourier("shape", **shape), domain)
+    res = stability_sweep(shape, _fourier("current", **current),
                           FrequencyProfile.from_dict(profile), _omega(omega),
                           noise_levels,
                           InversionSettings(**(inversion or {}), config=domain),

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDiverged, InsufficientFrequencies
-from .forward import CauchyData, MultiFreqData, _check_contrasts, _is_count
-from .geometry import DomainConfig
+from .forward import CauchyData, MultiFreqData, _check_contrasts
+from .geometry import DomainConfig, _is_count
 from .lsq import levenberg_marquardt
 
 #: discrepancy factor: poles are added until sup residual <= TAU tol max|U|
@@ -133,9 +133,9 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
                           where=norm2 > 1e-16 * np.sum(D * D, axis=0))
         # no rows: a pole the data put outside the segment is not held
         # back, it is the reason to refuse the data
+        s = np.append(s, L * _SCAN[np.argmax(score)])
         s, (Q, X, R), *_ = levenberg_marquardt(
-            np.append(s, L * _SCAN[np.argmax(score)]), value, normal,
-            np.zeros((0, s.size + 1)), np.zeros(0))
+            s, value(s), value, normal, np.zeros((0, s.size)), np.zeros(0))
     if np.any(outside := np.abs(s) >= L):
         raise FitDiverged(
             f"pole c = {s[outside][0]:.6g} outside the segment |c| < "

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import NearResonance, SingularSystem
-from .geometry import (BoundaryGrid, StarShape, discretize, fourier_series,
-                       unit_circle_grid)
+from .geometry import (BoundaryGrid, StarShape, _is_number, discretize,
+                       fourier_series, unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
                         _target_kernel, eval_S, kress_log_matrix,
                         neumann_normal_derivative, trace_matrix)
@@ -95,6 +94,10 @@ class FrequencyProfile:
         and a contrast on the closed negative real axis ``ValueError``."""
         if self.model not in _PROFILES:
             raise ValueError(f"unknown frequency profile model {self.model!r}")
+        for key, value in self.params.items():
+            if not _is_number(value):
+                raise ValueError(f"profile.{key} must be a number, got "
+                                 f"{value!r}")
         k = _PROFILES[self.model](np.asarray(omega, dtype=float), **self.params)
         _check_contrasts(k)
         return k
@@ -445,17 +448,6 @@ def synthesize(kernels: KernelMatrices, f: np.ndarray, omega_grid, kvals,
     _check_noise_level(eta)
     U = solve_forward_batched(kernels, f, kvals, k0)
     return MultiFreqData(omega=omega_grid, k=kvals, U=_add_noise(U, eta, seed))
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is an integer >= 0; a bool is not."""
-    return (isinstance(value, numbers.Integral)
-            and not isinstance(value, bool) and value >= 0)
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_noise_level(eta: float) -> None:

@@ -18,6 +18,7 @@ built once per size and shared by every caller; its arrays are read-only.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
@@ -42,6 +43,10 @@ class DomainConfig:
     k0: float = 1.0
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if not _is_number(value):
+                raise ValueError(f"domain.{key} must be a number, got "
+                                 f"{value!r}")
         if self.k0 <= 0:
             raise ValueError("background conductivity k0 must be positive")
         if not (0 < self.b0 < 1 - self.delta):
@@ -51,6 +56,26 @@ class DomainConfig:
     def from_dict(cls, d: dict) -> "DomainConfig":
         """Keys are the field names; an unknown key raises ``TypeError``."""
         return cls(**d)
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 0; a bool is not."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 0)
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_grid_size(n, least: int, key: str) -> None:
+    """Raise ``InvalidResolution`` naming ``key`` unless n is an even integer
+    >= least: 16 on any boundary grid, 32 on an inclusion grid that
+    operators are built on."""
+    if not (_is_count(n) and n % 2 == 0 and n >= least):
+        raise InvalidResolution(f"{key}: need even n >= {least} nodes, "
+                                f"got {n!r}")
 
 
 def fourier_series(cos, sin, theta):
@@ -213,8 +238,7 @@ def discretize(shape: StarShape, n: int) -> BoundaryGrid:
 
 def _star_grid(shape: StarShape, n: int) -> BoundaryGrid:
     """Body of ``discretize``."""
-    if n % 2 != 0 or n < 16:
-        raise InvalidResolution(f"need even n >= 16, got {n}")
+    check_grid_size(n, 16, "boundary grid")
     t = 2 * np.pi * np.arange(n) / n
     r, r1, r2 = fourier_series(shape.cos, shape.sin, t)
     ct, st = np.cos(t), np.sin(t)

@@ -13,7 +13,10 @@ Levenberg-Marquardt method of Kanzow, Yamashita & Fukushima (J. Comput.
 Appl. Math. 172, 2004); its stop is a first-order (KKT) point under the
 rows. The stop is always reached: for a sum of squares g_k^2 <= 2 f G_kk,
 so a step's predicted decrease is at most 2 n f / lambda, and a run of
-rejected trials meets the stop once lambda is about 2 n / RTOL.
+rejected trials meets the stop once lambda is about 2 n / RTOL. The caller
+evaluates the start, the loop only its trials; whatever ``value`` leaves in
+an accepted point's state (the inversion's solve of that shape) is what
+``normal`` builds the next step from.
 """
 from __future__ import annotations
 
@@ -57,11 +60,13 @@ def _step(A: np.ndarray, g: np.ndarray, E: np.ndarray,
     return s
 
 
-def levenberg_marquardt(z: np.ndarray, value: Callable, normal: Callable,
-                        E: np.ndarray, h: np.ndarray) -> tuple:
+def levenberg_marquardt(z: np.ndarray, start: tuple, value: Callable,
+                        normal: Callable, E: np.ndarray,
+                        h: np.ndarray) -> tuple:
     """Minimise f from z by damped Gauss-Newton steps under E z <= h.
 
-    ``value(z) -> (f, state)``; ``normal(z, state) -> (G, g)``, the
+    ``start = value(z)``, evaluated by the caller: ``value(z) -> (f, state)``
+    is called at trial points only. ``normal(z, state) -> (G, g)``, the
     Gauss-Newton matrix and gradient at an accepted point; E, of shape
     (rows, z.size), may have no rows. The damping lambda = 1e-3 scales the
     diagonal of G, floored at 1e-12 of its largest entry; each step solves
@@ -69,13 +74,12 @@ def levenberg_marquardt(z: np.ndarray, value: Callable, normal: Callable,
     current point, negative slack read as zero. A trial is accepted when it
     lowers f, and lambda then falls tenfold (to 1e-12 at least), else it
     rises tenfold, as it does after a trial whose ``value`` raises
-    ``TargetTooClose`` or ``SingularSystem`` (at the start, and in
-    ``normal``, these still raise). Returns z, its state, the accepted
-    values of f from the start's on, whether a row is active at the stop
-    (slack <= 1e-12 of max(|h|, 1)), and whether the stop test was met
-    before ``MAX_STEPS``.
+    ``TargetTooClose`` or ``SingularSystem`` (in ``normal`` these still
+    raise). Returns z, its state, the accepted values of f from the start's
+    on, whether a row is active at the stop (slack <= 1e-12 of max(|h|, 1)),
+    and whether the stop test was met before ``MAX_STEPS``.
     """
-    f, state = value(z)
+    f, state = start
     history = [f]
     lam = 1e-3
 

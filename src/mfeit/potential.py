@@ -51,9 +51,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (DomainViolation, InvalidResolution, SingularEvaluation,
-                     TargetTooClose)
-from .geometry import BoundaryGrid
+from .errors import DomainViolation, SingularEvaluation, TargetTooClose
+from .geometry import BoundaryGrid, check_grid_size
 
 
 def _dot(a, b):
@@ -177,15 +176,6 @@ def kress_log_matrix(n: int) -> np.ndarray:
     return R
 
 
-def check_resolution(n: int) -> None:
-    """Raise ``InvalidResolution`` unless n is even and at least 32.
-
-    The rule of every inclusion grid that operators are built on.
-    """
-    if n % 2 != 0 or n < 32:
-        raise InvalidResolution(f"need even n >= 32 nodes, got {n}")
-
-
 @dataclass(frozen=True)
 class KernelMatrices:
     """Discrete single layer and Neumann-Poincare operators on one grid.
@@ -275,7 +265,7 @@ def assemble(grid: BoundaryGrid) -> KernelMatrices:
     the node pairs, so the n x n working set peaks at five matrices: the
     two pair terms, the two parts of K* and one scratch buffer.
     """
-    check_resolution(grid.n)
+    check_grid_size(grid.n, 32, "inclusion grid")
     pts = grid.points
     pairs = _node_pairs(grid)
     Kstar, image = _normal_derivative_parts(pts[:, None, :], pts[None, :, :],

@@ -16,12 +16,12 @@ u0' = rho' - (h . nu) d_nu u0 on dD. The jump relation of the single
 layer gives d_nu u0 = psi from outside, psi being the density that
 ``solve_u0`` solves for, so all 2M + 1 columns come from one more solve of
 its saddle system (``forward.u0_shape_derivative``). That solve reuses the
-residual's LU factors and trace matrix at the same iterate: each new point
-costs one factorization and one kernel matrix, the Jacobian neither. The
-central-difference Jacobian ``_Objective.fd_jacobian`` stays as the test
-oracle. Errors between shapes are measured by the area of the symmetric
-difference, which for star shapes about the origin reduces to a 1D integral
-of |r_a^2 - r_b^2| / 2.
+LU factors and trace matrix of the point's solve, from the loop's state:
+each new point costs one factorization and one kernel matrix, the Jacobian
+neither. The central-difference Jacobian ``_Objective.fd_jacobian`` stays
+as the test oracle. Errors between shapes are measured by the area of the
+symmetric difference, which for star shapes about the origin reduces to a
+1D integral of |r_a^2 - r_b^2| / 2.
 
 Every inversion starts from the same circle, which depends only on the
 settings, and the start's perfect-conductor solve depends only on them and
@@ -39,13 +39,13 @@ import numpy as np
 from .disentangle import _check_max_poles, extract_u0, fit_rational
 from .errors import MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise,
-                      _check_noise_level, _is_count, _is_number, _write_table,
-                      current_from_fourier, solve_u0, synthesize,
-                      u0_shape_derivative)
-from .geometry import (DomainConfig, StarShape, class_rows, discretize,
+                      _check_noise_level, _write_table, current_from_fourier,
+                      solve_u0, synthesize, u0_shape_derivative)
+from .geometry import (DomainConfig, StarShape, _is_count, _is_number,
+                       check_grid_size, class_rows, discretize,
                        unit_circle_grid)
 from .lsq import levenberg_marquardt
-from .potential import assemble, check_resolution
+from .potential import assemble
 
 _FD_BASE_STEP = 1e-6
 #: strict distance the iterates keep from the admissible class's bounds
@@ -69,7 +69,7 @@ class InversionSettings:
 
     def __post_init__(self):
         # the saddle solves skip assemble, so its resolution rule is applied here
-        check_resolution(self.n_boundary)
+        check_grid_size(self.n_boundary, 32, "inversion.n_boundary")
         if not (_is_number(self.alpha) and self.alpha >= 0):
             raise ValueError(f"regularization weight alpha must be a number "
                              f">= 0, got {self.alpha!r}")
@@ -107,20 +107,16 @@ def _start_params(settings: InversionSettings) -> np.ndarray:
 
 
 def _point(x: np.ndarray, settings: InversionSettings, f: np.ndarray) -> tuple:
-    """(x, grid, perfect-conductor solve) of the shape with parameters x."""
+    """(grid, perfect-conductor solve) of the shape with parameters x."""
     shape = _params_to_shape(x, settings.n_fourier_modes)
     grid = discretize(shape, settings.n_boundary)
-    return x.copy(), grid, solve_u0(shape, f, grid=grid)
+    return grid, solve_u0(shape, f, grid=grid)
 
 
 class _Objective:
-    """Weighted residual vector r(x) with J = 1/2 |r|^2 (data + penalty).
+    """Weighted residual vector r(x) with J = 1/2 |r|^2 (data + penalty)."""
 
-    ``start``, if given, is a ``_point`` already solved with ``data.f``.
-    """
-
-    def __init__(self, data: CauchyData, settings: InversionSettings,
-                 start: tuple | None = None):
+    def __init__(self, data: CauchyData, settings: InversionSettings):
         if data.f is None:
             raise ValueError("inversion needs the injected current f")
         self.data = data
@@ -132,22 +128,24 @@ class _Objective:
         m2 = np.arange(1, M + 1) ** 2.0
         pen = np.concatenate([[0.0], m2, m2])
         self.pen_scale = math.sqrt(settings.alpha * math.pi) * pen
-        self._last = start  # (x, grid, u0 solve) of the latest point
 
-    def _solve(self, x: np.ndarray):
-        """Grid and perfect-conductor solve at x; the latest is kept."""
-        if self._last is None or not np.array_equal(self._last[0], x):
-            self._last = _point(x, self.settings, self.data.f)
-        return self._last[1:]
+    def value(self, x: np.ndarray, point: tuple | None = None) -> tuple:
+        """(J, (r, point)) at x; ``point`` is the ``_point`` of x, solved
+        here unless the caller has solved it with ``data.f`` already."""
+        if point is None:
+            point = _point(x, self.settings, self.data.f)
+        r_data = self.sqrt_w * (point[1].u0 - self.data.u0)
+        r = np.concatenate([r_data, self.pen_scale * x])
+        return 0.5 * float(r @ r), (r, point)
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        sim = self._solve(x)[1]
-        r_data = self.sqrt_w * (sim.u0 - self.data.u0)
-        return np.concatenate([r_data, self.pen_scale * x])
+    def normal(self, x: np.ndarray, state: tuple) -> tuple:
+        """Gauss-Newton matrix and gradient at a point ``value`` solved."""
+        Jac = self.jacobian(state[1])
+        return Jac.T @ Jac, Jac.T @ state[0]
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic Jacobian from the domain derivative, reusing the solve at x."""
-        grid, sim = self._solve(x)
+    def jacobian(self, point: tuple) -> np.ndarray:
+        """Domain-derivative Jacobian, reusing the solve of the ``_point``."""
+        grid, sim = point
         # normal velocity of mode j: phi_j(t) (e_r . nu), phi = 1, cos mt, sin mt
         mt = np.outer(grid.t, np.arange(1, self.M + 1))
         modes = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
@@ -163,7 +161,7 @@ class _Objective:
         for i in range(x.size):
             e = np.zeros_like(x)
             e[i] = steps[i]
-            cols.append((self.residual(x + e) - self.residual(x - e))
+            cols.append((self.value(x + e)[1][0] - self.value(x - e)[1][0])
                         / (2 * steps[i]))
         return np.column_stack(cols)
 
@@ -181,21 +179,13 @@ def invert(data: CauchyData, settings: InversionSettings, *,
     caller has solved it with ``data.f`` already (``stability_sweep``).
     """
     M = settings.n_fourier_modes
-    obj = _Objective(data, settings, _start)
-
-    def value(x):
-        r = obj.residual(x)
-        return 0.5 * float(r @ r), (r, obj._solve(x)[1].rho)
-
-    def normal(x, state):
-        Jac = obj.jacobian(x)
-        return Jac.T @ Jac, Jac.T @ state[0]
-
-    x, (_, rho), history, active, stopped = levenberg_marquardt(
-        _start_params(settings), value, normal,
+    obj = _Objective(data, settings)
+    x0 = _start_params(settings)
+    x, (_, (_, sim)), history, active, stopped = levenberg_marquardt(
+        x0, obj.value(x0, _start), obj.value, obj.normal,
         *class_rows(M, settings.config, _BAND_MARGIN))
     return InversionResult(shape=_params_to_shape(x, M), history=history,
-                           rho=rho, hit_constraint=active,
+                           rho=sim.rho, hit_constraint=active,
                            converged=stopped, n_iter=len(history) - 1)
 
 
@@ -268,8 +258,8 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
     start = _point(_start_params(settings), settings, f)
     # every row reads f and the start: make each array read-only
-    x0, grid0, sim0 = start
-    for a in (f, x0, grid0.t, grid0.points, grid0.normals, grid0.jacobian,
+    grid0, sim0 = start
+    for a in (f, grid0.t, grid0.points, grid0.normals, grid0.jacobian,
               grid0.curvature, sim0.u0, sim0.psi, *sim0.saddle[0],
               sim0.saddle[1]):
         a.setflags(write=False)

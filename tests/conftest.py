@@ -53,16 +53,15 @@ def f_cos(bgrid64):
 
 def objective_value(obj: _Objective, x) -> float:
     """Gauss-Newton objective J = 1/2 |r(x)|^2 (data misfit plus penalty)."""
-    r = obj.residual(x)
-    return 0.5 * float(r @ r)
+    return obj.value(x)[0]
 
 
 def misfit(shape, data, settings) -> tuple:
     """J at ``shape`` and its gradient J^T r from the analytic Jacobian."""
     obj = _Objective(data, settings)
     x = _shape_to_params(shape, settings.n_fourier_modes)
-    r = obj.residual(x)
-    return 0.5 * float(r @ r), obj.jacobian(x).T @ r
+    J, state = obj.value(x)
+    return J, obj.normal(x, state)[1]
 
 
 def calderon_residual(kernels) -> float:

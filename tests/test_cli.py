@@ -404,6 +404,47 @@ def test_invert_current_disagreeing_with_f_exits_2(tmp_path, capsys):
     assert not (tmp_path / "i" / "shape.json").exists()
 
 
+@pytest.mark.parametrize("current,gap", [
+    ({"cos": [2.0]}, "1"), ({"cos": [1.0], "sin": [1e-9]}, "1e-09"),
+    ({"cos": [1.0]}, None)])
+def test_invert_checks_current_against_the_f_column(tmp_path, capsys, current,
+                                                    gap):
+    """Against a file whose f column is cos(theta), a current off by any
+    more than rounding exits 2 and writes nothing; cos(theta) runs."""
+    cauchy = _cauchy_file(tmp_path)
+    cfg = json.loads(Path(_invert_cfg(tmp_path, cauchy)).read_text())
+    cfg["current"] = current
+    out = tmp_path / "i"
+    code = run("invert", write_cfg(tmp_path, "inv.json", cfg), out)
+    if gap is None:
+        assert code == 0 and (out / "shape.json").exists()
+    else:
+        assert code == 2
+        assert (f"config current disagrees with the f column of {cauchy}: "
+                f"max difference {gap}\n") in capsys.readouterr().err
+        assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("with_current", [True, False])
+@pytest.mark.parametrize("rows", [15, 14, 8])
+def test_cauchy_file_the_measurement_grid_cannot_take_exits_2_naming_it(
+        tmp_path, capsys, rows, with_current):
+    """The codec reads any row count; ``invert`` refuses a file whose rows
+    are not an even count >= 16, naming the file and its rows."""
+    theta = 2 * np.pi * np.arange(rows) / rows
+    cauchy = tmp_path / "u0.csv"
+    cauchy.write_text(CauchyData(f=np.cos(theta), u0=0.1 * np.cos(theta))
+                      .to_csv())
+    cfg = json.loads(Path(_invert_cfg(tmp_path, cauchy)).read_text())
+    if not with_current:
+        del cfg["current"]
+    out = tmp_path / "i"
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 2
+    assert (f"rows of {cauchy}: need even n >= 16 nodes, got {rows}"
+            in capsys.readouterr().err)
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_failure_after_the_inversion_writes_no_file(tmp_path, capsys,
                                                      monkeypatch):
     """Outputs reach --out only after the command returns: scoring against
@@ -585,7 +626,30 @@ def _boolean(key, literal="true"):
                  "upper bound 1 - delta violated: value 0.95",
                  id="invert-truth-outside-the-class"),
     pytest.param("spectrum", None, "n_measure", 15,
-                 "need even n >= 16, got 15", id="spectrum-n_measure-15"),
+                 "n_measure: need even n >= 16 nodes, got 15",
+                 id="spectrum-n_measure-15"),
+    # each grid size names its key and its own grid's rule
+    *(pytest.param(command, section, key, value,
+                   f"{key if section is None else section + '.' + key}: "
+                   f"need even n >= {least} nodes, got {value!r}",
+                   id=f"{command}-{key}-{value}")
+      for command, section, key, value, least in [
+          ("synth", None, "n_measure", 15, 16),
+          ("forward", None, "n_measure", "64", 16),
+          ("synth", None, "n_boundary", 33, 32),
+          ("spectrum", None, "n_boundary", 30, 32),
+          ("sweep", None, "n_boundary", 33, 32),
+          ("synth", None, "n_boundary", "x", 32),
+          ("invert", "inversion", "n_boundary", "x", 32)]),
+    # numbers of the wrong kind name their key
+    *(pytest.param("synth", section, key, value,
+                   f"{section}.{key} must be a number, got {value!r}",
+                   id=f"{section}-{key}-{value}")
+      for section, key, value in [("domain", "b0", "x"), ("domain", "k0", "1"),
+                                  ("domain", "m", [1]), ("profile", "c", "x")]),
+    *(pytest.param("synth", section, "cos", ["x"],
+                   f"{section}.cos must be a list of numbers, got ['x']",
+                   id=f"{section}-cos-str") for section in ("shape", "current")),
 ])
 def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
                                                       monkeypatch, command,

@@ -31,8 +31,8 @@ def test_rejected_trials_reach_the_stop_test():
             return np.inf, None
 
         z, state, history, active, stopped = levenberg_marquardt(
-            z0, value, lambda z, r: (A.T @ A, A.T @ r), np.zeros((0, n)),
-            np.zeros(0))
+            z0, value(z0), value, lambda z, r: (A.T @ A, A.T @ r),
+            np.zeros((0, n)), np.zeros(0))
         assert stopped and z is z0 and state is r0
         assert history == [f0] and not active
         assert len(trials) <= 12
@@ -47,9 +47,10 @@ def test_linear_problem_reaches_the_least_squares_solution():
         r = A @ z - b
         return 0.5 * float(r @ r), r
 
+    z0 = np.zeros(5)
     z, r, history, active, stopped = levenberg_marquardt(
-        np.zeros(5), value, lambda z, r: (A.T @ A, A.T @ r), np.zeros((0, 5)),
-        np.zeros(0))
+        z0, value(z0), value, lambda z, r: (A.T @ A, A.T @ r),
+        np.zeros((0, 5)), np.zeros(0))
     z_ls = np.linalg.lstsq(A, b, rcond=None)[0]
     assert stopped and len(history) - 1 < MAX_STEPS and not active
     assert np.all(np.diff(history) < 0)
@@ -65,8 +66,9 @@ def test_a_row_active_at_the_stop_is_reported():
         r = z - 2.0
         return 0.5 * float(r @ r), r
 
+    z0 = np.zeros(1)
     z, _, _, active, stopped = levenberg_marquardt(
-        np.zeros(1), value, lambda z, r: (np.eye(1), r), np.eye(1),
+        z0, value(z0), value, lambda z, r: (np.eye(1), r), np.eye(1),
         np.ones(1))
     assert stopped and active and z[0] == 1.0
 

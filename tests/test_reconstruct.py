@@ -77,34 +77,63 @@ def test_analytic_jacobian_matches_fd_oracle(tre_data):
                       sin=(0.02, -0.01, 0.015))
     obj = _Objective(tre_data, settings_)
     x = _shape_to_params(shape, 8)
-    analytic = obj.jacobian(x)
+    analytic = obj.jacobian(obj.value(x)[1][1])
     fd = obj.fd_jacobian(x)
     assert analytic.shape == fd.shape == (64 + 17, 17)
     assert np.max(np.abs(analytic - fd)) / np.max(np.abs(fd)) < 1e-7
+
+
+def _counter(calls: dict):
+    """``counted(name, fn)``: fn, counting its calls in ``calls[name]``."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    return counted
 
 
 def test_jacobian_reuses_the_residual_solve(tre_data, monkeypatch):
     obj = _Objective(tre_data, InversionSettings(n_fourier_modes=3, alpha=1e-6))
     x = _shape_to_params(StarShape(cos=(0.52, 0.01, 0.0, 0.06)), 3)
     calls = {"lu": 0, "kernel": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+    counted = _counter(calls)
     monkeypatch.setattr(sla, "lu_factor", counted("lu", sla.lu_factor))
     for module, attr in [(forward, "_target_kernel"),
                          (potential, "_target_kernel"),
                          (forward, "_assemble_single_layer")]:
         monkeypatch.setattr(module, attr,
                             counted("kernel", getattr(module, attr)))
-    obj.residual(x)
+    _, (_, point) = obj.value(x)
     # one LU, one circle-to-node kernel and one single layer S
     assert calls == {"lu": 1, "kernel": 2}
-    obj.jacobian(x)
+    obj.jacobian(point)
     assert calls == {"lu": 1, "kernel": 2}
+
+
+def test_invert_solves_each_point_it_evaluates_once(tre_data, monkeypatch):
+    """One perfect-conductor solve per point the loop evaluates, the start
+    and every trial, and none for a Jacobian; a start the caller solved is
+    not solved again."""
+    settings_ = InversionSettings(n_fourier_modes=3, alpha=1e-6)
+    calls = {"solve_u0": 0, "value": 0, "jacobian": 0}
+    counted = _counter(calls)
+    monkeypatch.setattr(reconstruct, "solve_u0",
+                        counted("solve_u0", solve_u0))
+    for name in ("value", "jacobian"):
+        monkeypatch.setattr(_Objective, name,
+                            counted(name, getattr(_Objective, name)))
+    res = invert(tre_data, settings_)
+    # a Jacobian at every accepted point, the last one's meeting the stop
+    assert res.converged and calls["jacobian"] == res.n_iter + 1
+    assert calls["solve_u0"] == calls["value"] >= res.n_iter + 1
+
+    start = reconstruct._point(_start_params(settings_), settings_,
+                               tre_data.f)
+    calls.update(solve_u0=0, value=0)
+    again = invert(tre_data, settings_, _start=start)
+    assert again.history == res.history
+    assert calls["solve_u0"] == calls["value"] - 1
 
 
 def test_shape_derivative_concentric_closed_form(conc_data):
@@ -115,7 +144,7 @@ def test_shape_derivative_concentric_closed_form(conc_data):
                       rtol=1e-8)
     obj = _Objective(conc_data, InversionSettings(n_fourier_modes=0, alpha=0.0,
                                                   n_boundary=256))
-    du = obj.jacobian(np.array([R0]))[:64, 0] / obj.sqrt_w
+    du = obj.jacobian(obj.value(np.array([R0]))[1][1])[:64, 0] / obj.sqrt_w
     theta = unit_circle_grid(conc_data.u0.size).t
     assert np.max(np.abs(du - dg * np.cos(theta))) < 1e-10
 
@@ -182,7 +211,7 @@ def _project(y: np.ndarray, M: int) -> tuple:
 
     x0 = _shape_to_params(circle(0.55), M)
     x, _, _, active, stopped = levenberg_marquardt(
-        x0, value, lambda x, r: (np.eye(x.size), r),
+        x0, value(x0), value, lambda x, r: (np.eye(x.size), r),
         *class_rows(M, DomainConfig(), 1e-3))
     return x, active, stopped
 
