@@ -25,16 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .disentangle import _check_max_poles, extract_u0, fit_rational
+from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      _check_noise_level, _write_table, current_from_fourier,
+                      _write_table, current_from_fourier,
                       solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, _is_count, _is_number, build_star_shape,
-                       check_grid_size, discretize, unit_circle_grid)
+                       check, check_grid_size, check_list, discretize,
+                       unit_circle_grid)
 from .potential import assemble
-from .reconstruct import (InversionSettings, _check_list, invert,
-                          stability_sweep, symmetric_difference)
+from .reconstruct import (InversionSettings, invert, stability_sweep,
+                          symmetric_difference)
 from .spectrum import DEFAULT_TAIL, compute_spectrum, resonance_bound
 
 EXIT_CONFIG = 2
@@ -99,13 +100,21 @@ def _read_input(rel: str, cls, manifest: dict):
         raise ValueError(f"{p}: {exc}") from exc
 
 
-def _fourier(section: str, cos=(), sin=()):
-    """(cos, sin) coefficients of a ``shape`` or ``current`` section."""
-    for key, values in (("cos", cos), ("sin", sin)):
-        if not (isinstance(values, (list, tuple))
-                and all(map(_is_number, values))):
-            raise ValueError(f"{section}.{key} must be a list of numbers, "
-                             f"got {values!r}")
+def _section(value, key: str, optional: bool = False) -> dict:
+    """The config section ``value``, an object; an optional one left out
+    (None) is empty."""
+    check(value, key, "an object",
+          lambda v: isinstance(v, dict) or (optional and v is None))
+    return value or {}
+
+
+def _fourier(key: str, section) -> tuple:
+    """(cos, sin) coefficients of the ``shape`` or ``current`` section."""
+    cos, sin = (lambda cos=(), sin=(): (cos, sin))(**_section(section, key))
+    for name, values in (("cos", cos), ("sin", sin)):
+        check(values, f"{key}.{name}", "a list of numbers",
+              lambda v: isinstance(v, (list, tuple))
+              and all(map(_is_number, v)))
     return cos, sin
 
 
@@ -117,8 +126,10 @@ def _check_grids(n_measure, n_boundary) -> None:
 
 
 def _linspace(start, stop, count):
-    if not _is_count(count) or count < 1:
-        raise ValueError(f"omega.count must be an integer >= 1, got {count!r}")
+    check(start, "omega.start", "a number", _is_number)
+    check(stop, "omega.stop", "a number", _is_number)
+    check(count, "omega.count", "an integer >= 1",
+          lambda v: _is_count(v) and v >= 1)
     return np.linspace(start, stop, count)
 
 
@@ -126,8 +137,7 @@ def _omega(omega) -> np.ndarray:
     """A list of frequencies, or ``{"start", "stop", "count"}``."""
     if isinstance(omega, dict):
         return _linspace(**omega)
-    if np.ndim(omega) != 1 or not len(omega):
-        raise ValueError("omega must be a non-empty list of frequencies")
+    check_list(omega, "omega", "frequencies", _is_number)
     return np.asarray(omega, dtype=float)
 
 
@@ -138,13 +148,11 @@ def _omega(omega) -> np.ndarray:
 
 def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
                  n_modes=12, n_measure=256, tail=DEFAULT_TAIL) -> dict:
-    if not _is_count(n_modes):
-        raise ValueError(f"n_modes must be an integer >= 0, got {n_modes!r}")
-    if not (_is_number(tail) and tail >= 0):
-        raise ValueError(f"tail must be a number >= 0, got {tail!r}")
+    check(n_modes, "n_modes", "an integer >= 0", _is_count)
+    check(tail, "tail", "a number >= 0", lambda v: _is_number(v) and v >= 0)
     _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**(domain or {}))
-    shape = build_star_shape(*_fourier("shape", **shape), domain)
+    domain = DomainConfig(**_section(domain, "domain", optional=True))
+    shape = build_star_shape(*_fourier("shape", shape), domain)
     theta = unit_circle_grid(n_measure).t
     kernels = assemble(discretize(shape, n_boundary))
     spec = compute_spectrum(kernels, n_modes, k0=domain.k0,
@@ -159,13 +167,13 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
 def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
                 n_measure=64, n_boundary=256) -> dict:
     _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**(domain or {}))
-    shape = build_star_shape(*_fourier("shape", **shape), domain)
-    f = current_from_fourier(*_fourier("current", **current),
+    domain = DomainConfig(**_section(domain, "domain", optional=True))
+    shape = build_star_shape(*_fourier("shape", shape), domain)
+    f = current_from_fourier(*_fourier("current", current),
                              unit_circle_grid(n_measure))
-    _check_list(contrasts, "contrasts", "[re, im] number pairs",
-                lambda k: isinstance(k, list) and len(k) == 2
-                and all(map(_is_number, k)))
+    check_list(contrasts, "contrasts", "[re, im] number pairs",
+               lambda k: isinstance(k, list) and len(k) == 2
+               and all(map(_is_number, k)))
     kvals = np.array([complex(re, im) for re, im in contrasts])
     kernels = assemble(discretize(shape, n_boundary))
     U = solve_forward_batched(kernels, f, kvals, domain.k0)
@@ -176,15 +184,15 @@ def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
 def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
               n_measure=64, eta=0.0, seed=None, n_boundary=256) -> dict:
     _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**(domain or {}))
-    shape = build_star_shape(*_fourier("shape", **shape), domain)
-    f = current_from_fourier(*_fourier("current", **current),
+    domain = DomainConfig(**_section(domain, "domain", optional=True))
+    shape = build_star_shape(*_fourier("shape", shape), domain)
+    f = current_from_fourier(*_fourier("current", current),
                              unit_circle_grid(n_measure))
-    if seed is not None and not _is_count(seed):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check(seed, "seed", "an integer >= 0", lambda v: v is None or _is_count(v))
+    check(eta, "eta", "a number >= 0", lambda v: _is_number(v) and v >= 0)
     omega = _omega(omega)
-    kvals = FrequencyProfile.from_dict(profile).contrast(omega)
-    _check_noise_level(eta)  # all checked before the assembly
+    profile = FrequencyProfile.from_dict(_section(profile, "profile"))
+    kvals = profile.contrast(omega)
     manifest["seeds"] = [seed] if seed is not None else []
     data = synthesize(assemble(discretize(shape, n_boundary)), f, omega, kvals,
                       eta=eta, seed=seed, k0=domain.k0)
@@ -193,12 +201,12 @@ def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
 
 def cmd_extract(manifest: dict, *, inputs, domain=None, max_poles=6,
                 fit_tol=1e-9) -> dict:
-    domain = DomainConfig(**(domain or {}))
-    if not (_is_number(fit_tol) and fit_tol > 0):
-        raise ValueError(f"fit_tol must be a number > 0, got {fit_tol!r}")
-    _check_max_poles(max_poles)
-    data = _read_input((lambda dataset: dataset)(**inputs), MultiFreqData,
-                       manifest)
+    domain = DomainConfig(**_section(domain, "domain", optional=True))
+    check(fit_tol, "fit_tol", "a number > 0", lambda v: _is_number(v) and v > 0)
+    check(max_poles, "max_poles", "an integer >= 0", _is_count)
+    path = (lambda dataset: dataset)(**_section(inputs, "inputs"))
+    check(path, "inputs.dataset", "a string", lambda v: isinstance(v, str))
+    data = _read_input(path, MultiFreqData, manifest)
     model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
     u0 = extract_u0(model, domain.k0)
     return {"model.json": model.report(domain.k0), "u0.csv": u0.to_csv(),
@@ -209,13 +217,15 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
                current=None, inversion=None) -> dict:
     """``shape`` is the truth to score against; ``current`` fills in a
     Cauchy file without an ``f`` column and must match one that has it."""
-    domain = DomainConfig(**(domain or {}))
+    domain = DomainConfig(**_section(domain, "domain", optional=True))
     truth = None if shape is None else build_star_shape(
-        *_fourier("shape", **shape), domain)
-    settings = InversionSettings(**(inversion or {}), config=domain)
+        *_fourier("shape", shape), domain)
+    settings = InversionSettings(
+        **_section(inversion, "inversion", optional=True), config=domain)
     # unpacked even when the file has f, so a misspelt key still exits 2
-    coeffs = None if current is None else _fourier("current", **current)
-    path = (lambda cauchy: cauchy)(**inputs)
+    coeffs = None if current is None else _fourier("current", current)
+    path = (lambda cauchy: cauchy)(**_section(inputs, "inputs"))
+    check(path, "inputs.cauchy", "a string", lambda v: isinstance(v, str))
     data = _read_input(path, CauchyData, manifest)
     # the codec reads any row count, the measurement grid does not
     check_grid_size(data.u0.size, 16, f"rows of {path}")
@@ -245,13 +255,14 @@ def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
               domain=None, inversion=None, seeds=(0, 1, 2), max_poles=6,
               n_boundary=256, n_measure=64) -> dict:
     _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**(domain or {}))
-    shape = build_star_shape(*_fourier("shape", **shape), domain)
-    res = stability_sweep(shape, _fourier("current", **current),
-                          FrequencyProfile.from_dict(profile), _omega(omega),
-                          noise_levels,
-                          InversionSettings(**(inversion or {}), config=domain),
-                          seeds, max_poles=max_poles, n_forward=n_boundary,
+    domain = DomainConfig(**_section(domain, "domain", optional=True))
+    shape = build_star_shape(*_fourier("shape", shape), domain)
+    settings = InversionSettings(
+        **_section(inversion, "inversion", optional=True), config=domain)
+    profile = FrequencyProfile.from_dict(_section(profile, "profile"))
+    res = stability_sweep(shape, _fourier("current", current), profile,
+                          _omega(omega), noise_levels, settings, seeds,
+                          max_poles=max_poles, n_forward=n_boundary,
                           n_measure=n_measure, allow_degenerate=True)
     manifest["seeds"] = list(seeds)
     return {"sweep.csv": res.to_csv(), "summary.json": res.summary}

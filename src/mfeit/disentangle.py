@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FitDiverged, InsufficientFrequencies
 from .forward import CauchyData, MultiFreqData, _check_contrasts
-from .geometry import DomainConfig, _is_count
+from .geometry import DomainConfig, _is_count, check
 from .lsq import levenberg_marquardt
 
 #: discrepancy factor: poles are added until sup residual <= TAU tol max|U|
@@ -53,12 +53,6 @@ class RationalModel:
                 "residual": self.residual, "scale": self.scale}
 
 
-def _check_max_poles(max_poles) -> None:
-    if not _is_count(max_poles):
-        raise ValueError(f"max_poles must be an integer >= 0, "
-                         f"got {max_poles!r}")
-
-
 def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
                  *, config: DomainConfig) -> RationalModel:
     """Shared real-pole rational model of the voltage in the variable c.
@@ -70,7 +64,7 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
     when a fitted pole lies at or beyond an end of the segment, |s| >= L,
     where only data with a pole outside the admissible class put one.
     """
-    _check_max_poles(max_poles)
+    check(max_poles, "max_poles", "an integer >= 0", _is_count)
     kvals = np.asarray(data.k, dtype=complex)
     _check_contrasts(kvals)
     if np.unique(kvals).size < 2 * max_poles + 2:

@@ -28,8 +28,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NearResonance, SingularSystem
-from .geometry import (BoundaryGrid, StarShape, _is_number, discretize,
-                       fourier_series, unit_circle_grid)
+from .geometry import (BoundaryGrid, StarShape, _is_number, check,
+                       discretize, fourier_series, unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
                         _target_kernel, eval_S, kress_log_matrix,
                         neumann_normal_derivative, trace_matrix)
@@ -90,14 +90,13 @@ class FrequencyProfile:
     params: dict
 
     def contrast(self, omega) -> np.ndarray:
-        """An unknown or missing parameter raises ``TypeError`` naming it,
-        and a contrast on the closed negative real axis ``ValueError``."""
-        if self.model not in _PROFILES:
-            raise ValueError(f"unknown frequency profile model {self.model!r}")
+        """A model not in ``_PROFILES``, a parameter that is not a number and
+        a contrast on the closed negative real axis raise ``ValueError``; an
+        unknown or missing parameter ``TypeError`` naming it."""
+        check(self.model, "profile.model", " or ".join(map(repr, _PROFILES)),
+              lambda model: isinstance(model, str) and model in _PROFILES)
         for key, value in self.params.items():
-            if not _is_number(value):
-                raise ValueError(f"profile.{key} must be a number, got "
-                                 f"{value!r}")
+            check(value, f"profile.{key}", "a number", _is_number)
         k = _PROFILES[self.model](np.asarray(omega, dtype=float), **self.params)
         _check_contrasts(k)
         return k
@@ -105,7 +104,7 @@ class FrequencyProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "FrequencyProfile":
         d = dict(d)
-        return cls(model=d.pop("model"), params=d)
+        return cls(model=d.pop("model", None), params=d)
 
 
 def _read_table(text: str, optional: int | None = None,
@@ -445,16 +444,9 @@ def synthesize(kernels: KernelMatrices, f: np.ndarray, omega_grid, kvals,
     if a contrast of the sweep is within the solver tolerance of a
     resonance.
     """
-    _check_noise_level(eta)
+    check(eta, "eta", "a number >= 0", lambda v: _is_number(v) and v >= 0)
     U = solve_forward_batched(kernels, f, kvals, k0)
     return MultiFreqData(omega=omega_grid, k=kvals, U=_add_noise(U, eta, seed))
-
-
-def _check_noise_level(eta: float) -> None:
-    """Raise ``ValueError`` unless the noise level eta is a number >= 0."""
-    if not (_is_number(eta) and eta >= 0):
-        raise ValueError(f"noise level eta must be a number >= 0, "
-                         f"got {eta!r}")
 
 
 def _add_noise(U: np.ndarray, eta: float, seed: int | None) -> np.ndarray:

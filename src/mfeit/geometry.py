@@ -44,11 +44,8 @@ class DomainConfig:
 
     def __post_init__(self):
         for key, value in vars(self).items():
-            if not _is_number(value):
-                raise ValueError(f"domain.{key} must be a number, got "
-                                 f"{value!r}")
-        if self.k0 <= 0:
-            raise ValueError("background conductivity k0 must be positive")
+            check(value, f"domain.{key}", "a number", _is_number)
+        check(self.k0, "domain.k0", "a number > 0", lambda k0: k0 > 0)
         if not (0 < self.b0 < 1 - self.delta):
             raise ValueError("need 0 < b0 < 1 - delta")
 
@@ -67,6 +64,21 @@ def _is_count(value) -> bool:
 def _is_number(value) -> bool:
     """Whether ``value`` is a real number; a bool is not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check(value, key: str, rule: str, ok) -> None:
+    """Raise ``ValueError`` naming ``key``, its ``rule`` and ``value`` unless
+    ``ok(value)``: the one message of a config value that breaks its rule."""
+    if not ok(value):
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
+def check_list(values, key: str, rule: str, ok) -> None:
+    """``check`` that ``values`` is a non-empty list of ``rule``: items that
+    pass ``ok``."""
+    check(values, key, f"a non-empty list of {rule}",
+          lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+          and all(map(ok, v)))
 
 
 def check_grid_size(n, least: int, key: str) -> None:

@@ -36,13 +36,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .disentangle import _check_max_poles, extract_u0, fit_rational
+from .disentangle import extract_u0, fit_rational
 from .errors import MfeitError
-from .forward import (CauchyData, FrequencyProfile, _add_noise,
-                      _check_noise_level, _write_table, current_from_fourier,
-                      solve_u0, synthesize, u0_shape_derivative)
-from .geometry import (DomainConfig, StarShape, _is_count, _is_number,
-                       check_grid_size, class_rows, discretize,
+from .forward import (CauchyData, FrequencyProfile, _add_noise, _write_table,
+                      current_from_fourier, solve_u0, synthesize,
+                      u0_shape_derivative)
+from .geometry import (DomainConfig, StarShape, _is_count, _is_number, check,
+                       check_grid_size, check_list, class_rows, discretize,
                        unit_circle_grid)
 from .lsq import levenberg_marquardt
 from .potential import assemble
@@ -70,13 +70,10 @@ class InversionSettings:
     def __post_init__(self):
         # the saddle solves skip assemble, so its resolution rule is applied here
         check_grid_size(self.n_boundary, 32, "inversion.n_boundary")
-        if not (_is_number(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"regularization weight alpha must be a number "
-                             f">= 0, got {self.alpha!r}")
-        if not (_is_count(self.n_fourier_modes)
-                and self.n_fourier_modes <= 16):
-            raise ValueError(f"n_fourier_modes must be an integer in 0..16, "
-                             f"got {self.n_fourier_modes!r}")
+        check(self.alpha, "inversion.alpha", "a number >= 0",
+              lambda v: _is_number(v) and v >= 0)
+        check(self.n_fourier_modes, "inversion.n_fourier_modes",
+              "an integer in 0..16", lambda v: _is_count(v) and v <= 16)
 
 
 @dataclass
@@ -216,15 +213,6 @@ class SweepResult:
         return _write_table(keys, [[r[k] for k in keys] for r in self.rows])
 
 
-def _check_list(values, key: str, rule: str, ok) -> None:
-    """Raise ``ValueError`` naming ``key`` unless ``values`` is a non-empty
-    list whose every item passes ``ok``."""
-    if not (isinstance(values, (list, tuple)) and values
-            and all(map(ok, values))):
-        raise ValueError(f"{key} must be a non-empty list of {rule}, "
-                         f"got {values!r}")
-
-
 def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile,
                     omega_grid, noise_levels, settings: InversionSettings,
                     seeds, max_poles: int = 6, threads: int = 1,
@@ -240,17 +228,19 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     Every input, the contrasts too, is checked before any solve. Rows run
     in order; ``threads`` is accepted and ignored.
     """
-    _check_list(noise_levels, "noise_levels", "numbers", _is_number)
-    _check_list(seeds, "seeds", "integers >= 0", _is_count)
-    _check_max_poles(max_poles)
+    check_list(noise_levels, "noise_levels", "numbers >= 0",
+               lambda v: _is_number(v) and v >= 0)
+    check_list(seeds, "seeds", "integers >= 0", _is_count)
+    # a repeated level or seed would count one row twice in the summary
+    for key, values in (("noise_levels", noise_levels), ("seeds", seeds)):
+        check(values, key, "distinct", lambda v: len(set(v)) == len(v))
+    check(max_poles, "max_poles", "an integer >= 0", _is_count)
     noise_levels = sorted(float(v) for v in noise_levels)
     if not allow_degenerate:
         if len(noise_levels) < 4:
             raise ValueError("need at least 4 noise levels")
         if len(seeds) < 3:
             raise ValueError("need at least 3 seeds per level")
-    for level in noise_levels:
-        _check_noise_level(level)
     omega_grid = np.asarray(omega_grid, dtype=float)
     kvals = profile.contrast(omega_grid)
     bgrid_omega = unit_circle_grid(n_measure)

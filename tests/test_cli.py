@@ -531,6 +531,26 @@ def _boolean(key, literal="true"):
     return f"no config key takes true or false: {key} is {literal}"
 
 
+def _line(message):
+    """The whole stderr line of a config refused with ``message``."""
+    return f"mfeit: invalid configuration: {message}\n"
+
+
+def _refuse_solves(monkeypatch):
+    """Make every solve and input read raise, so a test sees which config
+    checks run before them."""
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved or read before the config was checked")
+
+    # the sweep's start solve and clean synthesis, extract's fit, the
+    # assembly that synth and spectrum start with, and every input read
+    for module, name in ((reconstruct, "_point"), (reconstruct, "synthesize"),
+                         (disentangle, "_check_contrasts"), (cli, "assemble"),
+                         (cli, "_read_input")):
+        monkeypatch.setattr(module, name, solve)
+
+
 @pytest.mark.parametrize("command,section,key,value,message", [
     pytest.param("synth", "omega", "count", 2.5,
                  "omega.count must be an integer >= 1, got 2.5",
@@ -541,17 +561,25 @@ def _boolean(key, literal="true"):
     pytest.param("synth", "omega", "count", True, _boolean("omega.count"),
                  id="omega-count-bool"),
     pytest.param("synth", None, "omega", [],
-                 "omega must be a non-empty list of frequencies",
-                 id="omega-empty"),
+                 _line("omega must be a non-empty list of frequencies, "
+                       "got []"), id="omega-empty"),
     pytest.param("sweep", None, "omega", 5.0,
-                 "omega must be a non-empty list of frequencies",
-                 id="omega-scalar"),
+                 _line("omega must be a non-empty list of frequencies, "
+                       "got 5.0"), id="omega-scalar"),
+    # a bound of omega that is not a number, or a frequency
+    pytest.param("synth", "omega", "stop", [50.0],
+                 _line("omega.stop must be a number, got [50.0]"),
+                 id="omega-stop-list"),
+    pytest.param("sweep", None, "omega", ["a", 20.0],
+                 _line("omega must be a non-empty list of frequencies, "
+                       "got ['a', 20.0]"), id="omega-list-str"),
     pytest.param("synth", None, "seed", 1.5,
                  "seed must be an integer >= 0, got 1.5", id="seed-1.5"),
     pytest.param("synth", None, "seed", True, _boolean("seed"),
                  id="seed-bool"),
     pytest.param("invert", "inversion", "n_fourier_modes", 2.5,
-                 "n_fourier_modes must be an integer in 0..16, got 2.5",
+                 _line("inversion.n_fourier_modes must be an integer in "
+                       "0..16, got 2.5"),
                  id="inversion-n_fourier_modes-2.5"),
     pytest.param("invert", "inversion", "n_fourier_modes", True,
                  _boolean("inversion.n_fourier_modes"),
@@ -569,9 +597,14 @@ def _boolean(key, literal="true"):
     pytest.param("sweep", None, "seeds", [True], _boolean("seeds[0]"),
                  id="seeds-bool"),
     *(pytest.param("sweep", None, "noise_levels", value,
-                   f"noise_levels must be a non-empty list of numbers, "
-                   f"got {value!r}", id=f"noise_levels-{kind}")
+                   _line(f"noise_levels must be a non-empty list of numbers "
+                         f">= 0, got {value!r}"), id=f"noise_levels-{kind}")
       for kind, value in [("scalar", 3), ("str", ["a"]), ("empty", [])]),
+    # a repeated level or seed would count one row twice
+    *(pytest.param("sweep", None, key, value,
+                   _line(f"{key} must be distinct, got {value!r}"),
+                   id=f"{key}-repeated")
+      for key, value in [("noise_levels", [1e-3, 1e-3]), ("seeds", [1, 1])]),
     *(pytest.param(command, None, "max_poles", 2.5,
                    "max_poles must be an integer >= 0, got 2.5",
                    id=f"{command}-max_poles-2.5")
@@ -616,9 +649,10 @@ def _boolean(key, literal="true"):
       for kind, profile, message in [
           ("unknown-parameter", dict(BASE["profile"], tau=0.1),
            "unexpected keyword argument 'tau'"),
-          ("no-model", {"k_r": -0.5, "c": 0.05}, "'model'"),
+          ("no-model", {"k_r": -0.5, "c": 0.05},
+           _line("profile.model must be 'affine' or 'debye', got None")),
           ("unknown-model", {"model": "cole", "k_r": -0.5},
-           "unknown frequency profile model 'cole'"),
+           _line("profile.model must be 'affine' or 'debye', got 'cole'")),
           ("on-the-axis", {"model": "affine", "k_r": -0.5, "c": 0.0},
            "contrast (-0.5+0j) touches the closed negative real axis")]),
     # checked before the inversion and before the assembly
@@ -670,16 +704,7 @@ def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
             "spectrum": {"domain": BASE["domain"], "shape": {"cos": [0.5]},
                          "n_modes": 4}}[command])
     (cfg if section is None else cfg[section])[key] = value
-
-    def solve(*args, **kwargs):
-        raise AssertionError("solved or read before the config was checked")
-
-    # the sweep's start solve and clean synthesis, extract's fit, the
-    # assembly that synth and spectrum start with, and every input read
-    for module, name in ((reconstruct, "_point"), (reconstruct, "synthesize"),
-                         (disentangle, "_check_contrasts"), (cli, "assemble"),
-                         (cli, "_read_input")):
-        monkeypatch.setattr(module, name, solve)
+    _refuse_solves(monkeypatch)
     out = tmp_path / "o"
     assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
     assert message in capsys.readouterr().err
@@ -724,7 +749,8 @@ def test_negative_eta_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("synth", write_cfg(tmp_path, "c.json", dict(BASE, eta=-1e-4)),
                out) == 2
-    assert "noise level eta must be a number >= 0, got -0.0001" in capsys.readouterr().err
+    assert capsys.readouterr().err == _line(
+        "eta must be a number >= 0, got -0.0001")
     assert not (out / "dataset.csv").exists()
 
 
@@ -733,7 +759,9 @@ def test_negative_sweep_noise_level_exits_2(tmp_path, capsys):
                inversion={"n_fourier_modes": 0, "alpha": 0.0})
     out = tmp_path / "sw"
     assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 2
-    assert "noise level eta must be a number >= 0, got -0.001" in capsys.readouterr().err
+    assert capsys.readouterr().err == _line(
+        "noise_levels must be a non-empty list of numbers >= 0, "
+        "got [-0.001, 0.001]")
     assert not (out / "sweep.csv").exists()
 
 
@@ -743,8 +771,8 @@ def test_negative_fourier_mode_count_exits_2_naming_it(tmp_path, capsys):
     cfg["inversion"]["n_fourier_modes"] = -1
     out = tmp_path / "i"
     assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 2
-    assert "n_fourier_modes must be an integer in 0..16, got -1" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err == _line(
+        "inversion.n_fourier_modes must be an integer in 0..16, got -1")
     assert not (out / "shape.json").exists()
 
 
@@ -867,6 +895,52 @@ def test_checked_in_configs_run_with_valid_manifests(tmp_path, monkeypatch):
             t = p.read_text()
             assert t == json.dumps(json.loads(t), sort_keys=True,
                                    indent=2) + "\n"
+
+
+def _key_paths(node: dict, prefix: str = ""):
+    """The path of each key of a config, sections and the keys in them."""
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
+#: values of kinds that no config key takes, but for a string at an input
+#: path, which is skipped; an object in place of a section has the unknown
+#: key ``x``
+WRONG_KINDS = {"str": "x", "object": {"x": 0}, "nested-list": [[1.0]]}
+
+
+# the first six runs take each command once, from its checked-in config
+@pytest.mark.parametrize("name,command,path,kind", [
+    pytest.param(name, command, path, kind, id=f"{command}-{path}-{kind}")
+    for name, command, _ in CONFIG_RUNS[:6]
+    for path in _key_paths(json.loads((CONFIGS / name).read_text()))
+    for kind in WRONG_KINDS
+    if not (path.startswith("inputs.") and kind == "str")])
+def test_wrong_kind_at_each_config_key_exits_2_naming_it(
+        tmp_path, capsys, monkeypatch, name, command, path, kind):
+    """Each key path of the checked-in configs, at each wrong kind, exits 2
+    before any solve or read, with a message that starts with the key path;
+    an object in place of a section may instead be refused for its unknown
+    key, or for a key of the section that it lacks."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    *parents, key = path.split(".")
+    target = cfg
+    for parent in parents:
+        target = target[parent]
+    replaced, target[key] = target[key], copy.deepcopy(WRONG_KINDS[kind])
+    _refuse_solves(monkeypatch)
+    out = tmp_path / "o"
+    assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
+    err = capsys.readouterr().err
+    head = f"mfeit: invalid configuration: {path}"
+    named = err.startswith((f"{head} ", f"{head}: "))
+    section = isinstance(replaced, dict) and kind == "object" and (
+        err.endswith("unexpected keyword argument 'x'\n")
+        or err.startswith(f"{head}."))
+    assert named or section, err
+    assert not (out.exists() and any(out.iterdir()))
 
 
 def test_trefoil_sweep_config_rows_are_all_ok(tmp_path):
