@@ -58,8 +58,7 @@ def _dump(obj) -> str:
 
 def _load_config(raw: bytes, path: str) -> dict:
     """The config parsed from ``raw``; ``NaN``, ``Infinity`` and overflowing
-    numbers such as ``1e999`` raise ``ValueError`` naming the literal, and
-    ``true`` or ``false`` anywhere, which no key takes, naming its key path."""
+    numbers such as ``1e999`` raise ``ValueError`` naming the literal."""
 
     def finite(literal: str) -> float:
         value = float(literal)
@@ -67,26 +66,13 @@ def _load_config(raw: bytes, path: str) -> dict:
             raise ValueError(f"non-finite number {literal} in {path}")
         return value
 
-    def no_booleans(node, key: str) -> None:
-        if isinstance(node, bool):
-            raise ValueError(f"no config key takes true or false: {key} is "
-                             f"{json.dumps(node)} in {path}")
-        if isinstance(node, dict):
-            for k, v in node.items():
-                no_booleans(v, f"{key}.{k}" if key else k)
-        elif isinstance(node, list):
-            for i, v in enumerate(node):
-                no_booleans(v, f"{key}[{i}]")
-
     try:
-        cfg = json.loads(raw.decode(), parse_float=finite,
-                         parse_constant=finite)
+        return json.loads(raw.decode(), parse_float=finite,
+                          parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    no_booleans(cfg, "")
-    return cfg
 
 
 def _read_input(rel: str, cls, manifest: dict):
@@ -109,12 +95,17 @@ def _section(value, key: str, optional: bool = False) -> dict:
 
 
 def _fourier(key: str, section) -> tuple:
-    """(cos, sin) coefficients of the ``shape`` or ``current`` section."""
-    cos, sin = (lambda cos=(), sin=(): (cos, sin))(**_section(section, key))
+    """(cos, sin) coefficients of the ``shape`` or ``current`` section: a
+    shape has its mean radius ``cos[0]``, a current a nonzero coefficient."""
+    cos, sin = (lambda cos=[], sin=[]: (cos, sin))(**_section(section, key))
     for name, values in (("cos", cos), ("sin", sin)):
         check(values, f"{key}.{name}", "a list of numbers",
               lambda v: isinstance(v, (list, tuple))
               and all(map(_is_number, v)))
+    if key == "shape":
+        check(cos, "shape.cos", "a non-empty list of numbers", len)
+    else:
+        check(section, key, "nonzero", lambda v: any(cos) or any(sin))
     return cos, sin
 
 
@@ -207,6 +198,8 @@ def cmd_extract(manifest: dict, *, inputs, domain=None, max_poles=6,
     path = (lambda dataset: dataset)(**_section(inputs, "inputs"))
     check(path, "inputs.dataset", "a string", lambda v: isinstance(v, str))
     data = _read_input(path, MultiFreqData, manifest)
+    # the codec reads any point count, the measurement grid does not
+    check_grid_size(data.U.shape[0], 16, f"points of {path}")
     model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
     u0 = extract_u0(model, domain.k0)
     return {"model.json": model.report(domain.k0), "u0.csv": u0.to_csv(),
@@ -263,7 +256,7 @@ def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
     res = stability_sweep(shape, _fourier("current", current), profile,
                           _omega(omega), noise_levels, settings, seeds,
                           max_poles=max_poles, n_forward=n_boundary,
-                          n_measure=n_measure, allow_degenerate=True)
+                          n_measure=n_measure)
     manifest["seeds"] = list(seeds)
     return {"sweep.csv": res.to_csv(), "summary.json": res.summary}
 

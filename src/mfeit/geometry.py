@@ -46,8 +46,10 @@ class DomainConfig:
         for key, value in vars(self).items():
             check(value, f"domain.{key}", "a number", _is_number)
         check(self.k0, "domain.k0", "a number > 0", lambda k0: k0 > 0)
-        if not (0 < self.b0 < 1 - self.delta):
-            raise ValueError("need 0 < b0 < 1 - delta")
+        # the band (b0, 1 - delta) lies inside the unit disk
+        check(self.delta, "domain.delta", "a number > 0", lambda d: d > 0)
+        check(self.b0, "domain.b0", "in (0, 1 - delta)",
+              lambda b0: 0 < b0 < 1 - self.delta)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainConfig":

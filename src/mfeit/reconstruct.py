@@ -226,7 +226,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     and compare with the truth by symmetric difference. Fits
     |D delta D~| = C (1/ln eps^-1)^tau and C' eps^tau' over the noisy levels.
     Every input, the contrasts too, is checked before any solve. Rows run
-    in order; ``threads`` is accepted and ignored.
+    in order; ``threads`` and ``allow_degenerate`` are accepted and ignored.
     """
     check_list(noise_levels, "noise_levels", "numbers >= 0",
                lambda v: _is_number(v) and v >= 0)
@@ -236,11 +236,6 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
         check(values, key, "distinct", lambda v: len(set(v)) == len(v))
     check(max_poles, "max_poles", "an integer >= 0", _is_count)
     noise_levels = sorted(float(v) for v in noise_levels)
-    if not allow_degenerate:
-        if len(noise_levels) < 4:
-            raise ValueError("need at least 4 noise levels")
-        if len(seeds) < 3:
-            raise ValueError("need at least 3 seeds per level")
     omega_grid = np.asarray(omega_grid, dtype=float)
     kvals = profile.contrast(omega_grid)
     bgrid_omega = unit_circle_grid(n_measure)

@@ -174,10 +174,12 @@ def test_criterion_8_stability_sweep():
     t0 = time.time()
     prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
     settings = InversionSettings(n_fourier_modes=0, alpha=0.0)
+    levels, seeds = [1e-4, 1e-3, 1e-2, 5e-2], [1, 2, 3]
+    # the fitted laws rest on at least 4 noisy levels of 3 seeds each
+    assert len(levels) >= 4 and len(seeds) >= 3
     res = stability_sweep(circle(R0), ([1.0], []), prof,
-                          np.linspace(10.0, 50.0, 40),
-                          [1e-4, 1e-3, 1e-2, 5e-2], settings,
-                          seeds=[1, 2, 3], max_poles=4, n_forward=128)
+                          np.linspace(10.0, 50.0, 40), levels, settings,
+                          seeds=seeds, max_poles=4, n_forward=128)
     med = res.summary["sym_diff_median"]
     monotone = all(a <= b for a, b in zip(med, med[1:]))
     tau = res.summary["log_model"]["tau"]

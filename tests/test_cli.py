@@ -526,11 +526,6 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command,
     assert repr(key) in capsys.readouterr().err
 
 
-def _boolean(key, literal="true"):
-    """The config loader's message for a JSON boolean at ``key``."""
-    return f"no config key takes true or false: {key} is {literal}"
-
-
 def _line(message):
     """The whole stderr line of a config refused with ``message``."""
     return f"mfeit: invalid configuration: {message}\n"
@@ -558,7 +553,8 @@ def _refuse_solves(monkeypatch):
     pytest.param("synth", "omega", "count", 0,
                  "omega.count must be an integer >= 1, got 0",
                  id="omega-count-0"),
-    pytest.param("synth", "omega", "count", True, _boolean("omega.count"),
+    pytest.param("synth", "omega", "count", True,
+                 _line("omega.count must be an integer >= 1, got True"),
                  id="omega-count-bool"),
     pytest.param("synth", None, "omega", [],
                  _line("omega must be a non-empty list of frequencies, "
@@ -575,16 +571,19 @@ def _refuse_solves(monkeypatch):
                        "got ['a', 20.0]"), id="omega-list-str"),
     pytest.param("synth", None, "seed", 1.5,
                  "seed must be an integer >= 0, got 1.5", id="seed-1.5"),
-    pytest.param("synth", None, "seed", True, _boolean("seed"),
+    pytest.param("synth", None, "seed", True,
+                 _line("seed must be an integer >= 0, got True"),
                  id="seed-bool"),
     pytest.param("invert", "inversion", "n_fourier_modes", 2.5,
                  _line("inversion.n_fourier_modes must be an integer in "
                        "0..16, got 2.5"),
                  id="inversion-n_fourier_modes-2.5"),
     pytest.param("invert", "inversion", "n_fourier_modes", True,
-                 _boolean("inversion.n_fourier_modes"),
+                 _line("inversion.n_fourier_modes must be an integer in "
+                       "0..16, got True"),
                  id="inversion-n_fourier_modes-bool"),
-    pytest.param("spectrum", None, "n_modes", True, _boolean("n_modes"),
+    pytest.param("spectrum", None, "n_modes", True,
+                 _line("n_modes must be an integer >= 0, got True"),
                  id="spectrum-n_modes-True"),
     pytest.param("spectrum", None, "n_modes", -1,
                  "n_modes must be an integer >= 0, got -1",
@@ -594,8 +593,9 @@ def _refuse_solves(monkeypatch):
                    f"got {value!r}", id=f"seeds-{kind}")
       for kind, value in [("float", [1.5]), ("str", ["a"]), ("negative", [-1]),
                           ("scalar", 3), ("empty", [])]),
-    pytest.param("sweep", None, "seeds", [True], _boolean("seeds[0]"),
-                 id="seeds-bool"),
+    pytest.param("sweep", None, "seeds", [True],
+                 _line("seeds must be a non-empty list of integers >= 0, "
+                       "got [True]"), id="seeds-bool"),
     *(pytest.param("sweep", None, "noise_levels", value,
                    _line(f"noise_levels must be a non-empty list of numbers "
                          f">= 0, got {value!r}"), id=f"noise_levels-{kind}")
@@ -609,34 +609,45 @@ def _refuse_solves(monkeypatch):
                    "max_poles must be an integer >= 0, got 2.5",
                    id=f"{command}-max_poles-2.5")
       for command in ("sweep", "extract")),
-    pytest.param("synth", None, "eta", True, _boolean("eta"), id="eta-bool"),
-    pytest.param("extract", None, "fit_tol", True, _boolean("fit_tol"),
+    pytest.param("synth", None, "eta", True,
+                 _line("eta must be a number >= 0, got True"), id="eta-bool"),
+    pytest.param("extract", None, "fit_tol", True,
+                 _line("fit_tol must be a number > 0, got True"),
                  id="fit_tol-True"),
     *(pytest.param("extract", None, "fit_tol", value,
                    f"fit_tol must be a number > 0, got {value!r}",
                    id=f"fit_tol-{value}") for value in (-1, 0)),
     pytest.param("invert", "inversion", "alpha", True,
-                 _boolean("inversion.alpha"), id="alpha-bool"),
-    # no config key takes a boolean, wherever it sits
-    pytest.param("synth", "domain", "k0", True, _boolean("domain.k0"),
+                 _line("inversion.alpha must be a number >= 0, got True"),
+                 id="alpha-bool"),
+    # no config key takes a boolean, wherever it sits: each key's own rule
+    # refuses it
+    pytest.param("synth", "domain", "k0", True,
+                 _line("domain.k0 must be a number, got True"),
                  id="domain-k0-bool"),
-    pytest.param("synth", "omega", "start", True, _boolean("omega.start"),
+    pytest.param("synth", "omega", "start", True,
+                 _line("omega.start must be a number, got True"),
                  id="omega-start-bool"),
-    pytest.param("synth", None, "omega", [True, 20, 30], _boolean("omega[0]"),
-                 id="omega-list-bool"),
-    pytest.param("synth", "current", "cos", [True], _boolean("current.cos[0]"),
+    pytest.param("synth", None, "omega", [True, 20, 30],
+                 _line("omega must be a non-empty list of frequencies, "
+                       "got [True, 20, 30]"), id="omega-list-bool"),
+    pytest.param("synth", "current", "cos", [True],
+                 _line("current.cos must be a list of numbers, got [True]"),
                  id="current-cos-bool"),
     pytest.param("synth", "profile", "k_r", False,
-                 _boolean("profile.k_r", "false"), id="profile-k_r-bool"),
+                 _line("profile.k_r must be a number, got False"),
+                 id="profile-k_r-bool"),
     pytest.param("forward", None, "contrasts", [[True, 0]],
-                 _boolean("contrasts[0][0]"), id="contrasts-bool"),
+                 _line("contrasts must be a non-empty list of [re, im] number "
+                       "pairs, got [[True, 0]]"), id="contrasts-bool"),
     *(pytest.param("forward", None, "contrasts", value,
                    f"contrasts must be a non-empty list of [re, im] number "
                    f"pairs, got {value!r}", id=f"contrasts-{kind}")
       for kind, value in [("empty", []), ("scalar", [2.0]),
                           ("single", [[2.0]]), ("triple", [[1, 2, 3]]),
                           ("str", [["a", 0]])]),
-    pytest.param("spectrum", None, "tail", True, _boolean("tail"),
+    pytest.param("spectrum", None, "tail", True,
+                 _line("tail must be a number >= 0, got True"),
                  id="spectrum-tail-bool"),
     # a negative tail would keep the unresolved modes at lambda = 1/2
     *(pytest.param("spectrum", None, "tail", value,
@@ -684,6 +695,29 @@ def _refuse_solves(monkeypatch):
     *(pytest.param("synth", section, "cos", ["x"],
                    f"{section}.cos must be a list of numbers, got ['x']",
                    id=f"{section}-cos-str") for section in ("shape", "current")),
+    # the band of the admissible class inside the unit disk, and a shape
+    # without its mean radius
+    pytest.param("synth", "domain", "b0", 0.95,
+                 _line("domain.b0 must be in (0, 1 - delta), got 0.95"),
+                 id="domain-b0-above-the-band"),
+    pytest.param("synth", "domain", "b0", 0.9,  # delta is 0.1
+                 _line("domain.b0 must be in (0, 1 - delta), got 0.9"),
+                 id="domain-b0-at-1-delta"),
+    *(pytest.param("forward", "domain", "delta", value,
+                   _line(f"domain.delta must be a number > 0, got {value!r}"),
+                   id=f"domain-delta-{value}") for value in (0.0, -0.5)),
+    pytest.param("synth", "shape", "cos", [],
+                 _line("shape.cos must be a non-empty list of numbers, "
+                       "got []"), id="shape-cos-empty"),
+    pytest.param("spectrum", None, "shape", {},
+                 _line("shape.cos must be a non-empty list of numbers, "
+                       "got []"), id="shape-empty"),
+    # a current that injects nothing, even where the Cauchy file has f
+    *(pytest.param(command, None, "current", value,
+                   _line(f"current must be nonzero, got {value!r}"),
+                   id=f"{command}-current-{kind}")
+      for command in ("synth", "forward", "sweep", "invert")
+      for kind, value in [("empty", {}), ("zero", {"cos": [0.0]})]),
 ])
 def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
                                                       monkeypatch, command,
@@ -708,7 +742,6 @@ def test_config_value_of_wrong_kind_exits_2_naming_it(tmp_path, capsys,
     out = tmp_path / "o"
     assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
     assert message in capsys.readouterr().err
-    # the config loader refuses a boolean before the output directory exists
     assert not (out.exists() and any(out.iterdir()))
 
 
@@ -908,7 +941,8 @@ def _key_paths(node: dict, prefix: str = ""):
 #: values of kinds that no config key takes, but for a string at an input
 #: path, which is skipped; an object in place of a section has the unknown
 #: key ``x``
-WRONG_KINDS = {"str": "x", "object": {"x": 0}, "nested-list": [[1.0]]}
+WRONG_KINDS = {"str": "x", "object": {"x": 0}, "nested-list": [[1.0]],
+               "bool": True}
 
 
 # the first six runs take each command once, from its checked-in config
@@ -969,11 +1003,13 @@ def test_extract_rejects_a_contrast_on_the_negative_real_axis(tmp_path,
 
 def test_extract_of_data_with_a_pole_outside_the_class_exits_3(tmp_path,
                                                               capsys):
-    # one pole at c = -0.8, past the class segment |c| <= 0.4919 (b0 = 0.2)
+    # one pole at c = -0.8, past the class segment |c| <= 0.4919 (b0 = 0.2),
+    # at the 16 points of the smallest measurement grid
     k = -0.3 + 1j * np.linspace(0.4, 3.0, 24)
     c = (1.0 + k) / (2 * (1.0 - k))
     rng = np.random.default_rng(1)
-    U = rng.standard_normal(6)[:, None] + rng.standard_normal((6, 1)) / (c + 0.8)
+    U = (rng.standard_normal(16)[:, None]
+         + rng.standard_normal((16, 1)) / (c + 0.8))
     dataset = tmp_path / "d.csv"
     dataset.write_text(MultiFreqData(omega=np.arange(24.0), k=k, U=U).to_csv())
     ext = {"domain": BASE["domain"], "fit_tol": 1e-3,
@@ -983,6 +1019,24 @@ def test_extract_of_data_with_a_pole_outside_the_class_exits_3(tmp_path,
     assert ("FitDiverged: pole c = -0.8 outside the segment |c| < 0.49187"
             in capsys.readouterr().err)
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("points", [63, 14])
+def test_dataset_the_measurement_grid_cannot_take_exits_2_naming_it(
+        tmp_path, capsys, points):
+    """The codec reads any point count; ``extract`` refuses a dataset whose
+    points are not an even count >= 16, so it writes no u0 that ``invert``
+    would refuse, naming the file."""
+    omega = np.linspace(10.0, 50.0, 40)
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(MultiFreqData(omega=omega, k=-0.5 + 0.05j * omega,
+                                     U=np.ones((points, 40), complex)).to_csv())
+    ext = {"domain": BASE["domain"], "inputs": {"dataset": str(dataset)}}
+    out = tmp_path / "e"
+    assert run("extract", write_cfg(tmp_path, "e.json", ext), out) == 2
+    assert (f"points of {dataset}: need even n >= 16 nodes, got {points}"
+            in capsys.readouterr().err)
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_sweep_identical_across_threads(tmp_path):

@@ -312,18 +312,6 @@ def test_out_of_class_optimum_and_step_count_are_kept(f_cos, shape, M, J,
     assert res.converged and res.hit_constraint
 
 
-def test_stability_sweep_validates_inputs():
-    st0 = InversionSettings(n_fourier_modes=0, alpha=0.0)
-    from mfeit.forward import FrequencyProfile
-    prof = FrequencyProfile("affine", {"k_r": -0.5, "c": 0.05})
-    with pytest.raises(ValueError):
-        stability_sweep(circle(R0), ([1.0], []), prof, [1, 2], [0.0, 1e-3],
-                        st0, seeds=[1, 2, 3])
-    with pytest.raises(ValueError):
-        stability_sweep(circle(R0), ([1.0], []), prof, [1, 2],
-                        [0.0, 1e-4, 1e-3, 1e-2], st0, seeds=[1])
-
-
 def test_stability_sweep_synthesizes_at_the_background_k0():
     """Synthesis and extraction share k0 = 2: the near-clean row recovers."""
     from mfeit.forward import FrequencyProfile
