@@ -31,8 +31,8 @@ from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       _write_table, current_from_fourier,
                       solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, _is_count, _is_number, build_star_shape,
-                       check, check_grid_size, check_list, discretize,
-                       unit_circle_grid)
+                       check, check_gap, check_grid_size, check_list,
+                       discretize, unit_circle_grid)
 from .potential import assemble
 from .reconstruct import (InversionSettings, invert, stability_sweep,
                           symmetric_difference)
@@ -144,6 +144,7 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
     _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**_section(domain, "domain", optional=True))
     shape = build_star_shape(*_fourier("shape", shape), domain)
+    check_gap(shape, n_boundary)
     theta = unit_circle_grid(n_measure).t
     kernels = assemble(discretize(shape, n_boundary))
     spec = compute_spectrum(kernels, n_modes, k0=domain.k0,
@@ -160,6 +161,7 @@ def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
     _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**_section(domain, "domain", optional=True))
     shape = build_star_shape(*_fourier("shape", shape), domain)
+    check_gap(shape, n_boundary)
     f = current_from_fourier(*_fourier("current", current),
                              unit_circle_grid(n_measure))
     check_list(contrasts, "contrasts", "[re, im] number pairs",
@@ -177,6 +179,7 @@ def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
     _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**_section(domain, "domain", optional=True))
     shape = build_star_shape(*_fourier("shape", shape), domain)
+    check_gap(shape, n_boundary)
     f = current_from_fourier(*_fourier("current", current),
                              unit_circle_grid(n_measure))
     check(seed, "seed", "an integer >= 0", lambda v: v is None or _is_count(v))
@@ -250,6 +253,7 @@ def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
     _check_grids(n_measure, n_boundary)
     domain = DomainConfig(**_section(domain, "domain", optional=True))
     shape = build_star_shape(*_fourier("shape", shape), domain)
+    check_gap(shape, n_boundary)
     settings = InversionSettings(
         **_section(inversion, "inversion", optional=True), config=domain)
     profile = FrequencyProfile.from_dict(_section(profile, "profile"))

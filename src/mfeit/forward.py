@@ -25,14 +25,13 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, _is_number, check,
                        discretize, fourier_series, unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
                         _target_kernel, eval_S, kress_log_matrix,
-                        neumann_normal_derivative, trace_matrix)
+                        neumann_normal_derivative, sla, trace_matrix)
 from .spectrum import NPSpectrum
 
 #: smallest admitted distance of a forward system from singularity

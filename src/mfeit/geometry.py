@@ -239,6 +239,12 @@ class BoundaryGrid:
     def perimeter(self) -> float:
         return float(np.sum(self.weights))
 
+    @property
+    def zone(self) -> float:
+        """Accuracy zone h max|x'|, one local grid spacing: an off-boundary
+        target this close to a node raises ``TargetTooClose``."""
+        return self.h * float(np.max(self.jacobian))
+
 
 def discretize(shape: StarShape, n: int) -> BoundaryGrid:
     """Quadrature grid with n nodes on the boundary of a star shape.
@@ -266,6 +272,17 @@ def _star_grid(shape: StarShape, n: int) -> BoundaryGrid:
     kappa = (r * r + 2 * r1 * r1 - r * r2) / jac**3
     return BoundaryGrid(t=t, points=pts, normals=nrm, jacobian=jac,
                         curvature=kappa)
+
+
+def check_gap(shape: StarShape, n_boundary: int) -> None:
+    """Raise ``ValueError`` naming ``n_boundary`` unless the shape's nodes at
+    that size keep a gap to the unit circle wider than their accuracy zone,
+    so that no measurement point can raise ``TargetTooClose``."""
+    grid = _star_grid(shape, n_boundary)
+    gap = 1.0 - float(np.max(np.hypot(grid.points[:, 0], grid.points[:, 1])))
+    check(n_boundary, "n_boundary",
+          f"so large that the accuracy zone {grid.zone:.3g} lies inside the "
+          f"shape's gap {gap:.3g} to the unit circle", lambda n: gap > grid.zone)
 
 
 @lru_cache(maxsize=16)

@@ -45,14 +45,39 @@ by 4 MB at n = 512: LAPACK factors that matrix in place instead.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DomainViolation, SingularEvaluation, TargetTooClose
 from .geometry import BoundaryGrid, check_grid_size
+
+
+def _lazy_module(name: str):
+    """``sys.modules[name]``, registered now and executed on first access.
+
+    A module already loaded is returned as it is. Otherwise the module is
+    registered through ``importlib.util.LazyLoader`` and runs when one of
+    its attributes is first read, so a start that never solves (``extract``,
+    a refused config) skips the import (about 0.27 s and 22 MB for
+    ``scipy.linalg``). Registering it, rather than importing it inside each
+    function, keeps ``sys.modules[name]`` present for code that looks it up
+    before any solve, and every caller shares the one module object.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+sla = _lazy_module("scipy.linalg")
 
 
 def _dot(a, b):
@@ -282,18 +307,17 @@ def assemble(grid: BoundaryGrid) -> KernelMatrices:
 def _target_kernel(grid: BoundaryGrid, targets) -> np.ndarray:
     """Matrix N(target, node) of the Neumann kernel for off-boundary targets.
 
-    Targets must keep a distance of at least one local grid spacing
-    2 pi max|x'| / n from the boundary, where the kernel is smooth enough;
+    Targets must keep a distance of more than ``grid.zone``, one local grid
+    spacing 2 pi max|x'| / n, from the boundary, where the kernel is smooth;
     the check reuses the squared distances the kernel is built from.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     z = grid.points[None, :, :]
     d2, img2 = _pair_terms(targets[:, None, :], z)
     dist = float(np.sqrt(np.min(d2)))
-    zone = grid.h * float(np.max(grid.jacobian))
-    if dist <= zone:
-        raise TargetTooClose(
-            f"target at distance {dist:.3g} inside accuracy zone {zone:.3g}")
+    if dist <= grid.zone:
+        raise TargetTooClose(f"target at distance {dist:.3g} inside accuracy "
+                             f"zone {grid.zone:.3g}")
     return _neumann(z, d2, img2)
 
 

@@ -220,6 +220,41 @@ def test_invert_survives_a_trial_inside_the_accuracy_zone(tmp_path):
                tmp_path / "i") == 0
 
 
+#: each command that solves forward on the config shape, at 256 nodes
+ZONE_CONFIGS = {
+    "spectrum": {"shape": {"cos": [0.5]}, "n_modes": 4},
+    "forward": dict(FORWARD, contrasts=[[2.0, 0.0]]),
+    "synth": BASE,
+    "sweep": dict(SWEEP, noise_levels=[1e-3], seeds=[1], max_poles=4),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ZONE_CONFIGS))
+def test_shape_inside_the_accuracy_zone_exits_2_naming_n_boundary(
+        tmp_path, capsys, monkeypatch, command):
+    # radius 0.99 is in the class for delta 0.005, but its gap 0.01 to the
+    # measurement circle is inside the zone 2 pi 0.99 / 256 = 0.0243, where
+    # a forward solve raised TargetTooClose and exited 3
+    cfg = dict(ZONE_CONFIGS[command], domain={"b0": 0.2, "delta": 0.005},
+               shape={"cos": [0.99]}, n_boundary=256)
+    _refuse_solves(monkeypatch)
+    out = tmp_path / "o"
+    assert run(command, write_cfg(tmp_path, "c.json", cfg), out) == 2
+    assert capsys.readouterr().err == _line(
+        "n_boundary must be so large that the accuracy zone 0.0243 lies "
+        "inside the shape's gap 0.01 to the unit circle, got 256")
+    assert not (out.exists() and any(out.iterdir()))
+
+
+def test_shape_outside_the_accuracy_zone_runs(tmp_path):
+    # gap 0.04 against the zone 2 pi 0.96 / 256 = 0.0236
+    cfg = dict(json.loads((CONFIGS / "forward.json").read_text()),
+               domain={"b0": 0.2, "delta": 0.03}, shape={"cos": [0.96]})
+    out = tmp_path / "fwd"
+    assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 0
+    assert (out / "forward.csv").exists()
+
+
 def test_synth_evaluates_its_profile_once(tmp_path, monkeypatch):
     calls = []
 
