@@ -28,7 +28,7 @@ import numpy as np
 from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      _write_table, current_from_fourier,
+                      _check_zero_mean, _write_table, current_from_fourier,
                       solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, _is_count, _is_number, build_star_shape,
                        check, check_gap, check_grid_size, check_list,
@@ -109,11 +109,16 @@ def _fourier(key: str, section) -> tuple:
     return cos, sin
 
 
-def _check_grids(n_measure, n_boundary) -> None:
-    """The measurement circle's rule for ``n_measure``, an inclusion grid's
-    for ``n_boundary``; checked before any grid is built."""
+def _inclusion(shape, domain, n_measure, n_boundary) -> tuple:
+    """(domain, shape, grid) of a command that solves on the config shape:
+    the grid sizes checked first, the measurement circle's rule for
+    ``n_measure`` and an inclusion grid's for ``n_boundary``, then the
+    domain, the class and the gap of the shape's ``n_boundary`` grid."""
     check_grid_size(n_measure, 16, "n_measure")
     check_grid_size(n_boundary, 32, "n_boundary")
+    domain = DomainConfig(**_section(domain, "domain", optional=True))
+    shape = build_star_shape(*_fourier("shape", shape), domain)
+    return domain, shape, check_gap(discretize(shape, n_boundary))
 
 
 def _linspace(start, stop, count):
@@ -141,13 +146,9 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
                  n_modes=12, n_measure=256, tail=DEFAULT_TAIL) -> dict:
     check(n_modes, "n_modes", "an integer >= 0", _is_count)
     check(tail, "tail", "a number >= 0", lambda v: _is_number(v) and v >= 0)
-    _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**_section(domain, "domain", optional=True))
-    shape = build_star_shape(*_fourier("shape", shape), domain)
-    check_gap(shape, n_boundary)
+    domain, shape, grid = _inclusion(shape, domain, n_measure, n_boundary)
     theta = unit_circle_grid(n_measure).t
-    kernels = assemble(discretize(shape, n_boundary))
-    spec = compute_spectrum(kernels, n_modes, k0=domain.k0,
+    spec = compute_spectrum(assemble(grid), n_modes, k0=domain.k0,
                             n_boundary=n_measure, tail=tail)
     bound = resonance_bound(shape, domain.k0)
     header = ["theta"] + [f"w{j}" for j in range(spec.lam.size)]
@@ -158,28 +159,21 @@ def cmd_spectrum(manifest: dict, *, shape, domain=None, n_boundary=256,
 
 def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
                 n_measure=64, n_boundary=256) -> dict:
-    _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**_section(domain, "domain", optional=True))
-    shape = build_star_shape(*_fourier("shape", shape), domain)
-    check_gap(shape, n_boundary)
+    domain, _, grid = _inclusion(shape, domain, n_measure, n_boundary)
     f = current_from_fourier(*_fourier("current", current),
                              unit_circle_grid(n_measure))
     check_list(contrasts, "contrasts", "[re, im] number pairs",
                lambda k: isinstance(k, list) and len(k) == 2
                and all(map(_is_number, k)))
     kvals = np.array([complex(re, im) for re, im in contrasts])
-    kernels = assemble(discretize(shape, n_boundary))
-    U = solve_forward_batched(kernels, f, kvals, domain.k0)
+    U = solve_forward_batched(assemble(grid), f, kvals, domain.k0)
     return {"forward.csv": MultiFreqData(
         omega=np.arange(kvals.size, dtype=float), k=kvals, U=U).to_csv()}
 
 
 def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
               n_measure=64, eta=0.0, seed=None, n_boundary=256) -> dict:
-    _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**_section(domain, "domain", optional=True))
-    shape = build_star_shape(*_fourier("shape", shape), domain)
-    check_gap(shape, n_boundary)
+    domain, _, grid = _inclusion(shape, domain, n_measure, n_boundary)
     f = current_from_fourier(*_fourier("current", current),
                              unit_circle_grid(n_measure))
     check(seed, "seed", "an integer >= 0", lambda v: v is None or _is_count(v))
@@ -188,8 +182,8 @@ def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
     profile = FrequencyProfile.from_dict(_section(profile, "profile"))
     kvals = profile.contrast(omega)
     manifest["seeds"] = [seed] if seed is not None else []
-    data = synthesize(assemble(discretize(shape, n_boundary)), f, omega, kvals,
-                      eta=eta, seed=seed, k0=domain.k0)
+    data = synthesize(assemble(grid), f, omega, kvals, eta=eta, seed=seed,
+                      k0=domain.k0)
     return {"dataset.csv": data.to_csv()}
 
 
@@ -225,8 +219,14 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
     data = _read_input(path, CauchyData, manifest)
     # the codec reads any row count, the measurement grid does not
     check_grid_size(data.u0.size, 16, f"rows of {path}")
-    f = None if coeffs is None else current_from_fourier(
-        *coeffs, unit_circle_grid(data.u0.size))
+    bgrid = unit_circle_grid(data.u0.size)
+    if data.f is not None:
+        # a zero current leaves u0 flat, which any circle fits
+        if not np.any(data.f):
+            raise ValueError(f"{path}: column f: injected current must be "
+                             f"nonzero")
+        _check_zero_mean(data.f, bgrid, f"{path}: column f: injected current")
+    f = None if coeffs is None else current_from_fourier(*coeffs, bgrid)
     if data.f is None:
         if f is None:
             raise ValueError(f"config needs current: {path} has no f column")
@@ -250,10 +250,7 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
 def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
               domain=None, inversion=None, seeds=(0, 1, 2), max_poles=6,
               n_boundary=256, n_measure=64) -> dict:
-    _check_grids(n_measure, n_boundary)
-    domain = DomainConfig(**_section(domain, "domain", optional=True))
-    shape = build_star_shape(*_fourier("shape", shape), domain)
-    check_gap(shape, n_boundary)
+    domain, shape, _ = _inclusion(shape, domain, n_measure, n_boundary)
     settings = InversionSettings(
         **_section(inversion, "inversion", optional=True), config=domain)
     profile = FrequencyProfile.from_dict(_section(profile, "profile"))

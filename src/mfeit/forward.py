@@ -31,7 +31,7 @@ from .geometry import (BoundaryGrid, StarShape, _is_number, check,
                        discretize, fourier_series, unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
                         _target_kernel, eval_S, kress_log_matrix,
-                        neumann_normal_derivative, sla, trace_matrix)
+                        neumann_normal_derivative, sla)
 from .spectrum import NPSpectrum
 
 #: smallest admitted distance of a forward system from singularity
@@ -406,7 +406,7 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
         dn_frak = harmonic_lift_normal_derivative(f, bgrid_omega, grid.points,
                                                   grid.normals)
         q = V.T @ (kernels.B @ (-dn_frak / k0))
-        TV = trace_matrix(grid, bgrid_omega.points) @ V
+        TV = eval_S(grid, V, bgrid_omega.points)
         U[:, live] += TV @ (q[:, None] / denom)
     return _recenter(U, bgrid_omega)
 

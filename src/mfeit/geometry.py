@@ -274,15 +274,15 @@ def _star_grid(shape: StarShape, n: int) -> BoundaryGrid:
                         curvature=kappa)
 
 
-def check_gap(shape: StarShape, n_boundary: int) -> None:
-    """Raise ``ValueError`` naming ``n_boundary`` unless the shape's nodes at
-    that size keep a gap to the unit circle wider than their accuracy zone,
-    so that no measurement point can raise ``TargetTooClose``."""
-    grid = _star_grid(shape, n_boundary)
+def check_gap(grid: BoundaryGrid) -> BoundaryGrid:
+    """``grid``, unless its nodes keep a gap to the unit circle no wider than
+    their accuracy zone, where a measurement point would raise
+    ``TargetTooClose``: then ``ValueError`` naming ``n_boundary``."""
     gap = 1.0 - float(np.max(np.hypot(grid.points[:, 0], grid.points[:, 1])))
-    check(n_boundary, "n_boundary",
+    check(grid.n, "n_boundary",
           f"so large that the accuracy zone {grid.zone:.3g} lies inside the "
           f"shape's gap {gap:.3g} to the unit circle", lambda n: gap > grid.zone)
+    return grid
 
 
 @lru_cache(maxsize=16)

@@ -35,11 +35,11 @@ Traced peaks, in n x n matrices: assembly builds K* in the free-space
 buffer of its two parts (-1), drops the image part and builds S in the
 image-term buffer (5.3 against 6.0 without both); the eigensolve lets
 LAPACK overwrite sym(B K*) (-1); the direct solve shifts its copy of K* in
-place and drops it early (-2). The m x n trace matrix is the Neumann kernel
-built in its image-term buffer and weighted in place (3.0 against 4.0 m x n
-matrices at m = 64, n = 256). Peak resident set of the benchmark's
-spectrum ladder (n up to 512): a fresh S, a rebound B or a rebound
-sym(B K*) each raise it, by about 0.3, 1 and 1.8 MB, and so would the
+place and drops it early (-2). The m x n trace matrix of ``eval_S`` is
+the Neumann kernel built in its image-term buffer and weighted in place
+(3.0 against 4.0 m x n matrices at m = 64, n = 256). Peak resident set of
+the benchmark's spectrum ladder (n up to 512): a fresh S, a rebound B or
+a rebound sym(B K*) each raise it, by about 0.3, 1 and 1.8 MB, and so would the
 untraced copy that ``np.linalg.solve`` makes of the direct solve's matrix,
 by 4 MB at n = 512: LAPACK factors that matrix in place instead.
 """
@@ -102,20 +102,6 @@ def _pair_terms(x, z):
     img2 = (1.0 - _dot(x, x)) * (1.0 - _dot(z, z))
     img2 += d2
     return d2, img2
-
-
-def neumann_kernel(x, z):
-    """Neumann function of the unit disk, elementwise over broadcast points.
-
-    ``x`` may lie anywhere in the closed disk, ``z`` strictly inside; the
-    two must not coincide.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    d2, img2 = _pair_terms(x, z)
-    if np.any(d2 == 0.0):
-        raise SingularEvaluation("Neumann kernel evaluated at x == z")
-    return _neumann(z, d2, img2)
 
 
 def _neumann(z, d2, img2):
@@ -321,17 +307,13 @@ def _target_kernel(grid: BoundaryGrid, targets) -> np.ndarray:
     return _neumann(z, d2, img2)
 
 
-def trace_matrix(grid: BoundaryGrid, targets) -> np.ndarray:
-    """Matrix of S_D from nodal densities to off-boundary targets (trapezoid).
+def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
+    """S_D[phi] at off-boundary targets (trapezoid); one density per column
+    allowed.
 
-    Targets obey the distance rule of ``_target_kernel``; the weights are
-    applied in place.
+    Targets obey the distance rule of ``_target_kernel``; its kernel matrix
+    takes the weights in place.
     """
     T = _target_kernel(grid, targets)
     T *= grid.weights[None, :]
-    return T
-
-
-def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
-    """S_D[phi] at off-boundary targets; one density per column allowed."""
-    return trace_matrix(grid, targets) @ np.asarray(density)
+    return T @ np.asarray(density)

@@ -228,8 +228,9 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     Every input, the contrasts too, is checked before any solve. Rows run
     in order; ``threads`` and ``allow_degenerate`` are accepted and ignored.
     """
-    check_list(noise_levels, "noise_levels", "numbers >= 0",
-               lambda v: _is_number(v) and v >= 0)
+    # the log law (1/ln eps^-1)^tau needs eps < 1
+    check_list(noise_levels, "noise_levels", "numbers in [0, 1)",
+               lambda v: _is_number(v) and 0 <= v < 1)
     check_list(seeds, "seeds", "integers >= 0", _is_count)
     # a repeated level or seed would count one row twice in the summary
     for key, values in (("noise_levels", noise_levels), ("seeds", seeds)):
@@ -251,30 +252,27 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     clean = synthesize(assemble(discretize(truth, n_forward)), f, omega_grid,
                        kvals, eta=0.0, seed=None, k0=settings.config.k0)
 
-    jobs = [(lv, sd) for lv in noise_levels
-            for sd in (seeds if lv > 0 else [seeds[0]])]
-
-    def run(job):
-        level, seed = job
-        try:
-            data = replace(clean, U=_add_noise(clean.U, level, seed))
-            eps = float(np.max(np.abs(data.U - clean.U)))
-            # fit down to the noise floor, never below quadrature accuracy
-            tol = max(level / max(float(np.max(np.abs(data.U))), 1e-300), 1e-11)
-            model = fit_rational(data, max_poles=max_poles, tol=tol,
-                                 config=settings.config)
-            u0_hat = extract_u0(model, settings.config.k0)
-            u0_hat.f = f
-            res = invert(u0_hat, settings, _start=start)
-            d = symmetric_difference(truth, res.shape)
-            return {"level": level, "eps_measured": eps, "seed": seed,
-                    "sym_diff": d, "status": "ok"}
-        except MfeitError as exc:
-            return {"level": level, "eps_measured": float("nan"), "seed": seed,
-                    "sym_diff": float("nan"),
-                    "status": f"failed:{type(exc).__name__}"}
-
-    rows = [run(job) for job in jobs]
+    rows = []
+    for level in noise_levels:
+        for seed in (seeds if level > 0 else seeds[:1]):
+            row = {"level": level, "eps_measured": float("nan"), "seed": seed,
+                   "sym_diff": float("nan")}
+            try:
+                data = replace(clean, U=_add_noise(clean.U, level, seed))
+                eps = float(np.max(np.abs(data.U - clean.U)))
+                # fit down to the noise floor, never below quadrature accuracy
+                tol = max(level / max(float(np.max(np.abs(data.U))), 1e-300),
+                          1e-11)
+                model = fit_rational(data, max_poles=max_poles, tol=tol,
+                                     config=settings.config)
+                u0_hat = extract_u0(model, settings.config.k0)
+                u0_hat.f = f
+                res = invert(u0_hat, settings, _start=start)
+                row.update(eps_measured=eps, sym_diff=symmetric_difference(
+                    truth, res.shape), status="ok")
+            except MfeitError as exc:
+                row["status"] = f"failed:{type(exc).__name__}"
+            rows.append(row)
 
     # per-level medians over seeds, noisy levels only, for the stability fits;
     # n_ok counts the rows each level's median rests on

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfeit import cli, disentangle, forward, reconstruct
+from mfeit import cli, disentangle, forward, geometry, reconstruct
 from mfeit.cli import _COMMANDS, main
 from mfeit.disentangle import fit_rational
 from mfeit.forward import CauchyData, MultiFreqData, solve_u0
@@ -253,6 +253,23 @@ def test_shape_outside_the_accuracy_zone_runs(tmp_path):
     out = tmp_path / "fwd"
     assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 0
     assert (out / "forward.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "forward", "synth"])
+def test_command_builds_its_inclusion_grid_once(tmp_path, monkeypatch,
+                                                command):
+    """The grid whose gap to the unit circle is checked is the one solved on."""
+    built = []
+    star_grid = geometry._star_grid
+
+    def counted(shape, n):
+        built.append((shape, n))
+        return star_grid(shape, n)
+
+    monkeypatch.setattr(geometry, "_star_grid", counted)
+    cfg = dict(ZONE_CONFIGS[command], n_boundary=128)
+    assert run(command, write_cfg(tmp_path, "c.json", cfg), tmp_path / "o") == 0
+    assert built.count((circle(0.5), 128)) == 1
 
 
 def test_synth_evaluates_its_profile_once(tmp_path, monkeypatch):
@@ -510,6 +527,32 @@ def test_invert_without_f_or_current_exits_2_naming_both(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f,inversion,message", [
+    pytest.param(np.zeros(64), None, "must be nonzero", id="zero"),
+    # the solve refused this one only inside the LM step, as a singular matrix
+    pytest.param(np.zeros(64), {"n_fourier_modes": 0, "alpha": 0.0},
+                 "must be nonzero", id="zero-M0"),
+    pytest.param(np.cos(unit_circle_grid(64).t) + 0.5, None,
+                 "must have zero boundary mean, got 0.5", id="mean")])
+def test_cauchy_file_with_a_bad_f_column_exits_2_naming_it(
+        tmp_path, capsys, monkeypatch, f, inversion, message):
+    """An f column that injects nothing, or a current with a nonzero mean,
+    is refused at the read, before any solve, naming the file and column;
+    a zero one ran to the start circle, reported as converged."""
+    theta = unit_circle_grid(64).t
+    cauchy = tmp_path / "u0.csv"
+    cauchy.write_text(CauchyData(
+        f=f, u0=solve_u0(circle(0.4), np.cos(theta), n=256).u0).to_csv())
+    cfg = {"domain": BASE["domain"], "inputs": {"cauchy": str(cauchy)},
+           "inversion": inversion}
+    monkeypatch.setattr(cli, "invert", lambda *args: pytest.fail("solved"))
+    out = tmp_path / "i"
+    assert run("invert", write_cfg(tmp_path, "inv.json", cfg), out) == 2
+    assert capsys.readouterr().err == _line(
+        f"{cauchy}: column f: injected current {message}")
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_max_poles_defaults_agree():
     defaults = {inspect.signature(fn).parameters["max_poles"].default
                 for fn in (fit_rational, stability_sweep,
@@ -633,8 +676,11 @@ def _refuse_solves(monkeypatch):
                        "got [True]"), id="seeds-bool"),
     *(pytest.param("sweep", None, "noise_levels", value,
                    _line(f"noise_levels must be a non-empty list of numbers "
-                         f">= 0, got {value!r}"), id=f"noise_levels-{kind}")
-      for kind, value in [("scalar", 3), ("str", ["a"]), ("empty", [])]),
+                         f"in [0, 1), got {value!r}"),
+                   id=f"noise_levels-{kind}")
+      for kind, value in [("scalar", 3), ("str", ["a"]), ("empty", []),
+                          # the log law (1/ln eps^-1)^tau needs eps < 1
+                          ("one", [0.3, 1.0]), ("two", [1e-3, 2.0])]),
     # a repeated level or seed would count one row twice
     *(pytest.param("sweep", None, key, value,
                    _line(f"{key} must be distinct, got {value!r}"),
@@ -828,7 +874,7 @@ def test_negative_sweep_noise_level_exits_2(tmp_path, capsys):
     out = tmp_path / "sw"
     assert run("sweep", write_cfg(tmp_path, "c.json", cfg), out) == 2
     assert capsys.readouterr().err == _line(
-        "noise_levels must be a non-empty list of numbers >= 0, "
+        "noise_levels must be a non-empty list of numbers in [0, 1), "
         "got [-0.001, 0.001]")
     assert not (out / "sweep.csv").exists()
 

@@ -14,8 +14,8 @@ from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
                            solve_u0, synthesize)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             discretize, unit_circle_grid)
-from mfeit.potential import (KernelMatrices, _target_kernel, assemble,
-                             eval_S, neumann_kernel, trace_matrix)
+from mfeit.potential import (KernelMatrices, _neumann, _pair_terms,
+                             _target_kernel, assemble, eval_S)
 
 from conftest import R0, TREFOIL, g_two_phase
 
@@ -50,7 +50,8 @@ def test_kernel_matrix_is_bitwise_symmetric(bgrid64):
     # the lift's kernel N(node, circle point) is the trace kernel transposed
     grid = discretize(TREFOIL, 128)
     N = _target_kernel(grid, bgrid64.points)
-    lift = neumann_kernel(bgrid64.points[None, :, :], grid.points[:, None, :])
+    z = grid.points[:, None, :]
+    lift = _neumann(z, *_pair_terms(bgrid64.points[None, :, :], z))
     assert np.array_equal(N.T, lift)
 
 
@@ -222,7 +223,7 @@ def test_f_channel_weights_are_positive(shape, f_cos):
     fw = f_cos * bgrid.weights
     q = V.T @ (kernels.B @ -harmonic_lift_normal_derivative(
         f_cos, bgrid, kernels.grid.points, kernels.grid.normals))
-    weights = (fw @ trace_matrix(kernels.grid, bgrid.points) @ V) * q
+    weights = (fw @ eval_S(kernels.grid, V, bgrid.points)) * q
     kvals = np.array([-0.5 + 0.5j, 2.0 + 1.0j, 0.3 - 4.0j])
     c = _contrast_c(kvals, 1.0)
     expect = fw @ harmonic_lift_trace(f_cos, bgrid) + np.sum(
@@ -264,7 +265,7 @@ def _out_of_place_batched(kernels, f, kvals, k0=1.0):
     dn_frak = harmonic_lift_normal_derivative(f, bgrid, grid.points,
                                               grid.normals)
     q = V.T @ (kernels.B @ (-dn_frak / k0))
-    TV = trace_matrix(grid, bgrid.points) @ V
+    TV = eval_S(grid, V, bgrid.points)
     U[:, live] += TV @ (q[:, None] / denom)
     return _recenter(U, bgrid)
 

@@ -4,13 +4,15 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfeit import potential
 from mfeit.errors import (DomainViolation, InvalidResolution,
                           SingularEvaluation, TargetTooClose)
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import (_assemble_single_layer, _kress_log_row,
-                             _node_pairs, _single_layer_row, _target_kernel,
-                             assemble, eval_S, kress_log_matrix,
-                             neumann_kernel, neumann_normal_derivative)
+                             _neumann, _node_pairs, _pair_terms,
+                             _single_layer_row, _target_kernel, assemble,
+                             eval_S, kress_log_matrix,
+                             neumann_normal_derivative)
 
 from conftest import TREFOIL, calderon_residual
 
@@ -170,12 +172,18 @@ def test_kress_rule_annihilates_constants(n):
     assert np.max(np.abs(R @ np.ones(n))) < 1e-12
 
 
+def _neumann_at(x, z):
+    """N(x, z), elementwise over broadcast points, by the closed form that
+    every kernel matrix is built from."""
+    return _neumann(z, *_pair_terms(x, z))
+
+
 def test_neumann_kernel_zero_boundary_mean():
     g = discretize(circle(1.0), 512)
     rng = np.random.default_rng(0)
     for _ in range(3):
         z = rng.uniform(-0.5, 0.5, size=2)
-        vals = neumann_kernel(g.points, z[None, :])
+        vals = _neumann_at(g.points, z[None, :])
         assert abs(np.sum(vals * g.weights)) < 1e-10
 
 
@@ -186,7 +194,7 @@ def test_neumann_kernel_constant_flux():
     eps = 1e-6
     for i in [0, 17, 40]:
         x, nu = g.points[i], g.normals[i]
-        d = (neumann_kernel(x + eps * nu, z) - neumann_kernel(x - eps * nu, z)) \
+        d = (_neumann_at(x + eps * nu, z) - _neumann_at(x - eps * nu, z)) \
             / (2 * eps)
         assert abs(d - 1 / (2 * np.pi)) < 1e-6
 
@@ -195,23 +203,29 @@ def test_neumann_kernel_harmonic_away_from_source():
     z = np.array([0.3, 0.1])
     x = np.array([-0.2, 0.4])
     h = 1e-4
-    lap = (neumann_kernel(x + [h, 0], z) + neumann_kernel(x - [h, 0], z)
-           + neumann_kernel(x + [0, h], z) + neumann_kernel(x - [0, h], z)
-           - 4 * neumann_kernel(x, z)) / h**2
+    lap = (_neumann_at(x + [h, 0], z) + _neumann_at(x - [h, 0], z)
+           + _neumann_at(x + [0, h], z) + _neumann_at(x - [0, h], z)
+           - 4 * _neumann_at(x, z)) / h**2
     assert abs(lap) < 1e-5
 
 
 def test_neumann_kernel_symmetry():
     x = np.array([0.3, 0.1])
     z = np.array([-0.2, 0.4])
-    assert np.isclose(neumann_kernel(x, z), neumann_kernel(z, x), rtol=1e-14)
+    assert np.isclose(_neumann_at(x, z), _neumann_at(z, x), rtol=1e-14)
+
+
+def test_eval_S_is_the_one_circle_kernel():
+    # the kernel of the trace and of the lift is written once, in
+    # _target_kernel, and only eval_S weights it
+    assert not {"trace_matrix", "neumann_kernel"} & set(vars(potential))
 
 
 def test_neumann_kernel_guards():
+    # nodes outside the disk, seen from the origin; a target on a node is
+    # refused as TargetTooClose (test_eval_S_target_too_close)
     with pytest.raises(DomainViolation):
-        neumann_kernel(np.array([0.1, 0.1]), np.array([1.0, 0.0]))
-    with pytest.raises(SingularEvaluation):
-        neumann_kernel(np.array([0.1, 0.1]), np.array([0.1, 0.1]))
+        _target_kernel(discretize(circle(1.5), 32), np.zeros((1, 2)))
 
 
 def test_assemble_rejects_low_resolution():
@@ -301,7 +315,7 @@ def test_neumann_normal_derivative_matches_centred_differences(z):
     x = rng.uniform(-0.6, 0.6, size=(5, 2))
     nu = rng.standard_normal((5, 2))
     eps = 1e-6
-    fd = (neumann_kernel(z, x + eps * nu) - neumann_kernel(z, x - eps * nu)) \
+    fd = (_neumann_at(z, x + eps * nu) - _neumann_at(z, x - eps * nu)) \
         / (2 * eps)
     assert np.allclose(neumann_normal_derivative(x, z, nu), fd,
                        rtol=1e-7, atol=1e-9)
