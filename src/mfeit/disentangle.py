@@ -90,16 +90,16 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
         return num[:, None] / (den[:, None] - s * num[:, None])
 
     def value(s):
-        """|R|^2 and (Q, X = Phi^+ Y, R = P_perp Y) at the poles s."""
+        """|R|^2 / 2 and (Q, X = Phi^+ Y, R = P_perp Y) at the poles s."""
         Q, T = np.linalg.qr(split(np.column_stack([np.ones(J), columns(s)])))
         QY = Q.T @ Y
         R = Y - Q @ QY
-        return float(np.vdot(R, R)), (Q, np.linalg.solve(T, QY), R)
+        return 0.5 * float(np.vdot(R, R)), (Q, np.linalg.solve(T, QY), R)
 
     def normal(s, state):
         """Kaufman's Gauss-Newton matrix G_kl = (P_perp d_k . P_perp d_l)
-        (x_k . x_l) and gradient g_k = -(P_perp d_k)^T R x_k of |R|^2 over
-        the poles, with d_k = dPhi/ds_k and x_k the residues of pole k."""
+        (x_k . x_l) and gradient g_k = -(P_perp d_k)^T R x_k of |R|^2 / 2
+        over the poles, with d_k = dPhi/ds_k, x_k the residues of pole k."""
         Q, X, R = state
         D = split(columns(s) ** 2)  # d/ds 1/(c - s) = 1/(c - s)^2
         PD = D - Q @ (Q.T @ D)

@@ -386,8 +386,8 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     (c_j + K*) phi_j = g, g = -d_nu frak / k0, has the solution
     phi_j = V diag(1 / (c_j + mu)) V^T B g, so the lift terms, the trace
     matrix T and q = V^T B g are built once and U = frak / k0 + (T V) Q with
-    Q_ij = q_i / (c_j + mu_i). Raises ``NearResonance`` where
-    min|c_j + mu| < 1e-10, the distance of the system from singularity.
+    Q_ij = q_i / (c_j + mu_i). Raises ``NearResonance`` unless
+    min|c_j + mu| >= 1e-10, the distance of the system from singularity.
     """
     kvals = np.asarray(kvals, dtype=complex)
     bgrid_omega = unit_circle_grid(f.size)
@@ -399,7 +399,8 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     if np.any(live):
         denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
         gap = np.min(np.abs(denom), axis=0)
-        near = np.flatnonzero(gap < _RESONANCE_TOL)
+        # fail closed: a shift that overflowed to nan has a nan gap
+        near = np.flatnonzero(~(gap >= _RESONANCE_TOL))
         if near.size:
             raise NearResonance(complex(kvals[live][near[0]]),
                                 float(gap[near[0]]))
@@ -424,7 +425,7 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
     W = spectrum.traces_bd_omega
     denom = k0 + lam * (k - k0)
     gap = np.min(np.abs(denom))
-    if gap < _RESONANCE_TOL:
+    if not gap >= _RESONANCE_TOL:  # a nan gap fails too
         raise NearResonance(k, float(gap))
     c_n = (f * bgrid_omega.weights) @ W
     u = u0.u0 / k0 + W @ (c_n / denom)

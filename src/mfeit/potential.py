@@ -33,15 +33,17 @@ and one sum, never a matmul, whose blocking and FMA would move the last
 bit), so results are bit for bit those of one temporary per operation.
 Traced peaks, in n x n matrices: assembly builds K* in the free-space
 buffer of its two parts (-1), drops the image part and builds S in the
-image-term buffer (5.3 against 6.0 without both); the eigensolve lets
-LAPACK overwrite sym(B K*) (-1); the direct solve shifts its copy of K* in
+image-term buffer (5.3 against 6.0 without both); the eigensolve builds
+B for itself and lets LAPACK overwrite both sym(B K*) and B (4.0 against
+5.0 with B kept and copied); the direct solve shifts its copy of K* in
 place and drops it early (-2). The m x n trace matrix of ``eval_S`` is
 the Neumann kernel built in its image-term buffer and weighted in place
 (3.0 against 4.0 m x n matrices at m = 64, n = 256). Peak resident set of
-the benchmark's spectrum ladder (n up to 512): a fresh S, a rebound B or
-a rebound sym(B K*) each raise it, by about 0.3, 1 and 1.8 MB, and so would the
-untraced copy that ``np.linalg.solve`` makes of the direct solve's matrix,
-by 4 MB at n = 512: LAPACK factors that matrix in place instead.
+the benchmark's spectrum ladder (n up to 512): a fresh S or a rebound
+sym(B K*) each raise it, by about 0.3 and 1.8 MB, a B kept beside the
+operators by about 2 MB, and so would the untraced copy that
+``np.linalg.solve`` makes of the direct solve's matrix, by 4 MB at
+n = 512: LAPACK factors that matrix in place instead.
 """
 from __future__ import annotations
 
@@ -194,15 +196,15 @@ class KernelMatrices:
     ``S`` and ``Kstar`` act on nodal density values and return boundary
     traces / normal derivatives at the same nodes (quadrature weights are
     folded in). ``B = -W S`` is the symmetric positive definite Gram matrix
-    of the energy inner product <-S phi, psi>; ``B`` and ``eig`` are computed
-    on first use and kept.
+    of the energy inner product <-S phi, psi>, built anew on each access;
+    ``eig`` is computed on first use and kept.
     """
 
     S: np.ndarray
     Kstar: np.ndarray
     grid: BoundaryGrid
 
-    @cached_property
+    @property
     def B(self) -> np.ndarray:
         B = -(self.grid.weights[:, None] * self.S)
         B += B.T
@@ -216,13 +218,15 @@ class KernelMatrices:
         K* is self-adjoint in the energy inner product up to the Calderon
         residual, so K* = V diag(mu) V^T B on the discrete level. Both
         matrices are exactly symmetric, so their transposes are Fortran
-        views of the same values: LAPACK overwrites sym(B K*) in place and
-        copies only B, which stays cached.
+        views of the same values: LAPACK overwrites sym(B K*) and B in
+        place, the latter with its Cholesky factor.
         """
-        A = self.B @ self.Kstar
+        B = self.B
+        A = B @ self.Kstar
         A += A.T
         A *= 0.5
-        return sla.eigh(A.T, self.B.T, overwrite_a=True, check_finite=False)
+        return sla.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True,
+                        check_finite=False)
 
 
 def _node_pairs(grid: BoundaryGrid) -> tuple[np.ndarray, np.ndarray]:

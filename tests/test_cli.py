@@ -727,6 +727,13 @@ def _refuse_solves(monkeypatch):
       for kind, value in [("empty", []), ("scalar", [2.0]),
                           ("single", [[2.0]]), ("triple", [[1, 2, 3]]),
                           ("str", [["a", 0]])]),
+    # a shift (k0 + k) / (2 (k0 - k)) that overflows to nan
+    *(pytest.param("forward", None, "contrasts", value,
+                   _line(f"contrasts must be pairs whose shift (k0 + k) / "
+                         f"(2 (k0 - k)) is finite, got {value!r}"),
+                   id=f"contrasts-{kind}")
+      for kind, value in [("overflow", [[2.0, 0.0], [1e308, 1e308]]),
+                          ("overflow-negative", [[-1e308, 1e308]])]),
     pytest.param("spectrum", None, "tail", True,
                  _line("tail must be a number >= 0, got True"),
                  id="spectrum-tail-bool"),

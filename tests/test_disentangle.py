@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from mfeit import disentangle
 from mfeit.cli import _dump
 from mfeit.disentangle import extract_u0, fit_rational
 from mfeit.errors import FitDiverged, InsufficientFrequencies
@@ -56,6 +57,27 @@ def test_exact_rational_recovery():
     assert np.max(np.abs(model.residues[:, order]
                          - residues[:, np.argsort(POLES)])) < 1e-8
     assert model.residual < 1e-10 * model.scale
+
+
+def test_fit_gradient_is_that_of_its_value(monkeypatch):
+    # the loop's stop compares the model's decrease with RTOL times value,
+    # so value must be the function whose Gauss-Newton pair normal returns
+    calls, loop = [], disentangle.levenberg_marquardt
+
+    def spy(z, start, value, normal, E, h):
+        calls.append((z.copy(), value, normal))
+        return loop(z, start, value, normal, E, h)
+
+    monkeypatch.setattr(disentangle, "levenberg_marquardt", spy)
+    data, *_ = _model_data()
+    fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
+    assert len(calls) == 2  # one loop per pole count
+    for z, value, normal in calls:
+        g = normal(z, value(z)[1])[1]
+        step = 1e-6
+        fd = [(value(z + e)[0] - value(z - e)[0]) / (2 * step)
+              for e in step * np.eye(z.size)]
+        assert np.allclose(g, fd, rtol=1e-6, atol=0), (g, fd)
 
 
 def test_model_evaluation_matches_data():

@@ -122,6 +122,18 @@ def test_spectral_series_term_closed_form(bgrid64, f_cos, conc_kernels,
     assert np.max(np.abs(diff - (0.4 / 1.625) * np.cos(bgrid64.t))) < 1e-10
 
 
+def test_guards_refuse_a_nan_distance(f_cos, conc_kernels, conc_spectrum):
+    # c = (k0 + k) / (2 (k0 - k)) overflows to nan: no nan voltage is returned
+    u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in (1e308 + 1e308j, -1e308 + 1e308j):
+            with pytest.raises(NearResonance, match="within nan"):
+                solve_forward_batched(conc_kernels, f_cos, [2.0, k])
+        with pytest.raises(NearResonance, match="within nan"):
+            solve_forward_spectral(conc_spectrum, f_cos, complex(np.nan), 1.0,
+                                   u0)
+
+
 def test_large_contrast_approaches_perfect_conductor(bgrid64, f_cos,
                                                      conc_kernels):
     u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
