@@ -178,19 +178,25 @@ def class_rows(M: int, config: DomainConfig,
     x = (a0, a1..aM, b1..bM). At each of the ``N_CHECK`` angles: the band
     b0 + margin <= r <= 1 - delta - margin, and +r +- r' +- r'' <= m - margin,
     which with r > 0 is the C^2 bound |r| + |r'| + |r''| <= m - margin.
-    Each distinct row is kept once, in first-seen order (three at M = 0).
-    Built once per arguments; the arrays are shared, so they are read-only.
+    One buffer holds the rows and h; a stable sort of its rows drops the
+    repeats, keeping each distinct row once in first-seen order (three at
+    M = 0). Built once per arguments; shared, so the arrays are read-only.
     """
     theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
-    # r, r', r'' at each angle of each coefficient alone: (3, N_CHECK, 2M + 1)
-    r, r1, r2 = np.stack([fourier_series(e[:M + 1], e[M + 1:], theta)
-                          for e in np.eye(2 * M + 1)], -1)
-    E = np.concatenate([-r, r] + [r + a * r1 + b * r2 for a in (1, -1)
-                                  for b in (1, -1)])
-    h = np.repeat([-(config.b0 + margin), 1 - config.delta - margin]
-                  + [config.m - margin] * 4, N_CHECK)
-    first = np.unique(np.column_stack([E, h]), axis=0, return_index=True)[1]
-    E, h = E[np.sort(first)], h[np.sort(first)]
+    rows = np.empty((6, N_CHECK, 2 * M + 2))
+    # column j: r, r', r'' at each angle of the j-th coefficient alone
+    for j, e in enumerate(np.eye(2 * M + 1)):
+        r, r1, r2 = fourier_series(e[:M + 1], e[M + 1:], theta)
+        rows[:, :, j] = [-r, r] + [r + a * r1 + b * r2 for a in (1, -1)
+                                   for b in (1, -1)]
+    rows = rows.reshape(-1, 2 * M + 2)
+    rows[:, -1] = np.repeat([-(config.b0 + margin), 1 - config.delta - margin]
+                            + [config.m - margin] * 4, N_CHECK)
+    order = np.lexsort(rows.T)  # stable: equal rows adjacent, in index order
+    ordered = rows[order]
+    first = np.sort(order[np.r_[True, (ordered[1:] != ordered[:-1]).any(1)]])
+    del ordered
+    E, h = rows[first, :-1], rows[first, -1]
     E.setflags(write=False)
     h.setflags(write=False)
     return E, h

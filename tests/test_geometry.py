@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mfeit.cli import _dump
 from mfeit.errors import ConstraintViolation, InvalidResolution
-from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
-                            class_rows, class_violation, discretize,
+from mfeit.geometry import (N_CHECK, DomainConfig, StarShape, build_star_shape,
+                            circle, class_rows, class_violation, discretize,
                             fourier_series, r_inf, unit_circle_grid)
 
 from conftest import TREFOIL
@@ -100,11 +100,40 @@ def test_class_rows_margin_tightens_the_band():
 
 
 def test_class_rows_keep_each_distinct_row_once():
-    """At M = 0 every angle gives the same band and C^2 rows in a0."""
+    """At M = 0 every angle gives the same band and C^2 rows in a0; at M = 1
+    some rows repeat, from M = 2 on none of the 6 N_CHECK does."""
     E, h = class_rows(0, CFG, 1e-3)
     assert E.shape == (3, 1)
     assert E[:, 0].tolist() == [-1.0, 1.0, 1.0]
     assert h.tolist() == [-(CFG.b0 + 1e-3), 1 - CFG.delta - 1e-3, CFG.m - 1e-3]
+    for M, kept in [(1, 6012), (8, 6144)]:
+        assert class_rows(M, CFG, 1e-3)[0].shape == (kept, 2 * M + 1), M
+
+
+def _class_rows_oracle(M, config, margin):
+    """``class_rows`` by ``np.unique``: every block of rows in an array of
+    its own, then the first index of each distinct row of [E, h]."""
+    theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
+    r, r1, r2 = np.stack([fourier_series(e[:M + 1], e[M + 1:], theta)
+                          for e in np.eye(2 * M + 1)], -1)
+    E = np.concatenate([-r, r] + [r + a * r1 + b * r2 for a in (1, -1)
+                                  for b in (1, -1)])
+    h = np.repeat([-(config.b0 + margin), 1 - config.delta - margin]
+                  + [config.m - margin] * 4, N_CHECK)
+    first = np.unique(np.column_stack([E, h]), axis=0, return_index=True)[1]
+    return E[np.sort(first)], h[np.sort(first)]
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-3])
+@pytest.mark.parametrize("config", [CFG, DomainConfig(b0=0.3, delta=0.05,
+                                                      m=20.0)],
+                         ids=["default", "narrow"])
+def test_class_rows_match_the_unique_oracle_bit_for_bit(config, margin):
+    for M in range(17):
+        E, h = class_rows.__wrapped__(M, config, margin)
+        E0, h0 = _class_rows_oracle(M, config, margin)
+        assert E.shape == E0.shape, M
+        assert E.tobytes() == E0.tobytes() and h.tobytes() == h0.tobytes(), M
 
 
 @pytest.mark.parametrize("cos,sin", [((np.nan,), ()), ((0.5, np.nan), ()),

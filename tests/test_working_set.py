@@ -10,6 +10,7 @@ and what one temporary per operation costs:
     eigensolve  4.0 / 4.0              6.0 / 6.0
     direct      2.1 / 2.0              4.1 / 4.0 (2.5 at 512 without del A)
     spectrum    1.3 / 0.8              1.6 / 1.7
+    class rows  2.4 / 2.3              5.9 / 5.7 (np.unique)
 
 The eigensolve's count includes the Gram matrix B it builds, in whose
 buffer LAPACK writes the Cholesky factor; sym(B K*) and syevd's 2 n^2
@@ -21,6 +22,12 @@ perfect-conductor solve, then four contrasts each solved directly and
 spectrally, every result held as the benchmark holds it) peaks at
 6.5 / 6.2; a Gram matrix kept on the operators, with a copy of it for
 LAPACK to factor, would make that 7.5 / 7.2.
+
+The class rows are counted at M = 8 / 16, in units of the matrix E of the
+rows E x <= h that ``class_rows`` returns. It writes the rows and h into
+one buffer and drops repeats by a stable sort, whose sorted copy is its
+second buffer; each block, the stacked [E, h] and ``np.unique``'s sorted
+copy in an array of its own make 5.9 / 5.7.
 
 The trace matrix of ``eval_S`` is bounded at n = 256 with m = 64 targets
 and one density column, in m x n matrices: 3.0 in place, 4.0 with the
@@ -43,7 +50,8 @@ import pytest
 
 from mfeit.forward import (solve_forward_direct, solve_forward_spectral,
                            solve_u0)
-from mfeit.geometry import discretize, unit_circle_grid
+from mfeit.geometry import (DomainConfig, class_rows, discretize,
+                            unit_circle_grid)
 from mfeit.potential import KernelMatrices, assemble, eval_S
 from mfeit.spectrum import compute_spectrum
 
@@ -132,3 +140,11 @@ def test_trace_matrix_budget():
     grid, targets = discretize(TREFOIL, 256), unit_circle_grid(64).points
     density = np.ones((256, 1))
     assert _traced_peak(lambda: eval_S(grid, density, targets), 256, 64) <= 3.5
+
+
+def test_class_rows_budget():
+    config = DomainConfig()
+    for M in (8, 16):
+        E, _ = class_rows(M, config, 1e-3)
+        assert _traced_peak(lambda: class_rows.__wrapped__(M, config, 1e-3),
+                            *E.shape[::-1]) <= 3.0, M
