@@ -11,7 +11,7 @@ from .errors import MfeitError
 from .geometry import (BoundaryGrid, DomainConfig, StarShape,
                        build_star_shape, circle, discretize, r_inf,
                        unit_circle_grid)
-from .potential import KernelMatrices, assemble, eval_S, kress_log_matrix
+from .potential import KernelMatrices, assemble, eval_S
 from .spectrum import NPSpectrum, compute_spectrum, resonance_bound
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       current_from_fourier, solve_forward_direct,
@@ -25,7 +25,7 @@ from .reconstruct import (InversionResult, InversionSettings, SweepResult,
 __all__ = [
     "MfeitError", "BoundaryGrid", "DomainConfig", "StarShape",
     "build_star_shape", "circle", "discretize", "r_inf", "unit_circle_grid",
-    "KernelMatrices", "assemble", "eval_S", "kress_log_matrix",
+    "KernelMatrices", "assemble", "eval_S",
     "NPSpectrum", "compute_spectrum", "resonance_bound",
     "CauchyData", "FrequencyProfile", "MultiFreqData", "current_from_fourier",
     "solve_forward_direct", "solve_forward_spectral", "solve_u0", "synthesize",

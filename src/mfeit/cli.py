@@ -231,7 +231,7 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
         if not np.any(data.f):
             raise ValueError(f"{path}: column f: injected current must be "
                              f"nonzero")
-        _check_zero_mean(data.f, bgrid, f"{path}: column f: injected current")
+        _check_zero_mean(data.f, f"{path}: column f: injected current")
     f = None if coeffs is None else current_from_fourier(*coeffs, bgrid)
     if data.f is None:
         if f is None:

@@ -26,10 +26,6 @@ class InvalidResolution(MfeitError):
     """Boundary grid size is odd or too small."""
 
 
-class SingularEvaluation(MfeitError):
-    """Kernel evaluated at coincident source and target."""
-
-
 class DomainViolation(MfeitError):
     """Source point of the Neumann kernel outside the open unit disk."""
 

@@ -30,8 +30,7 @@ from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, _is_number, check,
                        discretize, fourier_series, unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
-                        _target_kernel, eval_S, kress_log_matrix,
-                        neumann_normal_derivative, sla)
+                        _target_kernel, eval_S, sla)
 from .spectrum import NPSpectrum
 
 #: smallest admitted distance of a forward system from singularity
@@ -43,9 +42,11 @@ def current_from_fourier(cos_coeffs, sin_coeffs, bgrid: BoundaryGrid) -> np.ndar
     return fourier_series((0.0, *cos_coeffs), sin_coeffs, bgrid.t)[0]
 
 
-def _check_zero_mean(f: np.ndarray, bgrid: BoundaryGrid, what: str) -> None:
-    mean = float(np.sum(f * bgrid.weights)) / bgrid.perimeter
-    scale = float(np.max(np.abs(f))) or 1.0
+def _check_zero_mean(f: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless the samples of ``f`` on the equispaced
+    measurement circle have zero mean, to 1e-12 of their largest value."""
+    mean = float(f.sum()) / f.size
+    scale = float(np.abs(f).max()) or 1.0
     if abs(mean) > 1e-12 * scale:
         raise ValueError(f"{what} must have zero boundary mean, got {mean:g}")
 
@@ -237,24 +238,35 @@ class MultiFreqData:
         return cls(omega=omega, k=pairs[:, 0], U=pairs[:, 1:].T)
 
 
-def harmonic_lift_trace(f: np.ndarray, bgrid_omega: BoundaryGrid) -> np.ndarray:
-    """Trace on the unit circle of the harmonic lift of a zero-mean current.
+def harmonic_lift(f: np.ndarray, points, normals=None) -> np.ndarray:
+    """Harmonic lift H of the zero-mean current ``f`` at points of the
+    closed disk, or nu . grad H along the unit ``normals`` if given.
 
-    On the circle the Neumann kernel reduces exactly to the periodic log
-    kernel, so the singular quadrature rule applies verbatim.
+    H is harmonic in the disk, has d_nu H = f and zero mean on the circle.
+    One rfft of the m samples gives the coefficients c_k = a_k - i b_k of
+    their trigonometric interpolant (the Nyquist term halved), so with
+    z = x1 + i x2 and nu = nu1 + i nu2, H = Re sum c_k z^k / k and
+    nu . grad H = Re(nu sum c_k z^(k-1)) for k = 1 ... m/2, from one power
+    matrix of z. Both are exact for the interpolant at every point, the
+    circle and the class edge included.
     """
-    _check_zero_mean(f, bgrid_omega, "injected current")
-    R = kress_log_matrix(bgrid_omega.n)
-    return -(R @ f)
-
-
-def harmonic_lift_normal_derivative(f: np.ndarray, bgrid_omega: BoundaryGrid,
-                                    targets, normals) -> np.ndarray:
-    """Directional derivative of the harmonic lift at interior points."""
-    ker = neumann_normal_derivative(targets[:, None, :],
-                                    bgrid_omega.points[None, :, :],
-                                    normals[:, None, :])
-    return -(ker @ (f * bgrid_omega.weights))
+    _check_zero_mean(f, "injected current")
+    m = f.size
+    c = np.fft.rfft(f)[1:] * (2.0 / m)
+    c[-1] *= 0.5  # m is even: the last coefficient is the Nyquist mode
+    z = points[:, 0] + 1j * points[:, 1]
+    # rows z^0 ... z^(m/2 - 1): rows j ... 2j - 1 are rows 0 ... j - 1
+    # times z^j, so about log2(m/2) products fill them
+    P = np.empty((m // 2, z.size), complex)
+    P[0] = 1.0
+    j = 1
+    while j < m // 2:
+        rows = min(j, m // 2 - j)
+        np.multiply(P[:rows], P[j - 1] * z, out=P[j:j + rows])
+        j += rows
+    if normals is None:
+        return (z * ((c / np.arange(1, m // 2 + 1)) @ P)).real
+    return ((normals[:, 0] + 1j * normals[:, 1]) * (c @ P)).real
 
 
 def _lu_in_place(A: np.ndarray, what: str) -> tuple:
@@ -297,10 +309,10 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
 
     Represents u0 = frak_f + S_D[psi] and solves the saddle system enforcing
     a constant trace (unknown rho) on the inclusion boundary and zero total
-    density. One kernel matrix N(circle point, node) serves twice: its
-    transpose is the harmonic lift at the nodes (the kernel is symmetric),
-    and N diag(w) the trace matrix T. The saddle factors and T stay on the
-    result for ``u0_shape_derivative``.
+    density. One ``harmonic_lift`` call gives the lift on the circle and at
+    the nodes; the kernel matrix N(circle point, node), weighted in place,
+    is the trace matrix T. The saddle factors and T stay on the result for
+    ``u0_shape_derivative``.
     """
     bgrid_omega = unit_circle_grid(f.size)
     if grid is None:
@@ -308,14 +320,13 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
     if S is None:
         S = _assemble_single_layer(grid)
 
-    frak_omega = harmonic_lift_trace(f, bgrid_omega)
-    N = _target_kernel(grid, bgrid_omega.points)
-    frak_d = -(N.T @ (f * bgrid_omega.weights))
+    frak = harmonic_lift(f, np.vstack([bgrid_omega.points, grid.points]))
+    frak_omega, frak_d = frak[:f.size], frak[f.size:]
     factors = _factor_saddle(grid, S)
     sol = _solve_saddle(factors, np.concatenate([-frak_d, [0.0]]))
     psi, rho = sol[:grid.n], float(sol[grid.n])
 
-    T = N  # the lift is taken: the weights go into the kernel in place
+    T = _target_kernel(grid, bgrid_omega.points)
     T *= grid.weights[None, :]
     trace = _recenter(frak_omega + T @ psi, bgrid_omega)
     return CauchyData(f=f, u0=trace, rho=rho, psi=psi, saddle=(factors, T))
@@ -362,13 +373,12 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
     ``np.linalg.solve``, which factors a second copy.
     """
     bgrid_omega = unit_circle_grid(f.size)
-    frak_omega = harmonic_lift_trace(f, bgrid_omega)
+    frak_omega = harmonic_lift(f, bgrid_omega.points)
     if k == k0:
         return _recenter(frak_omega / k0, bgrid_omega)
     grid = kernels.grid
 
-    dn_frak = harmonic_lift_normal_derivative(f, bgrid_omega, grid.points,
-                                              grid.normals)
+    dn_frak = harmonic_lift(f, grid.points, grid.normals)
     A = kernels.Kstar.astype(complex, order="F")
     A.flat[::grid.n + 1] += _contrast_c(k, k0)
     phi = sla.lu_solve(_lu_in_place(A, "direct system"),
@@ -393,7 +403,7 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     bgrid_omega = unit_circle_grid(f.size)
     grid = kernels.grid
     mu, V = kernels.eig
-    frak_omega = harmonic_lift_trace(f, bgrid_omega)
+    frak_omega = harmonic_lift(f, bgrid_omega.points)
     U = np.tile((frak_omega / k0)[:, None], (1, kvals.size)).astype(complex)
     live = kvals != k0  # at k = k0 the inclusion is invisible
     if np.any(live):
@@ -404,8 +414,7 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
         if near.size:
             raise NearResonance(complex(kvals[live][near[0]]),
                                 float(gap[near[0]]))
-        dn_frak = harmonic_lift_normal_derivative(f, bgrid_omega, grid.points,
-                                                  grid.normals)
+        dn_frak = harmonic_lift(f, grid.points, grid.normals)
         q = V.T @ (kernels.B @ (-dn_frak / k0))
         TV = eval_S(grid, V, bgrid_omega.points)
         U[:, live] += TV @ (q[:, None] / denom)

@@ -23,9 +23,10 @@ once on first use, the eigendecomposition of K*_D in the energy inner
 product, which diagonalizes every forward solve on that shape.
 
 What depends on the grid size alone is built once per size and shared
-read-only: the Kress row ``_kress_log_row(n)``, the first column
-``_single_layer_row(n)`` of the circulant C, and the m x m measurement rule
-``kress_log_matrix(m)``. No n x n matrix of an inclusion grid is kept.
+read-only: the Kress row ``_kress_log_row(n)`` and the first column
+``_single_layer_row(n)`` of the circulant C. No n x n matrix of an
+inclusion grid is kept. The harmonic lift of the injected current needs no
+kernel: ``forward.harmonic_lift`` sums it in closed form.
 
 An n x n step runs in place only where that lowers a peak, and in the
 operation order of the plain expression (every dot product as two products
@@ -54,7 +55,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainViolation, SingularEvaluation, TargetTooClose
+from .errors import DomainViolation, TargetTooClose
 from .geometry import BoundaryGrid, check_grid_size
 
 
@@ -147,24 +148,13 @@ def _normal_derivative_parts(x, z, nu, d2, img2):
     return free, image
 
 
-def neumann_normal_derivative(x, z, nu):
-    """nu . grad_x N(x, z), elementwise over broadcast points.
-
-    Both points may lie anywhere in the closed disk, ``z`` on the unit circle
-    included (where the harmonic lift puts its sources), but must not
-    coincide; ``nu`` is the direction at ``x``.
-    """
-    x, z, nu = (np.asarray(a, dtype=float) for a in (x, z, nu))
-    free, image = _normal_derivative_parts(x, z, nu, *_pair_terms(x, z))
-    if np.any(np.isnan(free)):
-        raise SingularEvaluation("Neumann kernel gradient evaluated at x == z")
-    return free + image
-
-
 @lru_cache(maxsize=16)
 def _kress_log_row(n: int) -> np.ndarray:
-    """First column (and row: the rule is symmetric) of ``kress_log_matrix(n)``.
+    """First column (and row: the rule is symmetric) of the circulant
+    quadrature rule for (1/2pi) int ln(4 sin^2((t-s)/2)) g(s) ds.
 
+    Exact on trigonometric polynomials of degree <= n/2: the symbol maps
+    e^{ims} to -(1/|m|) e^{imt} (0 for m = 0, -(2/n) at the Nyquist mode).
     Built once per n and shared, so read-only.
     """
     freqs = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
@@ -174,19 +164,6 @@ def _kress_log_row(n: int) -> np.ndarray:
     row = np.fft.ifft(d).real
     row.setflags(write=False)
     return row
-
-
-@lru_cache(maxsize=4)
-def kress_log_matrix(n: int) -> np.ndarray:
-    """Circulant quadrature rule for (1/2pi) int ln(4 sin^2((t-s)/2)) g(s) ds.
-
-    Exact on trigonometric polynomials of degree <= n/2: the symbol maps
-    e^{ims} to -(1/|m|) e^{imt} (0 for m = 0, -(2/n) at the Nyquist mode).
-    Built once per n for the measurement grid and shared, so read-only.
-    """
-    R = sla.circulant(_kress_log_row(n))
-    R.setflags(write=False)
-    return R
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,12 @@ import scipy.linalg as sla
 from mfeit.errors import ConstraintViolation, NearResonance, SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
                            _contrast_c, _recenter, current_from_fourier,
-                           harmonic_lift_normal_derivative,
-                           harmonic_lift_trace, solve_forward_batched,
+                           harmonic_lift, solve_forward_batched,
                            solve_forward_direct, solve_forward_spectral,
                            solve_u0, synthesize)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             discretize, unit_circle_grid)
-from mfeit.potential import (KernelMatrices, _neumann, _pair_terms,
-                             _target_kernel, assemble, eval_S)
+from mfeit.potential import KernelMatrices, assemble, eval_S
 
 from conftest import R0, TREFOIL, g_two_phase
 
@@ -29,30 +27,66 @@ def test_harmonic_lift_neumann_to_dirichlet_multiplier(bgrid64):
     # lift of cos(m t) has trace cos(m t)/m on the unit circle
     for m in (1, 2, 5):
         f = np.cos(m * bgrid64.t)
-        assert np.allclose(harmonic_lift_trace(f, bgrid64), f / m, atol=1e-12)
+        assert np.allclose(harmonic_lift(f, bgrid64.points), f / m,
+                           atol=1e-12)
 
 
 def test_harmonic_lift_rejects_nonzero_mean(bgrid64):
-    with pytest.raises(ValueError):
-        harmonic_lift_trace(np.cos(bgrid64.t) + 0.1, bgrid64)
+    with pytest.raises(ValueError, match="zero boundary mean"):
+        harmonic_lift(np.cos(bgrid64.t) + 0.1, bgrid64.points)
 
 
 def test_harmonic_lift_interior_is_linear_for_mode_one(bgrid64, f_cos):
-    # lift of cos(theta) is u(x) = x1 in the whole disk; solve_u0 takes it
-    # at the inclusion nodes through the transposed circle-to-node kernel
+    # lift of cos(theta) is u(x) = x1 in the whole disk, so its derivative
+    # along nu is nu1
     grid = discretize(TREFOIL, 64)
-    N = _target_kernel(grid, bgrid64.points)
-    vals = -(N.T @ (f_cos * bgrid64.weights))
-    assert np.allclose(vals, grid.points[:, 0], atol=1e-12)
+    assert np.allclose(harmonic_lift(f_cos, grid.points), grid.points[:, 0],
+                       atol=1e-14)
+    assert np.allclose(harmonic_lift(f_cos, grid.points, grid.normals),
+                       grid.normals[:, 0], atol=1e-14)
 
 
-def test_kernel_matrix_is_bitwise_symmetric(bgrid64):
-    # the lift's kernel N(node, circle point) is the trace kernel transposed
-    grid = discretize(TREFOIL, 128)
-    N = _target_kernel(grid, bgrid64.points)
-    z = grid.points[:, None, :]
-    lift = _neumann(z, *_pair_terms(bgrid64.points[None, :, :], z))
-    assert np.array_equal(N.T, lift)
+@pytest.mark.parametrize("m", [1, 2, 7, 31, 32])
+def test_harmonic_lift_matches_the_polar_closed_forms(bgrid64, m):
+    # the lift of cos(m t) is r^m cos(m phi) / m, of sin(m t) r^m sin(m phi)
+    # / m; on 64 samples m = 32 is the Nyquist mode, where sin(m t) vanishes
+    # and cos(m t) must come back whole from the halved coefficient
+    rng = np.random.default_rng(m)
+    phi = rng.uniform(0.0, 2 * np.pi, 9)
+    r = 0.95
+    points = r * np.column_stack([np.cos(phi), np.sin(phi)])
+    angle = rng.uniform(0.0, 2 * np.pi, 9)
+    normals = np.column_stack([np.cos(angle), np.sin(angle)])
+    e_r = points / r
+    e_phi = np.column_stack([-e_r[:, 1], e_r[:, 0]])
+    cases = [(np.cos, lambda a: -np.sin(a))]
+    if m < 32:
+        cases.append((np.sin, np.cos))
+    for trig, dtrig in cases:
+        f = trig(m * bgrid64.t)
+        H = r ** m * trig(m * phi) / m
+        # grad H = d_r H e_r + (1/r) d_phi H e_phi
+        grad = (r ** (m - 1) * trig(m * phi))[:, None] * e_r \
+            + (r ** (m - 1) * dtrig(m * phi))[:, None] * e_phi
+        assert np.max(np.abs(harmonic_lift(f, points) - H)) <= 1e-13
+        assert np.max(np.abs(harmonic_lift(f, points, normals)
+                             - np.sum(grad * normals, axis=1))) <= 1e-13
+
+
+def test_class_edge_circle_meets_the_closed_forms(bgrid64, f_cos):
+    # circle 0.9, at the top of the band: u0 = g(R) cos and, with
+    # lambda = (k0 - k) / (k0 + k), U = (1 + R^2 lambda)/(1 - R^2 lambda) cos;
+    # the lift carries no quadrature floor there
+    R = 0.9
+    data = solve_u0(circle(R), f_cos, n=256)
+    assert np.max(np.abs(data.u0 - g_two_phase(R) * np.cos(bgrid64.t))) <= 1e-13
+    kernels = assemble(discretize(circle(R), 256))
+    kvals = np.array([2.0, 0.5, 3 + 1j])
+    lam = (1 - kvals) / (1 + kvals)
+    expect = np.cos(bgrid64.t)[:, None] * ((1 + R * R * lam)
+                                           / (1 - R * R * lam))[None, :]
+    U = solve_forward_batched(kernels, f_cos, kvals)
+    assert np.max(np.abs(U - expect)) <= 1e-13
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -233,12 +267,12 @@ def test_f_channel_weights_are_positive(shape, f_cos):
     mu, V = kernels.eig
     bgrid = unit_circle_grid(f_cos.size)
     fw = f_cos * bgrid.weights
-    q = V.T @ (kernels.B @ -harmonic_lift_normal_derivative(
-        f_cos, bgrid, kernels.grid.points, kernels.grid.normals))
+    q = V.T @ (kernels.B @ -harmonic_lift(f_cos, kernels.grid.points,
+                                          kernels.grid.normals))
     weights = (fw @ eval_S(kernels.grid, V, bgrid.points)) * q
     kvals = np.array([-0.5 + 0.5j, 2.0 + 1.0j, 0.3 - 4.0j])
     c = _contrast_c(kvals, 1.0)
-    expect = fw @ harmonic_lift_trace(f_cos, bgrid) + np.sum(
+    expect = fw @ harmonic_lift(f_cos, bgrid.points) + np.sum(
         weights[:, None] / (c[None, :] + mu[:, None]), axis=0)
     got = fw @ solve_forward_batched(kernels, f_cos, kvals)
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -255,12 +289,11 @@ def _out_of_place_direct(kernels, f, k, k0=1.0):
     """
     bgrid = unit_circle_grid(f.size)
     grid = kernels.grid
-    dn_frak = harmonic_lift_normal_derivative(f, bgrid, grid.points,
-                                              grid.normals)
+    dn_frak = harmonic_lift(f, grid.points, grid.normals)
     A = _contrast_c(k, k0) * np.eye(grid.n) + kernels.Kstar
     phi = sla.lu_solve(sla.lu_factor(A.astype(complex)),
                        -dn_frak.astype(complex) / k0)
-    u = harmonic_lift_trace(f, bgrid) / k0 + eval_S(grid, phi, bgrid.points)
+    u = harmonic_lift(f, bgrid.points) / k0 + eval_S(grid, phi, bgrid.points)
     return _recenter(u, bgrid)
 
 
@@ -270,12 +303,11 @@ def _out_of_place_batched(kernels, f, kvals, k0=1.0):
     bgrid = unit_circle_grid(f.size)
     grid = kernels.grid
     mu, V = kernels.eig
-    U = np.tile((harmonic_lift_trace(f, bgrid) / k0)[:, None],
+    U = np.tile((harmonic_lift(f, bgrid.points) / k0)[:, None],
                 (1, kvals.size)).astype(complex)
     live = kvals != k0
     denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
-    dn_frak = harmonic_lift_normal_derivative(f, bgrid, grid.points,
-                                              grid.normals)
+    dn_frak = harmonic_lift(f, grid.points, grid.normals)
     q = V.T @ (kernels.B @ (-dn_frak / k0))
     TV = eval_S(grid, V, bgrid.points)
     U[:, live] += TV @ (q[:, None] / denom)

@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfeit import potential
-from mfeit.errors import (DomainViolation, InvalidResolution,
-                          SingularEvaluation, TargetTooClose)
+from mfeit.errors import DomainViolation, InvalidResolution, TargetTooClose
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import (_assemble_single_layer, _kress_log_row,
-                             _neumann, _node_pairs, _pair_terms,
-                             _single_layer_row, _target_kernel, assemble,
-                             eval_S, kress_log_matrix,
-                             neumann_normal_derivative)
+                             _neumann, _node_pairs, _normal_derivative_parts,
+                             _pair_terms, _single_layer_row, _target_kernel,
+                             assemble, eval_S)
 
 from conftest import TREFOIL, calderon_residual
 
@@ -144,21 +142,26 @@ def test_single_layer_equals_the_uncached_formula(n):
 
 
 def test_size_only_constants_are_read_only():
-    for a in (kress_log_matrix(64), _kress_log_row(64), _single_layer_row(64)):
+    for a in (_kress_log_row(64), _single_layer_row(64)):
         with pytest.raises(ValueError):
             a[0] = 0.0
-    assert kress_log_matrix(64) is kress_log_matrix(64)
+    assert _kress_log_row(64) is _kress_log_row(64)
+
+
+def _kress_rule(n):
+    """The product rule as the circulant of the row S is built from."""
+    return sla.circulant(_kress_log_row(n))
 
 
 @pytest.mark.parametrize("n", [16, 64, 250, 512])
 def test_kress_circulant_equals_index_gather(n):
-    assert np.array_equal(kress_log_matrix(n), _gathered_kress(n))
+    assert np.array_equal(_kress_rule(n), _gathered_kress(n))
 
 
 def test_kress_rule_is_spectrally_exact():
     n = 64
     t = 2 * np.pi * np.arange(n) / n
-    R = kress_log_matrix(n)
+    R = _kress_rule(n)
     for m in range(1, 6):
         # (1/2pi) int ln(4 sin^2((t-s)/2)) cos(ms) ds = -cos(mt)/m
         assert np.allclose(R @ np.cos(m * t), -np.cos(m * t) / m, atol=1e-13)
@@ -168,7 +171,7 @@ def test_kress_rule_is_spectrally_exact():
 @given(st.sampled_from([16, 32, 64, 128, 250]))
 @settings(max_examples=5, deadline=None)
 def test_kress_rule_annihilates_constants(n):
-    R = kress_log_matrix(n)
+    R = _kress_rule(n)
     assert np.max(np.abs(R @ np.ones(n))) < 1e-12
 
 
@@ -176,6 +179,13 @@ def _neumann_at(x, z):
     """N(x, z), elementwise over broadcast points, by the closed form that
     every kernel matrix is built from."""
     return _neumann(z, *_pair_terms(x, z))
+
+
+def _normal_derivative_at(x, z, nu):
+    """nu . grad_x N(x, z), elementwise over broadcast points (x != z), as
+    the sum of the two parts that K* is built from."""
+    free, image = _normal_derivative_parts(x, z, nu, *_pair_terms(x, z))
+    return free + image
 
 
 def test_neumann_kernel_zero_boundary_mean():
@@ -216,9 +226,10 @@ def test_neumann_kernel_symmetry():
 
 
 def test_eval_S_is_the_one_circle_kernel():
-    # the kernel of the trace and of the lift is written once, in
-    # _target_kernel, and only eval_S weights it
-    assert not {"trace_matrix", "neumann_kernel"} & set(vars(potential))
+    # the kernel of the trace is written once, in _target_kernel, and only
+    # eval_S weights it; the lift needs no kernel matrix and no circle rule
+    assert not {"trace_matrix", "neumann_kernel", "kress_log_matrix",
+                "neumann_normal_derivative"} & set(vars(potential))
 
 
 def test_neumann_kernel_guards():
@@ -288,9 +299,9 @@ def test_jump_relations_richardson():
     # base offsets balance the O(eps^3) extrapolation error against the
     # near-boundary quadrature floor, which differs between the two sides
     for sign, jump, base in [(+1, +0.5, 0.04), (-1, -0.5, 0.08)]:
-        v = [neumann_normal_derivative((pts + sign * e * nus)[:, None, :],
-                                       grid.points[None, :, :],
-                                       nus[:, None, :]) @ (phi * grid.weights)
+        v = [_normal_derivative_at((pts + sign * e * nus)[:, None, :],
+                                   grid.points[None, :, :],
+                                   nus[:, None, :]) @ (phi * grid.weights)
              for e in (base, base / 2, base / 4)]
         rich = (8 * v[2] - 6 * v[1] + v[0]) / 3
         expect = jump * phi[idx] + expect_base
@@ -298,18 +309,10 @@ def test_jump_relations_richardson():
         assert rel < 1e-4
 
 
-def test_eval_S_normal_derivative_singular_guard(conc_kernels):
-    grid = conc_kernels.grid
-    with pytest.raises(SingularEvaluation):
-        neumann_normal_derivative(grid.points[:1, None, :],
-                                  grid.points[None, :, :],
-                                  grid.normals[:1, None, :])
-
-
 @pytest.mark.parametrize("z", [[0.23, -0.11], [np.cos(0.4), np.sin(0.4)]])
 def test_neumann_normal_derivative_matches_centred_differences(z):
-    # z inside the disk and on the unit circle, where the harmonic lift
-    # places its sources; the kernel value there comes by symmetry
+    # z inside the disk and on the unit circle, where the image term equals
+    # the free-space one; the kernel value there comes by symmetry
     z = np.array(z)
     rng = np.random.default_rng(1)
     x = rng.uniform(-0.6, 0.6, size=(5, 2))
@@ -317,5 +320,5 @@ def test_neumann_normal_derivative_matches_centred_differences(z):
     eps = 1e-6
     fd = (_neumann_at(z, x + eps * nu) - _neumann_at(z, x - eps * nu)) \
         / (2 * eps)
-    assert np.allclose(neumann_normal_derivative(x, z, nu), fd,
+    assert np.allclose(_normal_derivative_at(x, z, nu), fd,
                        rtol=1e-7, atol=1e-9)

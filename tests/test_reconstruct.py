@@ -299,8 +299,8 @@ def test_shape_outside_the_class_reaches_the_constrained_optimum(
 
 
 @pytest.mark.parametrize("shape,M,J,steps", [
-    (circle(0.93), 0, 1.769699e-3, 1), (circle(0.15), 0, 1.779124e-3, 2),
-    (StarShape(cos=(0.8, 0.0, 0.15)), 4, 1.376018e-3, 3),
+    (circle(0.93), 0, 1.772710e-3, 1), (circle(0.15), 0, 1.779124e-3, 2),
+    (StarShape(cos=(0.8, 0.0, 0.15)), 4, 1.375469e-3, 3),
     (StarShape(cos=(0.3, 0.0, 0.0, 0.1), sin=(0.0, 0.05)), 4, 5.419486e-8, 6)])
 def test_out_of_class_optimum_and_step_count_are_kept(f_cos, shape, M, J,
                                                       steps):
@@ -309,6 +309,18 @@ def test_out_of_class_optimum_and_step_count_are_kept(f_cos, shape, M, J,
     settings_ = InversionSettings(n_fourier_modes=M, alpha=0.0, n_boundary=64)
     res = invert(solve_u0(shape, f_cos, n=256), settings_)
     assert f"{res.history[-1]:.6e}" == f"{J:.6e}" and res.n_iter == steps
+    assert res.converged and res.hit_constraint
+
+
+def test_out_of_class_circle_reaches_the_closed_form_optimum(f_cos):
+    """Circle 0.93 against the admissible circles: the optimum is the band's
+    edge R = 0.899, where J = (pi/2) (g(R) - g(0.93))^2 for u0 = g cos, to 6
+    digits once the inversion's own grid resolves the edge (256 nodes)."""
+    settings_ = InversionSettings(n_fourier_modes=0, alpha=0.0,
+                                  n_boundary=256)
+    res = invert(solve_u0(circle(0.93), f_cos, n=256), settings_)
+    J = np.pi / 2 * (g_two_phase(0.899) - g_two_phase(0.93)) ** 2
+    assert f"{res.history[-1]:.6e}" == f"{J:.6e}"
     assert res.converged and res.hit_constraint
 
 
