@@ -113,22 +113,32 @@ def _read_table(text: str, optional: int | None = None,
     (unrecorded) ``optional`` column, the header at least as long as the
     column names ``need``.
 
-    The body is converted in one call, which parses each cell as ``float``
-    does; a body it refuses is walked only to name the first bad cell by
-    row (the header is row 1) and column.
+    A table as the package writes it is read by ``_read_plain``, its body
+    parsed in C by ``np.loadtxt``, which rounds each cell as ``float``
+    does. The ``csv`` module reads every other text and one ``np.array``
+    call converts its body; a body that call refuses is walked to name the
+    first bad cell by row (the header is row 1) and column. That path alone
+    runs on the texts the two readers split differently (loadtxt skips a
+    blank line, csv reads a row of no cells) and on the bodies loadtxt
+    refuses, so the bits, the header and the message of an error do not
+    depend on the path.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2 or not rows[0]:  # csv reads a blank line as no cells
-        raise ValueError("no header or no data rows")
-    header = rows[0]
-    if len(header) < len(need):
-        raise ValueError(f"row 1, column {need[len(header)]}: missing")
-    try:
-        data = np.array(rows[1:], dtype=float)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(header):
-        _raise_at_bad_cell(rows[1:], header)
+    table = _read_plain(text, len(need))
+    if table is None:
+        rows = list(csv.reader(io.StringIO(text)))
+        if len(rows) < 2 or not rows[0]:  # csv reads a blank line as no cells
+            raise ValueError("no header or no data rows")
+        header = rows[0]
+        if len(header) < len(need):
+            raise ValueError(f"row 1, column {need[len(header)]}: missing")
+        try:
+            data = np.array(rows[1:], dtype=float)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(header):
+            _raise_at_bad_cell(rows[1:], header)
+        table = header, data
+    header, data = table
     bad = ~np.isfinite(data)
     if optional is not None and np.all(np.isnan(data[:, optional])):
         bad[:, optional] = False
@@ -136,6 +146,27 @@ def _read_table(text: str, optional: int | None = None,
         i, j = np.argwhere(bad)[0]  # the header is row 1
         raise ValueError(f"row {i + 2}, column {header[j]}: not finite")
     return header, data
+
+
+def _read_plain(text: str, least: int) -> tuple | None:
+    """(header, body) by numpy's C reader, or None for a text that
+    ``_read_table`` leaves to the ``csv`` module: one with a quote, a
+    carriage return, a blank line or no body, a header shorter than
+    ``least``, or a body loadtxt refuses or that is not as wide as the
+    header."""
+    head, _, body = text.partition("\n")
+    if (not head or not body or "\n\n" in text or '"' in text
+            or "\r" in text):
+        return None
+    header = head.split(",")
+    if len(header) < least:
+        return None
+    try:
+        data = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                          ndmin=2)
+    except ValueError:
+        return None
+    return (header, data) if data.shape[1] == len(header) else None
 
 
 def _raise_at_bad_cell(body: list, header: list) -> None:
@@ -355,8 +386,27 @@ def u0_shape_derivative(sim: CauchyData, velocity: np.ndarray) -> np.ndarray:
 
 
 def _contrast_c(k, k0: float):
-    """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k."""
-    return (k0 + k) / (2.0 * (k0 - k))
+    """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k.
+
+    Where 2 (k0 - k) overflows, |k| is near the largest float and c is
+    formed from r = k0 / k as (1 + r) / (2 (r - 1)), close to -1/2; every
+    other shift is the quotient itself, bit for bit. Where |Re k| + |Im k|
+    overflows as well, so can numpy's k0 / k, and c is nan, a shift that
+    ``mfeit forward`` refuses.
+    """
+    with np.errstate(over="ignore"):
+        d = 2.0 * (k0 - k)
+    finite = np.isfinite(d)
+    if np.all(finite):
+        return (k0 + k) / d
+    k, d = np.asarray(k, dtype=complex), np.asarray(d)
+    c = np.full(k.shape, np.nan, dtype=complex)
+    c[finite] = (k0 + k[finite]) / d[finite]
+    with np.errstate(over="ignore"):
+        far = ~finite & np.isfinite(np.abs(k.real) + np.abs(k.imag))
+    r = k0 / k[far]
+    c[far] = (1.0 + r) / (2.0 * (r - 1.0))
+    return c
 
 
 def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,

@@ -130,9 +130,6 @@ class StarShape:
         if not self.cos:
             raise ValueError("cos needs at least the constant coefficient a0")
 
-    def radius(self, theta):
-        return fourier_series(self.cos, self.sin, theta)[0]
-
     @classmethod
     def from_json(cls, s: str) -> "StarShape":
         d = json.loads(s)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_forward_at_resonance_exits_3(tmp_path, capsys):
     out = tmp_path / "fwd"
     assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 3
     assert "NearResonance" in capsys.readouterr().err
+    assert not (out / "forward.csv").exists()
+
+
+def test_forward_near_the_float_maximum_exits_3_without_a_warning(tmp_path,
+                                                                  capsys):
+    # 2 (k0 - k) overflows, yet c = (k0 + k) / (2 (k0 - k)) is about -1/2:
+    # the shift of the constant-density mode of K*, mu = 1/2
+    cfg = dict(FORWARD, contrasts=[[2.0, 0.0], [1e308, 0.0]])
+    out = tmp_path / "fwd"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("forward", write_cfg(tmp_path, "c.json", cfg), out) == 3
+    assert "NearResonance: contrast (1e+308+0j)" in capsys.readouterr().err
     assert not (out / "forward.csv").exists()
 
 

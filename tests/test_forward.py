@@ -1,16 +1,18 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from mfeit.errors import ConstraintViolation, NearResonance, SingularSystem
+from mfeit import forward
 from mfeit.forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                           _contrast_c, _recenter, current_from_fourier,
-                           harmonic_lift, solve_forward_batched,
-                           solve_forward_direct, solve_forward_spectral,
-                           solve_u0, synthesize)
+                           _contrast_c, _read_plain, _read_table, _recenter,
+                           _write_table, current_from_fourier, harmonic_lift,
+                           solve_forward_batched, solve_forward_direct,
+                           solve_forward_spectral, solve_u0, synthesize)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             discretize, unit_circle_grid)
 from mfeit.potential import KernelMatrices, assemble, eval_S
@@ -166,6 +168,27 @@ def test_guards_refuse_a_nan_distance(f_cos, conc_kernels, conc_spectrum):
         with pytest.raises(NearResonance, match="within nan"):
             solve_forward_spectral(conc_spectrum, f_cos, complex(np.nan), 1.0,
                                    u0)
+
+
+@pytest.mark.parametrize("k", [1e308, 1.7e308j], ids=["real", "imag"])
+def test_shift_of_a_contrast_near_the_float_maximum_is_minus_half(k):
+    # 2 (k0 - k) overflows; c = (k0 + k) / (2 (k0 - k)) -> -1/2 as k -> inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shifts = [_contrast_c(k, 1.0), *_contrast_c(np.array([2.0, k]), 1.0)]
+    assert abs(shifts[0] + 0.5) <= 1e-15 and abs(shifts[2] + 0.5) <= 1e-15
+    # every other shift is the quotient, bit for bit
+    assert shifts[1] == (1.0 + 2.0) / (2.0 * (1.0 - 2.0))
+
+
+def test_shift_keeps_its_bits_below_the_float_maximum():
+    rng = np.random.default_rng(5)
+    k = rng.standard_normal(64) * 10.0 ** rng.uniform(-3, 300, 64) \
+        + 1j * rng.standard_normal(64) * 10.0 ** rng.uniform(-3, 300, 64)
+    quotient = (2.0 + k) / (2.0 * (2.0 - k))
+    assert _contrast_c(k, 2.0).tobytes() == quotient.tobytes()
+    assert all(_contrast_c(complex(v), 2.0) == (2.0 + complex(v))
+               / (2.0 * (2.0 - complex(v))) for v in k)
 
 
 def test_large_contrast_approaches_perfect_conductor(bgrid64, f_cos,
@@ -431,3 +454,117 @@ def test_cauchy_csv_matches_loop_writer_and_round_trips(with_f):
         assert again.f.tobytes() == f.tobytes()
     else:
         assert again.f is None
+
+
+def _csv_read_table(text, optional=None, need=()):
+    """Oracle of ``_read_table``: the ``csv`` module and one ``np.array``
+    call for every text, the bad cell named by the same walk."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2 or not rows[0]:
+        raise ValueError("no header or no data rows")
+    header = rows[0]
+    if len(header) < len(need):
+        raise ValueError(f"row 1, column {need[len(header)]}: missing")
+    try:
+        data = np.array(rows[1:], dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
+        forward._raise_at_bad_cell(rows[1:], header)
+    bad = ~np.isfinite(data)
+    if optional is not None and np.all(np.isnan(data[:, optional])):
+        bad[:, optional] = False
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"row {i + 2}, column {header[j]}: not finite")
+    return header, data
+
+
+def _outcome(read, text, **kwargs):
+    """(header, shape, bytes) of a table read, or the message it raised."""
+    try:
+        header, data = read(text, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return header, data.shape, data.dtype, data.tobytes()
+
+
+def _written_tables():
+    """One text of each CSV kind the CLI writes, with its reader's keywords:
+    dataset.csv, forward.csv, u0.csv with and without f, traces.csv."""
+    rng = np.random.default_rng(11)
+    m, J = 16, 6
+    U = rng.standard_normal((m, J)) + 1j * rng.standard_normal((m, J))
+    U.real[0, :len(_EDGE)] = _EDGE[:J]
+    omega = np.linspace(10.0, 50.0, J)
+    cauchy = dict(optional=1, need=("theta", "f", "u0"))
+    theta = 2 * np.pi * np.arange(m) / m
+    return {
+        "dataset": (MultiFreqData(omega=omega, k=-0.5 + 0.05j * omega,
+                                  U=U).to_csv(), {}),
+        "forward": (MultiFreqData(omega=np.arange(2.0), k=np.array(
+            [2.0, 0.5 + 1j]), U=U[:, :2]).to_csv(), {}),
+        "u0-with-f": (CauchyData(f=np.cos(theta), u0=U[:, 0].real).to_csv(),
+                      cauchy),
+        "u0-without-f": (CauchyData(f=None, u0=U[:, 1].real).to_csv(), cauchy),
+        "traces": (_write_table(["theta", "w0", "w1"], np.column_stack(
+            [theta, U.real[:, :2]]).tolist()), {}),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_written_tables()))
+def test_written_tables_read_by_the_c_reader_as_by_csv(kind):
+    text, kwargs = _written_tables()[kind]
+    assert _read_plain(text, len(kwargs.get("need", ()))) is not None
+    got = _outcome(_read_table, text, **kwargs)
+    assert got == _outcome(_csv_read_table, text, **kwargs)
+    assert not isinstance(got, str)
+
+
+#: texts that reach each rule of the two readers, each under "a,b"
+_EDGE_TABLES = {
+    "quote": 'a,b\n"1",2\n',
+    "quoted-header": '"a",b\n1,2\n',
+    "quoted-comma": 'a,b\n"1,5",2\n',
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "blank-mid": "a,b\n1,2\n\n3,4\n",
+    "blank-leading": "\na,b\n1,2\n",
+    "blank-trailing": "a,b\n1,2\n\n",
+    "header-only": "a,b\n",
+    "header-only-one-column": "a\n",
+    "blank-leading-one-column": "\n1\n2\n",
+    "header-no-newline": "a,b",
+    "empty": "",
+    "underscore": "a,b\n1_0,2\n",
+    "spaces": "a,b\n 1 , 2\n",
+    "tab": "a,b\n1\t,\t2\n",
+    "inner-space": "a,b\n1 0,2\n",
+    "whitespace-row": "a,b\n1,2\n  \n",
+    "hash": "a,b\n#1,2\n",
+    "hash-after": "a,b\n1,2#\n",
+    "empty-cell": "a,b\n1,\n",
+    "ragged": "a,b\n1,2\n3\n",
+    "short": "a,b\n1\n",
+    "wide": "a,b\n1,2,3\n",
+    "nan": "a,b\nnan,2\n",
+    "nan-both": "a,b\nnan,-nan\n",
+    "inf": "a,b\n1,-inf\n",
+    "hex": "a,b\n0x10,2\n",
+    "fortran-exponent": "a,b\n1d5,2\n",
+    "nan-payload": "a,b\nnan(1),2\n",
+    "empty-header-cell": "a,,b\n1,2,3\n",
+    "no-final-newline": "a,b\n1,-0.0\n5e-324,1e-400",
+    "overflow": "a,b\n1e999,2\n",
+    "fullwidth-digit": "a,b\n\uff11,2\n",
+    "nul": "a,b\n1,2\x00\n",
+    "form-feed": "a,b\n1,2\x0c3,4\n",
+}
+
+
+@pytest.mark.parametrize("need", [(), ("a", "b", "c")], ids=["any", "need-c"])
+@pytest.mark.parametrize("optional", [None, 0])
+@pytest.mark.parametrize("name", list(_EDGE_TABLES))
+def test_read_table_matches_the_csv_oracle(name, optional, need):
+    text = _EDGE_TABLES[name]
+    assert (_outcome(_read_table, text, optional=optional, need=need)
+            == _outcome(_csv_read_table, text, optional=optional, need=need))

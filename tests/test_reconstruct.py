@@ -12,7 +12,8 @@ from mfeit.forward import (CauchyData, FrequencyProfile, _add_noise,
                            _recenter, current_from_fourier, solve_u0,
                            synthesize)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
-                            class_rows, discretize, unit_circle_grid)
+                            class_rows, discretize, fourier_series,
+                            unit_circle_grid)
 from mfeit.lsq import levenberg_marquardt
 from mfeit.potential import assemble
 from mfeit.reconstruct import (InversionSettings, _Objective, _params_to_shape,
@@ -185,10 +186,54 @@ def test_symmetric_difference_oracles():
                       0.09 * np.pi, rtol=1e-12)
     # dense-quadrature oracle for circle vs trefoil
     th = np.linspace(0, 2 * np.pi, 1_000_000, endpoint=False)
-    dense = np.sum(np.abs(circle(R0).radius(th) ** 2
-                          - TREFOIL.radius(th) ** 2)) / 2 * (2 * np.pi / 1e6)
+    r = fourier_series(TREFOIL.cos, TREFOIL.sin, th)[0]
+    dense = np.sum(np.abs(R0 ** 2 - r ** 2)) / 2 * (2 * np.pi / 1e6)
     assert np.isclose(symmetric_difference(circle(R0), TREFOIL), dense,
                       atol=1e-7)
+
+
+def _direct_symmetric_difference(a, b):
+    """Oracle: each radius summed mode by mode at the ``_N_QUAD`` angles."""
+    n = reconstruct._N_QUAD
+    th = 2 * np.pi * np.arange(n) / n
+    ra = fourier_series(a.cos, a.sin, th)[0]
+    rb = fourier_series(b.cos, b.sin, th)[0]
+    return float(np.sum(np.abs(ra * ra - rb * rb)) * (np.pi / n))
+
+
+@pytest.mark.parametrize("M", range(17))
+def test_symmetric_difference_matches_the_direct_sum(M):
+    rng = np.random.default_rng(M)
+    a, b = (StarShape(cos=(r, *0.02 * rng.standard_normal(M)),
+                      sin=tuple(0.02 * rng.standard_normal(M)))
+            for r in (0.5, 0.52))
+    for x, y in [(a, b), (a, circle(0.45)), (circle(0.6), b)]:
+        want = _direct_symmetric_difference(x, y)
+        assert abs(symmetric_difference(x, y) - want) <= 1e-14 * want
+
+
+def test_symmetric_difference_folds_a_mode_above_the_nyquist():
+    n = reconstruct._N_QUAD
+    a = StarShape(cos=(0.5, 0.01, *[0.0] * 4997, 0.01),
+                  sin=(*[0.0] * 4999, 0.02))
+    nyquist = StarShape(cos=(0.5, *[0.0] * (n // 2 - 1), 0.02))
+    b = StarShape(cos=(0.52, 0.0, 0.01), sin=(0.01,))
+    for x, y in [(a, circle(0.45)), (a, b), (nyquist, b)]:
+        want = _direct_symmetric_difference(x, y)
+        assert abs(symmetric_difference(x, y) - want) <= 1e-14 * want
+    # at the angles, mode n + 3 is mode 3
+    high = StarShape(cos=(0.5, *[0.0] * (n + 2), 0.02),
+                     sin=(*[0.0] * (n + 2), 0.01))
+    low = StarShape(cos=(0.5, 0.0, 0.0, 0.02), sin=(0.0, 0.0, 0.01))
+    assert np.isclose(symmetric_difference(high, b),
+                      symmetric_difference(low, b), rtol=1e-14, atol=0)
+
+
+def test_symmetric_difference_of_circles_is_the_annulus():
+    for ra, rb in [(0.5, 0.4), (0.3, 0.7), (0.55, 0.55 + 1e-9)]:
+        want = np.pi * abs(ra ** 2 - rb ** 2)
+        assert np.isclose(symmetric_difference(circle(ra), circle(rb)), want,
+                          rtol=4e-16, atol=0)
 
 
 @given(st.lists(st.floats(0.25, 0.8), min_size=3, max_size=3),
