@@ -28,8 +28,8 @@ import numpy as np
 from .disentangle import extract_u0, fit_rational
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
-                      _check_zero_mean, _contrast_c, _write_table,
-                      current_from_fourier, solve_forward_batched, synthesize)
+                      _check_zero_mean, _write_table, current_from_fourier,
+                      solve_forward_batched, synthesize)
 from .geometry import (DomainConfig, _is_count, _is_number, build_star_shape,
                        check, check_gap, check_grid_size, check_list,
                        discretize, unit_circle_grid)
@@ -166,12 +166,6 @@ def cmd_forward(manifest: dict, *, shape, current, contrasts, domain=None,
                lambda k: isinstance(k, list) and len(k) == 2
                and all(map(_is_number, k)))
     kvals = np.array([complex(re, im) for re, im in contrasts])
-    # a shift that overflows makes the voltages nan; at k = k0 none is used
-    with np.errstate(all="ignore"):
-        shift = _contrast_c(kvals, domain.k0)
-    check(contrasts, "contrasts",
-          "pairs whose shift (k0 + k) / (2 (k0 - k)) is finite",
-          lambda _: np.all(np.isfinite(shift) | (kvals == domain.k0)))
     U = solve_forward_batched(assemble(grid), f, kvals, domain.k0)
     return {"forward.csv": MultiFreqData(
         omega=np.arange(kvals.size, dtype=float), k=kvals, U=U).to_csv()}

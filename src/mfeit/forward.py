@@ -388,24 +388,23 @@ def u0_shape_derivative(sim: CauchyData, velocity: np.ndarray) -> np.ndarray:
 def _contrast_c(k, k0: float):
     """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k.
 
-    Where 2 (k0 - k) overflows, |k| is near the largest float and c is
-    formed from r = k0 / k as (1 + r) / (2 (r - 1)), close to -1/2; every
-    other shift is the quotient itself, bit for bit. Where |Re k| + |Im k|
-    overflows as well, so can numpy's k0 / k, and c is nan, a shift that
-    ``mfeit forward`` refuses.
+    Where 2 (k0 - k) overflows, k0 and k are first divided by the largest
+    of |k0|, |Re k| and |Im k|, so that no sum, difference or complex
+    division of the quotient can overflow. Every other shift is the
+    quotient itself, bit for bit.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d = 2.0 * (k0 - k)
     finite = np.isfinite(d)
     if np.all(finite):
         return (k0 + k) / d
     k, d = np.asarray(k, dtype=complex), np.asarray(d)
-    c = np.full(k.shape, np.nan, dtype=complex)
+    c = np.empty(k.shape, dtype=complex)
     c[finite] = (k0 + k[finite]) / d[finite]
-    with np.errstate(over="ignore"):
-        far = ~finite & np.isfinite(np.abs(k.real) + np.abs(k.imag))
-    r = k0 / k[far]
-    c[far] = (1.0 + r) / (2.0 * (r - 1.0))
+    big = k[~finite]
+    scale = np.maximum(abs(k0), np.maximum(np.abs(big.real), np.abs(big.imag)))
+    a, b = k0 / scale, big / scale
+    c[~finite] = (a + b) / (2.0 * (a - b))
     return c
 
 
@@ -448,6 +447,8 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     matrix T and q = V^T B g are built once and U = frak / k0 + (T V) Q with
     Q_ij = q_i / (c_j + mu_i). Raises ``NearResonance`` unless
     min|c_j + mu| >= 1e-10, the distance of the system from singularity.
+    The eigenbasis holds no equilibrium mode, so a huge contrast (c = -1/2
+    to rounding) solves like any other, its column tending to u0 / k0.
     """
     kvals = np.asarray(kvals, dtype=complex)
     bgrid_omega = unit_circle_grid(f.size)

@@ -196,14 +196,21 @@ class KernelMatrices:
         residual, so K* = V diag(mu) V^T B on the discrete level. Both
         matrices are exactly symmetric, so their transposes are Fortran
         views of the same values: LAPACK overwrites sym(B K*) and B in
-        place, the latter with its Cholesky factor.
+        place, the latter with its Cholesky factor. The last pair in
+        ``eigh``'s ascending order, mu = 1/2 to rounding, is the equilibrium
+        density: no zero-flux current excites it (its coefficient is the
+        zero boundary integral of d_nu H; Ammari & Kang, 2007, ch. 2), and
+        at k = inf, c = -1/2, it would make every system look singular. It
+        is dropped by a view, which copies no n x n matrix; the next mu is
+        at most 0.16 on circles, the trefoil and random shapes of the class.
         """
         B = self.B
         A = B @ self.Kstar
         A += A.T
         A *= 0.5
-        return sla.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True,
-                        check_finite=False)
+        mu, V = sla.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True,
+                         check_finite=False)
+        return mu[:-1], V[:, :-1]
 
 
 def _node_pairs(grid: BoundaryGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,6 @@ from .potential import KernelMatrices, eval_S
 
 #: modes with |lambda - 1/2| at or below this are unresolved tail
 DEFAULT_TAIL = 1e-8
-#: lambda this close to zero is the nonphysical constant-density mode
-_ZERO_MODE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,8 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
     """Leading eigenvalues of the variational operator and the traces of
     their energy-normalized eigenfunctions.
 
-    The nonphysical constant-density mode (lambda ~ 0) is discarded, as are
-    tail modes with |lambda - 1/2| <= tail, which the grid cannot resolve.
+    Tail modes with |lambda - 1/2| <= tail, which the grid cannot resolve,
+    are discarded; ``kernels.eig`` holds no equilibrium mode (lambda = 0).
     """
     n = kernels.grid.n
     if n_modes > n // 4:
@@ -58,10 +56,8 @@ def compute_spectrum(kernels: KernelMatrices, n_modes: int, k0: float = 1.0,
     lam = 0.5 - mu
 
     # compose the column index first, then gather the kept columns once
-    idx = np.flatnonzero(lam > _ZERO_MODE_TOL)
-    resolved = np.abs(lam[idx] - 0.5) > tail
-    n_discarded = int(np.sum(~resolved))
-    idx = idx[resolved]
+    idx = np.flatnonzero(np.abs(lam - 0.5) > tail)
+    n_discarded = lam.size - idx.size
     idx = idx[np.argsort(-np.abs(lam[idx] - 0.5), kind="stable")]
     if idx.size < n_modes:
         raise NotConverged(

@@ -159,12 +159,11 @@ def test_spectral_series_term_closed_form(bgrid64, f_cos, conc_kernels,
 
 
 def test_guards_refuse_a_nan_distance(f_cos, conc_kernels, conc_spectrum):
-    # c = (k0 + k) / (2 (k0 - k)) overflows to nan: no nan voltage is returned
+    # a nan contrast has a nan shift and distance: no nan voltage is returned
     u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in (1e308 + 1e308j, -1e308 + 1e308j):
-            with pytest.raises(NearResonance, match="within nan"):
-                solve_forward_batched(conc_kernels, f_cos, [2.0, k])
+        with pytest.raises(NearResonance, match="within nan"):
+            solve_forward_batched(conc_kernels, f_cos, [2.0, complex(np.nan)])
         with pytest.raises(NearResonance, match="within nan"):
             solve_forward_spectral(conc_spectrum, f_cos, complex(np.nan), 1.0,
                                    u0)
@@ -179,6 +178,15 @@ def test_shift_of_a_contrast_near_the_float_maximum_is_minus_half(k):
     assert abs(shifts[0] + 0.5) <= 1e-15 and abs(shifts[2] + 0.5) <= 1e-15
     # every other shift is the quotient, bit for bit
     assert shifts[1] == (1.0 + 2.0) / (2.0 * (1.0 - 2.0))
+
+
+def test_shift_at_a_float_maximum_k0_is_formed_without_a_warning():
+    # k0 - k overflows too, and 2 (k0 - k) reads inf + nan j; at k = 0.5,
+    # k0 / k would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = _contrast_c(np.array([-1.7e308 + 0j, 2.0, 0.5]), 1.7e308)
+    assert np.max(np.abs(c - [0.0, 0.5, 0.5])) <= 1e-15
 
 
 def test_shift_keeps_its_bits_below_the_float_maximum():
@@ -242,11 +250,10 @@ def _contour_u0(kernels, f, k0=1.0, n_nodes=128):
     encloses every pole that a zero-mean current excites and leaves -1/2
     outside, so U(-1/2) = U(inf) - (1/2 pi i) int U(z) / (z + 1/2) dz,
     which the trapezoid rule resolves geometrically (Trefethen & Weideman,
-    SIAM Review 56, 2014). The constant-density mode (mu ~ 1/2) carries no
-    weight and is left out of rho.
+    SIAM Review 56, 2014). ``eig`` holds no equilibrium mode (mu = 1/2).
     """
     mu, _ = kernels.eig
-    rho = (np.max(np.abs(mu[0.5 - mu > 1e-6])) + 0.5) / 2
+    rho = (np.max(np.abs(mu)) + 0.5) / 2
     c = rho * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
     U = solve_forward_batched(kernels, f, k0 * (2 * c - 1) / (2 * c + 1), k0)
     U_inf = solve_forward_batched(kernels, f, [k0], k0)[:, 0]
@@ -275,8 +282,12 @@ def test_contour_of_batched_voltages_recovers_perfect_conductor(shape, f_cos):
     # first-kind saddle solve of S: u0 = k0 U(k = inf)
     kernels = assemble(discretize(shape, 256))
     u0 = _contour_u0(kernels, f_cos)
+    expect = solve_u0(shape, f_cos, n=256).u0
     assert np.max(np.abs(u0.imag)) <= 1e-13
-    assert np.max(np.abs(u0 - solve_u0(shape, f_cos, n=256).u0)) <= 1e-13
+    assert np.max(np.abs(u0 - expect)) <= 1e-13
+    # and directly: k = 1e300 is c = -1/2 to rounding, u0 = k0 U(k = inf)
+    u_inf = solve_forward_batched(kernels, f_cos, [1e300])[:, 0]
+    assert np.max(np.abs(u_inf - expect)) <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -119,8 +119,10 @@ def test_in_place_operators_equal_the_out_of_place_forms(shape, n):
     assert np.array_equal(kernels.Kstar, Kstar)
     assert np.array_equal(kernels.B, B)
     assert np.array_equal(kernels.B, kernels.B.T)
-    assert np.array_equal(kernels.eig[0], mu)
-    assert np.array_equal(kernels.eig[1], V)
+    # eig drops the last pair: the equilibrium mode mu = 1/2, far from the rest
+    assert abs(mu[-1] - 0.5) <= 1e-12 and mu[-2] < 0.5 - 1e-3
+    assert np.array_equal(kernels.eig[0], mu[:-1])
+    assert np.array_equal(kernels.eig[1], V[:, :-1])
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512])

@@ -7,8 +7,7 @@ from mfeit.cli import _dump
 from mfeit.errors import NotConverged
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import assemble, eval_S
-from mfeit.spectrum import (DEFAULT_TAIL, _ZERO_MODE_TOL, compute_spectrum,
-                            resonance_bound)
+from mfeit.spectrum import DEFAULT_TAIL, compute_spectrum, resonance_bound
 
 R0 = 0.5
 
@@ -18,15 +17,13 @@ def lam_exact(n):
 
 
 def _selected_modes(kernels, n_modes, tail=DEFAULT_TAIL):
-    """Oracle: the zero-mode, tail, order and count selections one by one.
+    """Oracle: the tail, order and count selections one by one.
 
     Returns the kept eigenvalues and their eigen-densities, the columns of
     ``kernels.eig`` that ``compute_spectrum`` keeps.
     """
     mu, V = kernels.eig
     lam = 0.5 - mu
-    keep = lam > _ZERO_MODE_TOL
-    lam, V = lam[keep], V[:, keep]
     resolved = np.abs(lam - 0.5) > tail
     lam, V = lam[resolved], V[:, resolved]
     order = np.argsort(-np.abs(lam - 0.5), kind="stable")
