@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDiverged, InsufficientFrequencies
-from .forward import CauchyData, MultiFreqData, _check_contrasts
+from .forward import (CauchyData, MultiFreqData, _check_contrasts,
+                      _pow2_unit, _shift_pair)
 from .geometry import DomainConfig, _is_count, check
 from .lsq import levenberg_marquardt
 
@@ -63,6 +64,13 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
     up to ``max_poles`` brings the sup residual to TAU * tol * max|U|, or
     when a fitted pole lies at or beyond an end of the segment, |s| >= L,
     where only data with a pole outside the admissible class put one.
+
+    The fit runs on c as the ratio of ``forward._shift_pair`` and on the
+    data times ``forward._pow2_unit(max|U|)``, so no square, sum or
+    quotient overflows for any finite dataset, the largest contrasts and
+    any voltage scale included. A power of two moves no bit: the poles are
+    those of the unscaled data, and the constants, residues, residual and
+    scale are returned in data units.
     """
     check(max_poles, "max_poles", "an integer >= 0", _is_count)
     kvals = np.asarray(data.k, dtype=complex)
@@ -73,19 +81,20 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
             f"got {np.unique(kvals).size}")
     U = data.U
     scale = float(np.max(np.abs(U)))
+    unit = _pow2_unit(scale)
     # c of the class bound -k0 (1 + ((b0 + 2) / b0)^2) of
     # ``spectrum.resonance_bound``; r_inf of the circle b0 is b0
     L = 0.5 - 1.0 / (2.0 + ((config.b0 + 2.0) / config.b0) ** 2)
     J = kvals.size
-    num, den = 2.0 * (config.k0 - kvals), config.k0 + kvals
+    num, den = _shift_pair(kvals, config.k0)
     # complex columns are split into real and imaginary rows
-    Y = np.concatenate([U.real.T, U.imag.T])
+    Y = np.concatenate([U.real.T, U.imag.T]) * unit
 
     def split(B):
         return np.concatenate([B.real, B.imag])
 
     def columns(s):
-        """1/(c_j - s), written as 2 (k0 - k_j) / ((k0 + k_j) - 2 s (k0 - k_j))
+        """1/(c_j - s), written as num / (den - s num) with c = den / num
         to stay finite at k_j = k0 (c = infinity)."""
         return num[:, None] / (den[:, None] - s * num[:, None])
 
@@ -113,7 +122,7 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
     s = np.zeros(0)
     _, (Q, X, R) = value(s)
     target = TAU * tol * scale
-    while (resid := sup_residual(R)) > target:
+    while (resid := sup_residual(R) / unit) > target:
         if s.size == max_poles:
             raise FitDiverged(
                 f"residual {resid:.3g} above tolerance "
@@ -135,8 +144,8 @@ def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
             f"pole c = {s[outside][0]:.6g} outside the segment |c| < "
             f"{L:.6g}: the data have a pole outside the admissible class")
 
-    return RationalModel(poles=s, constants=X[0].copy(),
-                         residues=X[1:].T.copy(), residual=resid,
+    return RationalModel(poles=s, constants=X[0] / unit,
+                         residues=X[1:].T.copy() / unit, residual=resid,
                          scale=scale)
 
 

@@ -385,27 +385,38 @@ def u0_shape_derivative(sim: CauchyData, velocity: np.ndarray) -> np.ndarray:
     return _recenter(T @ dpsi, unit_circle_grid(sim.u0.size))
 
 
-def _contrast_c(k, k0: float):
-    """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k.
+def _pow2_unit(x):
+    """2^-e, where 2^e is the power of two just above |x| (1 at 0, inf and
+    nan), element by element, and at most 2^1023 so that it stays finite.
+    A product with it moves no bit unless it falls below the normal
+    range."""
+    return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1023))
 
-    Where 2 (k0 - k) overflows, k0 and k are first divided by the largest
-    of |k0|, |Re k| and |Im k|, so that no sum, difference or complex
-    division of the quotient can overflow. Every other shift is the
-    quotient itself, bit for bit.
+
+def _shift_pair(k, k0: float) -> tuple:
+    """(2 (a - b), a + b) with a = k0 u and b = k u, u the ``_pow2_unit`` of
+    max(|k0|, |Re k|, |Im k|), element by element.
+
+    No sum, difference or quotient of a and b can overflow, up to the
+    largest float. While a, Re b and Im b stay zero or normal numbers, as
+    they do unless one is about 2^-1022 of the largest, each ratio of the
+    pair, c = (a + b) / (2 (a - b)) among them, is the unscaled ratio bit
+    for bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = 2.0 * (k0 - k)
-    finite = np.isfinite(d)
-    if np.all(finite):
-        return (k0 + k) / d
-    k, d = np.asarray(k, dtype=complex), np.asarray(d)
-    c = np.empty(k.shape, dtype=complex)
-    c[finite] = (k0 + k[finite]) / d[finite]
-    big = k[~finite]
-    scale = np.maximum(abs(k0), np.maximum(np.abs(big.real), np.abs(big.imag)))
-    a, b = k0 / scale, big / scale
-    c[~finite] = (a + b) / (2.0 * (a - b))
-    return c
+    k = np.asarray(k, dtype=complex)
+    unit = _pow2_unit(np.maximum(abs(k0),
+                                 np.maximum(abs(k.real), abs(k.imag))))
+    a, b = k0 * unit, k * unit
+    return 2.0 * (a - b), a + b
+
+
+def _contrast_c(k, k0: float):
+    """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k,
+    as the ratio of ``_shift_pair``: finite for every finite k != k0, and
+    -1/2 to rounding for a k near the largest float. Scalar or array, it
+    is numpy's complex quotient."""
+    num, den = _shift_pair(k, k0)
+    return den / num
 
 
 def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
@@ -460,7 +471,7 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     if np.any(live):
         denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
         gap = np.min(np.abs(denom), axis=0)
-        # fail closed: a shift that overflowed to nan has a nan gap
+        # fail closed: a nan or infinite contrast has a nan shift and gap
         near = np.flatnonzero(~(gap >= _RESONANCE_TOL))
         if near.size:
             raise NearResonance(complex(kvals[live][near[0]]),
@@ -476,17 +487,21 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
                            k0: float, u0: CauchyData) -> np.ndarray:
     """Boundary voltage from the truncated resonance expansion.
 
-    The expansion runs over every mode that ``spectrum`` holds.
+    The expansion runs over every mode that ``spectrum`` holds. As in
+    ``solve_forward_batched``, ``NearResonance`` is raised unless
+    min|c + mu| >= 1e-10 over those modes, mu = 1/2 - lambda: the
+    denominator k0 + lambda (k - k0) is (k0 - k) (c + mu).
     """
     bgrid_omega = unit_circle_grid(f.size)
     if spectrum.traces_bd_omega.shape[0] != f.size:
         raise ValueError("current sampled on a different grid than the traces")
     lam = spectrum.lam
     W = spectrum.traces_bd_omega
+    if k != k0:  # at k = k0 (c infinite) the inclusion is invisible
+        gap = float(np.min(np.abs(_contrast_c(k, k0) + (0.5 - lam))))
+        if not gap >= _RESONANCE_TOL:  # a nan gap fails too
+            raise NearResonance(k, gap)
     denom = k0 + lam * (k - k0)
-    gap = np.min(np.abs(denom))
-    if not gap >= _RESONANCE_TOL:  # a nan gap fails too
-        raise NearResonance(k, float(gap))
     c_n = (f * bgrid_omega.weights) @ W
     u = u0.u0 / k0 + W @ (c_n / denom)
     return _recenter(u, bgrid_omega)

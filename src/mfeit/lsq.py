@@ -11,12 +11,16 @@ over the broken rows, found by NNLS (Lawson & Hanson, Solving Least
 Squares Problems, 1974, ch. 23). This is the constrained
 Levenberg-Marquardt method of Kanzow, Yamashita & Fukushima (J. Comput.
 Appl. Math. 172, 2004); its stop is a first-order (KKT) point under the
-rows. The stop is always reached: for a sum of squares g_k^2 <= 2 f G_kk,
-so a step's predicted decrease is at most 2 n f / lambda, and a run of
-rejected trials meets the stop once lambda is about 2 n / RTOL. The caller
-evaluates the start, the loop only its trials; whatever ``value`` leaves in
-an accepted point's state (the inversion's solve of that shape) is what
-``normal`` builds the next step from.
+rows. The stop is always reached while f, G and g are finite: for a sum
+of squares g_k^2 <= 2 f G_kk, so a step's predicted decrease is at most
+2 n f / lambda, and a run of rejected trials meets the stop once lambda is
+about 2 n / RTOL. A nan step meets neither the stop nor the acceptance
+test, so the callers keep them finite: the fit by its exact power-of-two
+rescaling of the contrasts and the data, the inversion because
+``forward._solve_saddle`` raises ``SingularSystem`` on a non-finite
+solve. The caller evaluates the start, the loop only its trials; whatever
+``value`` leaves in an accepted point's state (the inversion's solve of
+that shape) is what ``normal`` builds the next step from.
 """
 from __future__ import annotations
 

@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -136,6 +139,30 @@ def test_forward_of_a_huge_contrast_exits_0_at_the_perfect_conductor(
     f = current_from_fourier([1.0], [], unit_circle_grid(64))
     u0 = solve_u0(circle(R0), f, n=FORWARD["n_boundary"]).u0
     assert np.max(np.abs(U[:, 1] - u0)) <= 1e-10
+
+
+def test_extract_of_a_forward_sweep_with_a_huge_contrast_exits_0(tmp_path):
+    # 2 (k0 - k) of k = 1e308 + 1e308j overflows unless the fit forms it
+    # scaled, and a nan basis keeps the fit's loop from its stop; the
+    # extract runs in a fresh interpreter, killed after a minute
+    contrasts = [[2.0 + 0.3 * j, 0.5 + 0.1 * j] for j in range(14)]
+    cfg = dict(json.loads((CONFIGS / "forward.json").read_text()),
+               contrasts=contrasts + [[1e308, 1e308]])
+    assert run("forward", write_cfg(tmp_path, "fwd.json", cfg),
+               tmp_path / "fwd") == 0
+    extract = {"domain": cfg["domain"], "max_poles": 6, "fit_tol": 1e-6,
+               "inputs": {"dataset": str(tmp_path / "fwd/forward.csv")}}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                          / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "mfeit.cli", "extract", "--config",
+         write_cfg(tmp_path, "ext.json", extract), "--out",
+         str(tmp_path / "ext")], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # k0 = 1: u0 is the voltage at k = infinity, which the last column nears
+    U = MultiFreqData.from_csv((tmp_path / "fwd/forward.csv").read_text()).U
+    u0 = CauchyData.from_csv((tmp_path / "ext/u0.csv").read_text()).u0
+    assert np.max(np.abs(u0 - U[:, -1])) <= 1e-8
 
 
 def test_synth_at_resonance_exits_3(tmp_path, capsys):

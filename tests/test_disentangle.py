@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,52 @@ def test_fit_gradient_is_that_of_its_value(monkeypatch):
         fd = [(value(z + e)[0] - value(z - e)[0]) / (2 * step)
               for e in step * np.eye(z.size)]
         assert np.allclose(g, fd, rtol=1e-6, atol=0), (g, fd)
+
+
+def _fit_in_a_subprocess(tmp_path, data) -> dict:
+    """The report of ``fit_rational`` on ``data``, fitted as in
+    ``test_exact_rational_recovery`` by a fresh interpreter that is killed
+    after a minute, so a hang fails the test. The CSV codec keeps every
+    bit of the data."""
+    path = tmp_path / "data.csv"
+    path.write_text(data.to_csv())
+    code = ("import json, sys\n"
+            "from mfeit.disentangle import fit_rational\n"
+            "from mfeit.forward import MultiFreqData\n"
+            "from mfeit.geometry import DomainConfig\n"
+            "data = MultiFreqData.from_csv(open(sys.argv[1]).read())\n"
+            "model = fit_rational(data, max_poles=4, tol=1e-12,\n"
+            "                     config=DomainConfig())\n"
+            "print(json.dumps(model.report(1.0)))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=60)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("factor", [2.0 ** 300, 1e160, 1e-300],
+                         ids=["2^300", "1e160", "1e-300"])
+def test_fit_of_scaled_data_scales_its_model(tmp_path, factor):
+    # |R|^2 of voltages near 1e160 overflows unless the fit scales them,
+    # and a nan step keeps the fit's loop from its stop; the scale is a
+    # power of two, so a factor 2^300 leaves every other bit as it was
+    data, *_ = _model_data()
+    base = fit_rational(data, max_poles=4, tol=1e-12, config=DOMAIN)
+    scaled = MultiFreqData(omega=data.omega, k=data.k, U=data.U * factor)
+    got = _fit_in_a_subprocess(tmp_path, scaled)
+    if factor == 2.0 ** 300:
+        assert got["poles_c"] == base.poles.tolist()
+        assert got["constants"] == (base.constants * factor).tolist()
+        assert got["residues"] == (base.residues * factor).tolist()
+        assert got["residual"] == base.residual * factor
+    model = disentangle.RationalModel(
+        poles=np.array(got["poles_c"]), constants=np.array(got["constants"]),
+        residues=np.array(got["residues"]), residual=got["residual"],
+        scale=got["scale"])
+    u0, expect = extract_u0(model, 1.0).u0 / factor, extract_u0(base, 1.0).u0
+    assert np.max(np.abs(u0 - expect)) <= 1e-11 * np.max(np.abs(expect))
 
 
 def test_model_evaluation_matches_data():

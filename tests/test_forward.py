@@ -195,8 +195,12 @@ def test_shift_keeps_its_bits_below_the_float_maximum():
         + 1j * rng.standard_normal(64) * 10.0 ** rng.uniform(-3, 300, 64)
     quotient = (2.0 + k) / (2.0 * (2.0 - k))
     assert _contrast_c(k, 2.0).tobytes() == quotient.tobytes()
-    assert all(_contrast_c(complex(v), 2.0) == (2.0 + complex(v))
-               / (2.0 * (2.0 - complex(v))) for v in k)
+    # a scalar shift is numpy's complex quotient too (Python's complex
+    # division differs from it in the last bit on about one in seven)
+    scalars = np.array([_contrast_c(complex(v), 2.0) for v in k])
+    numpy_quotients = np.array([(np.complex128(2.0) + v)
+                                / (2.0 * (np.complex128(2.0) - v)) for v in k])
+    assert scalars.tobytes() == numpy_quotients.tobytes() == quotient.tobytes()
 
 
 def test_large_contrast_approaches_perfect_conductor(bgrid64, f_cos,
@@ -213,6 +217,29 @@ def test_near_resonance_guard(f_cos, conc_kernels, conc_spectrum):
     with pytest.raises(NearResonance):
         solve_forward_spectral(conc_spectrum, f_cos,
                                conc_spectrum.resonances[0], 1.0, u0)
+
+
+@pytest.mark.parametrize("offset, refused", [(2e-10j, True), (1e-9j, False),
+                                             (None, False)],
+                         ids=["2e-10", "1e-9", "background"])
+def test_both_guards_measure_the_distance_in_c(f_cos, conc_kernels,
+                                               conc_spectrum, offset, refused):
+    # min|c + mu|: 2e-10 off the first resonance it is 7.8e-11, while
+    # |k0 + lambda (k - k0)| = |k0 - k| |c + mu| reads 1.25e-10; at k = k0,
+    # where c is infinite, both solve, with no warning
+    k1 = complex(conc_spectrum.resonances[0])
+    k = 1.0 if offset is None else k1 + offset
+    u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
+    for solve in (lambda: solve_forward_batched(conc_kernels, f_cos, [k]),
+                  lambda: solve_forward_spectral(conc_spectrum, f_cos, k, 1.0,
+                                                 u0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(NearResonance):
+                    solve()
+            else:
+                assert np.all(np.isfinite(solve()))
 
 
 def test_spectral_rejects_a_current_off_the_trace_grid(f_cos, conc_kernels,
