@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NearResonance, SingularSystem
-from .geometry import (BoundaryGrid, StarShape, _is_number, check,
+from .geometry import (BoundaryGrid, StarShape, _angles, _is_number, check,
                        discretize, fourier_series, unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
                         _target_kernel, eval_S, sla)
@@ -186,12 +186,6 @@ def _raise_at_bad_cell(body: list, header: list) -> None:
                                  f"{value!r}") from None
 
 
-def _angles(m: int) -> np.ndarray:
-    """Angles 2 pi i / m: bitwise ``unit_circle_grid(m).t``, but for any m
-    (the CSV codecs read any row count; that grid needs even m >= 16)."""
-    return 2 * np.pi * np.arange(m) / m
-
-
 def _write_table(header: list, rows: list) -> str:
     """CSV text of rows of numbers and words; a float is written as its
     shortest round-trip repr."""
@@ -245,16 +239,14 @@ class MultiFreqData:
     U: np.ndarray       # (m, J) complex voltages at angles 2 pi i / m
 
     def to_csv(self) -> str:
-        header = ["omega", "re_k", "im_k"]
-        for i in range(self.U.shape[0]):
-            header += [f"re_u{i}", f"im_u{i}"]
-        table = np.empty((self.omega.size, len(header)))
-        table[:, 0] = self.omega
-        table[:, 1] = self.k.real
-        table[:, 2] = self.k.imag
-        table[:, 3::2] = self.U.real.T
-        table[:, 4::2] = self.U.imag.T
-        return _write_table(header, table.tolist())
+        # the complex columns k, u0, u1, ... as the adjacent (re, im) pairs
+        # that from_csv views as complex; column_stack of these columns is
+        # Fortran-ordered, and a real-typed k or U must be widened first
+        cols = ["k"] + [f"u{i}" for i in range(self.U.shape[0])]
+        header = ["omega"] + [f"{p}_{c}" for c in cols for p in ("re", "im")]
+        pairs = np.column_stack([self.k, self.U.T]).astype(complex, order="C")
+        return _write_table(header, np.column_stack(
+            [self.omega, pairs.view(float)]).tolist())
 
     @classmethod
     def from_csv(cls, text: str) -> "MultiFreqData":
@@ -341,8 +333,8 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
     Represents u0 = frak_f + S_D[psi] and solves the saddle system enforcing
     a constant trace (unknown rho) on the inclusion boundary and zero total
     density. One ``harmonic_lift`` call gives the lift on the circle and at
-    the nodes; the kernel matrix N(circle point, node), weighted in place,
-    is the trace matrix T. The saddle factors and T stay on the result for
+    the nodes; ``_target_kernel`` gives the trace matrix T from the nodes to
+    the circle. The saddle factors and T stay on the result for
     ``u0_shape_derivative``.
     """
     bgrid_omega = unit_circle_grid(f.size)
@@ -358,7 +350,6 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
     psi, rho = sol[:grid.n], float(sol[grid.n])
 
     T = _target_kernel(grid, bgrid_omega.points)
-    T *= grid.weights[None, :]
     trace = _recenter(frak_omega + T @ psi, bgrid_omega)
     return CauchyData(f=f, u0=trace, rho=rho, psi=psi, saddle=(factors, T))
 
@@ -419,6 +410,21 @@ def _contrast_c(k, k0: float):
     return den / num
 
 
+def _shifted(c: np.ndarray, mu: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """c_j + mu_i, one column per contrast k_j of shift c_j.
+
+    Raises ``NearResonance`` at the first k_j whose distance
+    min_i |c_j + mu_i| to singularity is below ``_RESONANCE_TOL`` or nan,
+    so a contrast whose shift is nan fails closed.
+    """
+    denom = c[None, :] + mu[:, None]
+    gap = np.min(np.abs(denom), axis=0)
+    near = np.flatnonzero(~(gap >= _RESONANCE_TOL))
+    if near.size:
+        raise NearResonance(k[near[0]].item(), gap[near[0]].item())
+    return denom
+
+
 def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
                          k0: float = 1.0, *,
                          kernels: KernelMatrices) -> np.ndarray:
@@ -469,13 +475,7 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     U = np.tile((frak_omega / k0)[:, None], (1, kvals.size)).astype(complex)
     live = kvals != k0  # at k = k0 the inclusion is invisible
     if np.any(live):
-        denom = _contrast_c(kvals[live], k0)[None, :] + mu[:, None]
-        gap = np.min(np.abs(denom), axis=0)
-        # fail closed: a nan or infinite contrast has a nan shift and gap
-        near = np.flatnonzero(~(gap >= _RESONANCE_TOL))
-        if near.size:
-            raise NearResonance(complex(kvals[live][near[0]]),
-                                float(gap[near[0]]))
+        denom = _shifted(_contrast_c(kvals[live], k0), mu, kvals[live])
         dn_frak = harmonic_lift(f, grid.points, grid.normals)
         q = V.T @ (kernels.B @ (-dn_frak / k0))
         TV = eval_S(grid, V, bgrid_omega.points)
@@ -498,9 +498,8 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
     lam = spectrum.lam
     W = spectrum.traces_bd_omega
     if k != k0:  # at k = k0 (c infinite) the inclusion is invisible
-        gap = float(np.min(np.abs(_contrast_c(k, k0) + (0.5 - lam))))
-        if not gap >= _RESONANCE_TOL:  # a nan gap fails too
-            raise NearResonance(k, gap)
+        _shifted(np.atleast_1d(_contrast_c(k, k0)), 0.5 - lam,
+                 np.atleast_1d(k))
     denom = k0 + lam * (k - k0)
     c_n = (f * bgrid_omega.weights) @ W
     u = u0.u0 / k0 + W @ (c_n / denom)

@@ -29,6 +29,10 @@ from .errors import ConstraintViolation, InvalidResolution
 
 #: number of sample angles used for constraint checks
 N_CHECK = 1024
+#: the ``N_CHECK`` angles of ``class_violation`` and of ``class_rows``, so
+#: that the inversion's rows sample the class the check samples; read-only
+_CHECK_THETA = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
+_CHECK_THETA.setflags(write=False)
 #: number of sample angles over which ``r_inf`` takes its minimum
 _N_R_INF = 100_000
 
@@ -150,7 +154,7 @@ def class_violation(shape: StarShape,
     offending angle. A sample that is not finite breaks a bound too: NaN,
     which compares false with every bound, the C^2 one.
     """
-    theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
+    theta = _CHECK_THETA
     r, r1, r2 = fourier_series(shape.cos, shape.sin, theta)
     i = int(np.argmin(r))
     if r[i] <= config.b0:
@@ -179,11 +183,10 @@ def class_rows(M: int, config: DomainConfig,
     repeats, keeping each distinct row once in first-seen order (three at
     M = 0). Built once per arguments; shared, so the arrays are read-only.
     """
-    theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
     rows = np.empty((6, N_CHECK, 2 * M + 2))
     # column j: r, r', r'' at each angle of the j-th coefficient alone
     for j, e in enumerate(np.eye(2 * M + 1)):
-        r, r1, r2 = fourier_series(e[:M + 1], e[M + 1:], theta)
+        r, r1, r2 = fourier_series(e[:M + 1], e[M + 1:], _CHECK_THETA)
         rows[:, :, j] = [-r, r] + [r + a * r1 + b * r2 for a in (1, -1)
                                    for b in (1, -1)]
     rows = rows.reshape(-1, 2 * M + 2)
@@ -259,10 +262,16 @@ def discretize(shape: StarShape, n: int) -> BoundaryGrid:
     return _star_grid(shape, n)
 
 
+def _angles(m: int) -> np.ndarray:
+    """Angles 2 pi i / m, the parameters of every boundary grid; any m, as
+    the CSV codecs read any row count (a grid needs even m >= 16)."""
+    return 2 * np.pi * np.arange(m) / m
+
+
 def _star_grid(shape: StarShape, n: int) -> BoundaryGrid:
     """Body of ``discretize``."""
     check_grid_size(n, 16, "boundary grid")
-    t = 2 * np.pi * np.arange(n) / n
+    t = _angles(n)
     r, r1, r2 = fourier_series(shape.cos, shape.sin, t)
     ct, st = np.cos(t), np.sin(t)
     pts = np.stack([r * ct, r * st], axis=-1)

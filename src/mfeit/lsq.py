@@ -11,16 +11,16 @@ over the broken rows, found by NNLS (Lawson & Hanson, Solving Least
 Squares Problems, 1974, ch. 23). This is the constrained
 Levenberg-Marquardt method of Kanzow, Yamashita & Fukushima (J. Comput.
 Appl. Math. 172, 2004); its stop is a first-order (KKT) point under the
-rows. The stop is always reached while f, G and g are finite: for a sum
+rows. The loop owns its termination: it ends at the first step whose
+predicted decrease is not above RTOL f. While f, G and g are finite that
+is the stop test, which a run of rejected trials always meets: for a sum
 of squares g_k^2 <= 2 f G_kk, so a step's predicted decrease is at most
-2 n f / lambda, and a run of rejected trials meets the stop once lambda is
-about 2 n / RTOL. A nan step meets neither the stop nor the acceptance
-test, so the callers keep them finite: the fit by its exact power-of-two
-rescaling of the contrasts and the data, the inversion because
-``forward._solve_saddle`` raises ``SingularSystem`` on a non-finite
-solve. The caller evaluates the start, the loop only its trials; whatever
-``value`` leaves in an accepted point's state (the inversion's solve of
-that shape) is what ``normal`` builds the next step from.
+2 n f / lambda, below RTOL f once lambda is about 2 n / RTOL. A nan
+decrease, from a G or g that is not finite, ends the loop at its last
+accepted point, not converged. The caller evaluates the start, the loop
+only its trials; whatever ``value`` leaves in an accepted point's state
+(the inversion's solve of that shape) is what ``normal`` builds the next
+step from.
 """
 from __future__ import annotations
 
@@ -81,7 +81,8 @@ def levenberg_marquardt(z: np.ndarray, start: tuple, value: Callable,
     ``TargetTooClose`` or ``SingularSystem`` (in ``normal`` these still
     raise). Returns z, its state, the accepted values of f from the start's
     on, whether a row is active at the stop (slack <= 1e-12 of max(|h|, 1)),
-    and whether the stop test was met before ``MAX_STEPS``.
+    and whether the stop test was met before ``MAX_STEPS``: false too when
+    a predicted decrease that is nan ended the loop.
     """
     f, state = start
     history = [f]
@@ -96,8 +97,9 @@ def levenberg_marquardt(z: np.ndarray, start: tuple, value: Callable,
         slack = np.maximum(h - E @ z, 0.0)
         while True:
             step = _step(G + lam * diag, g, E, slack)
-            if -(g @ step) - 0.5 * (step @ G @ step) <= RTOL * f:
-                return z, state, history, active(), True
+            # the predicted decrease; a nan one ends the loop too
+            if not (pred := -(g @ step) - 0.5 * (step @ G @ step)) > RTOL * f:
+                return z, state, history, active(), bool(pred <= RTOL * f)
             z_try = z + step
             try:
                 f_try, state_try = value(z_try)

@@ -37,12 +37,13 @@ buffer of its two parts (-1), drops the image part and builds S in the
 image-term buffer (5.3 against 6.0 without both); the eigensolve builds
 B for itself and lets LAPACK overwrite both sym(B K*) and B (4.0 against
 5.0 with B kept and copied); the direct solve shifts its copy of K* in
-place and drops it early (-2). The m x n trace matrix of ``eval_S`` is
-the Neumann kernel built in its image-term buffer and weighted in place
-(3.0 against 4.0 m x n matrices at m = 64, n = 256). Peak resident set of
-the benchmark's spectrum ladder (n up to 512): a fresh S or a rebound
-sym(B K*) each raise it, by about 0.3 and 1.8 MB, a B kept beside the
-operators by about 2 MB, and so would the untraced copy that
+place and drops it early (-2). The m x n trace matrix of
+``_target_kernel``, which ``eval_S`` applies and ``forward.solve_u0``
+keeps, is the Neumann kernel built in its image-term buffer and weighted
+in place (3.0 against 4.0 m x n matrices at m = 64, n = 256). Peak
+resident set of the benchmark's spectrum ladder (n up to 512): a fresh S
+or a rebound sym(B K*) each raise it, by about 0.3 and 1.8 MB, a B kept
+beside the operators by about 2 MB, and so would the untraced copy that
 ``np.linalg.solve`` makes of the direct solve's matrix, by 4 MB at
 n = 512: LAPACK factors that matrix in place instead.
 """
@@ -166,6 +167,13 @@ def _kress_log_row(n: int) -> np.ndarray:
     return row
 
 
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 of the square matrix ``M``, in its own buffer."""
+    M += M.T
+    M *= 0.5
+    return M
+
+
 @dataclass(frozen=True)
 class KernelMatrices:
     """Discrete single layer and Neumann-Poincare operators on one grid.
@@ -183,10 +191,7 @@ class KernelMatrices:
 
     @property
     def B(self) -> np.ndarray:
-        B = -(self.grid.weights[:, None] * self.S)
-        B += B.T
-        B *= 0.5
-        return B
+        return _symmetrize(-(self.grid.weights[:, None] * self.S))
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +210,7 @@ class KernelMatrices:
         at most 0.16 on circles, the trefoil and random shapes of the class.
         """
         B = self.B
-        A = B @ self.Kstar
-        A += A.T
-        A *= 0.5
+        A = _symmetrize(B @ self.Kstar)
         mu, V = sla.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True,
                          check_finite=False)
         return mu[:-1], V[:, :-1]
@@ -279,7 +282,9 @@ def assemble(grid: BoundaryGrid) -> KernelMatrices:
 
 
 def _target_kernel(grid: BoundaryGrid, targets) -> np.ndarray:
-    """Matrix N(target, node) of the Neumann kernel for off-boundary targets.
+    """Trace matrix N(target, node) w(node) of the single layer at
+    off-boundary targets: the Neumann kernel, built in its image-term
+    buffer and weighted there by the trapezoid weights.
 
     Targets must keep a distance of more than ``grid.zone``, one local grid
     spacing 2 pi max|x'| / n, from the boundary, where the kernel is smooth;
@@ -292,16 +297,15 @@ def _target_kernel(grid: BoundaryGrid, targets) -> np.ndarray:
     if dist <= grid.zone:
         raise TargetTooClose(f"target at distance {dist:.3g} inside accuracy "
                              f"zone {grid.zone:.3g}")
-    return _neumann(z, d2, img2)
+    T = _neumann(z, d2, img2)
+    return np.multiply(T, grid.weights[None, :], out=T)
 
 
 def eval_S(grid: BoundaryGrid, density, targets) -> np.ndarray:
     """S_D[phi] at off-boundary targets (trapezoid); one density per column
     allowed.
 
-    Targets obey the distance rule of ``_target_kernel``; its kernel matrix
-    takes the weights in place.
+    Targets obey the distance rule of ``_target_kernel``, whose trace
+    matrix is applied.
     """
-    T = _target_kernel(grid, targets)
-    T *= grid.weights[None, :]
-    return T @ np.asarray(density)
+    return _target_kernel(grid, targets) @ np.asarray(density)

@@ -474,6 +474,11 @@ def test_multifreq_csv_matches_loop_writer_and_round_trips():
     for a, b in [(again.omega, data.omega), (again.k, data.k),
                  (again.U, data.U)]:
         assert a.tobytes() == b.tobytes()  # keeps the sign of -0.0
+    # real-typed k and U are written as complex ones with zero imaginary part
+    assert MultiFreqData(omega=data.omega, k=data.k.real,
+                         U=U.real).to_csv() == MultiFreqData(
+        omega=data.omega, k=data.k.real.astype(complex),
+        U=U.real.astype(complex)).to_csv()
 
 
 @pytest.mark.parametrize("with_f", [True, False])

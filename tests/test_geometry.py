@@ -102,6 +102,34 @@ def test_class_rows_margin_tightens_the_band():
     assert not E.flags.writeable and not h.flags.writeable
 
 
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["inside", "outside"])
+def test_class_rows_and_class_violation_agree_at_each_bound(side):
+    """For shapes 1e-9 inside and 1e-9 outside b0, 1 - delta and the C^2
+    bound at mode 6, E x <= h at margin 0 holds exactly when
+    ``class_violation`` passes: the rows sample the angles the check
+    samples."""
+    config = DomainConfig(m=10.0)
+    theta = np.linspace(0.0, 2 * np.pi, N_CHECK, endpoint=False)
+    c, s = np.cos(6 * theta), np.sin(6 * theta)
+    # |r| + |r'| + |r''| of r = 0.5 + a cos 6 theta, 0 < a < 0.5, peaks at
+    # 0.5 + a max(c + 6 |s| + 36 |c|) over the sampled angles
+    a6 = (config.m - 0.5 + side * 1e-9) / np.max(c + 6 * np.abs(s)
+                                                 + 36 * np.abs(c))
+    shapes = {"lower bound b0": circle(config.b0 - side * 1e-9),
+              "upper bound 1 - delta": circle(1 - config.delta + side * 1e-9),
+              "C2 norm bound m": StarShape(cos=(0.5,) + (0.0,) * 5 + (a6,))}
+    E, h = class_rows(6, config, 0.0)
+    for which, shape in shapes.items():
+        x = np.zeros(13)
+        x[:len(shape.cos)] = shape.cos
+        violation = class_violation(shape, config)
+        if side < 0:
+            assert violation is None, which
+        else:
+            assert violation.which == which
+        assert np.all(E @ x <= h) == (violation is None), which
+
+
 def test_class_rows_keep_each_distinct_row_once():
     """At M = 0 every angle gives the same band and C^2 rows in a0; at M = 1
     some rows repeat, from M = 2 on none of the 6 N_CHECK does."""

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -80,3 +81,28 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, mfeit.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_a_non_finite_gauss_newton_pair_ends_the_loop():
+    """A nan G or an infinite g makes the predicted decrease nan, which
+    ends the loop at its last accepted point, not converged. Each case runs
+    in a fresh interpreter that is killed after a minute, so a loop that
+    keeps raising lambda fails the test instead of hanging it."""
+    code = ("import json\n"
+            "import numpy as np\n"
+            "from mfeit.lsq import levenberg_marquardt\n"
+            "z0, f0 = np.zeros(2), 1.0\n"
+            "for G, g in [(np.full((2, 2), np.nan), np.ones(2)),\n"
+            "             (np.eye(2), np.array([np.inf, 1.0]))]:\n"
+            "    z, state, history, active, converged = levenberg_marquardt(\n"
+            "        z0, (f0, 'start'),\n"
+            "        lambda z: (f0 + 0.5 * float(z @ z), 'trial'),\n"
+            "        lambda z, state: (G, g), np.zeros((0, 2)), np.zeros(0))\n"
+            "    print(json.dumps([z is z0, state, history, active,\n"
+            "                      converged]))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    nan_G, inf_g = map(json.loads, out.stdout.splitlines())
+    assert nan_G == inf_g == [True, "start", [1.0], False, False]

@@ -77,7 +77,8 @@ def test_kernels_match_textbook_assembly(shape, n):
     kernels = assemble(grid)
     assert _rel(kernels.S, S) <= 1e-13
     assert _rel(kernels.Kstar, Kstar) <= 1e-13
-    assert _rel(_target_kernel(grid, targets), N) <= 1e-13
+    # the trace matrix is the kernel times the trapezoid weights
+    assert _rel(_target_kernel(grid, targets), N * grid.weights) <= 1e-13
 
 
 def _out_of_place_kernels(grid):
@@ -228,8 +229,8 @@ def test_neumann_kernel_symmetry():
 
 
 def test_eval_S_is_the_one_circle_kernel():
-    # the kernel of the trace is written once, in _target_kernel, and only
-    # eval_S weights it; the lift needs no kernel matrix and no circle rule
+    # the trace matrix is written once, in _target_kernel, which weights the
+    # kernel; the lift needs no kernel matrix and no circle rule
     assert not {"trace_matrix", "neumann_kernel", "kress_log_matrix",
                 "neumann_normal_derivative"} & set(vars(potential))
 
