@@ -200,7 +200,7 @@ def cmd_extract(manifest: dict, *, inputs, domain=None, max_poles=6,
     model = fit_rational(data, max_poles=max_poles, tol=fit_tol, config=domain)
     u0 = extract_u0(model, domain.k0)
     return {"model.json": model.report(domain.k0), "u0.csv": u0.to_csv(),
-            "u0.json": u0.sidecar()}
+            "u0.json": {"rho": None}}
 
 
 def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,

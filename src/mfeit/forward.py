@@ -213,9 +213,6 @@ class CauchyData:
                             np.column_stack([_angles(self.u0.size), fvals,
                                              self.u0]).tolist())
 
-    def sidecar(self) -> dict:
-        return {"rho": None if self.rho is None else float(self.rho)}
-
     @classmethod
     def from_csv(cls, text: str) -> "CauchyData":
         data = _read_table(text, optional=1, need=("theta", "f", "u0"))[1]
@@ -454,14 +451,35 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
     return _recenter(u, bgrid_omega)
 
 
+def _modes(kernels: KernelMatrices, f: np.ndarray, k0: float) -> tuple:
+    """(mu, TV, q), the modal data of the inclusion of ``kernels`` and the
+    current ``f``: the eigenvalues mu and eigenvectors V of K* =
+    V diag(mu) V^T B (``kernels.eig``), the traces TV of their single
+    layers at the angles 2 pi i / m of ``f``, and q = V^T B g with
+    g = -d_nu frak / k0 at the nodes.
+
+    The voltage at shift c, before recentering, is the Stieltjes form
+    U(c) = frak / k0 + TV diag(q / (c + mu)) (Bergman, Phys. Rep. 43,
+    1978; Milton, The Theory of Composites, 2002, ch. 18), and with the
+    circle's quadrature weights w each mode satisfies
+    <f, TV_n>_w = k0 q_n / (1/2 - mu_n).
+    """
+    grid = kernels.grid
+    mu, V = kernels.eig
+    q = V.T @ (kernels.B @ (-harmonic_lift(f, grid.points, grid.normals)
+                            / k0))
+    return mu, eval_S(grid, V, unit_circle_grid(f.size).points), q
+
+
 def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
                           k0: float = 1.0) -> np.ndarray:
     """Boundary voltages at all contrasts ``kvals``, one column each.
 
     With K* = V diag(mu) V^T B (``kernels.eig``) the equation
     (c_j + K*) phi_j = g, g = -d_nu frak / k0, has the solution
-    phi_j = V diag(1 / (c_j + mu)) V^T B g, so the lift terms, the trace
-    matrix T and q = V^T B g are built once and U = frak / k0 + (T V) Q with
+    phi_j = V diag(1 / (c_j + mu)) V^T B g, so the lift on the circle and
+    the ``_modes`` of the shape and current, the traces TV and q = V^T B g,
+    are built once and U = frak / k0 + TV Q with
     Q_ij = q_i / (c_j + mu_i). Raises ``NearResonance`` unless
     min|c_j + mu| >= 1e-10, the distance of the system from singularity.
     The eigenbasis holds no equilibrium mode, so a huge contrast (c = -1/2
@@ -469,16 +487,12 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     """
     kvals = np.asarray(kvals, dtype=complex)
     bgrid_omega = unit_circle_grid(f.size)
-    grid = kernels.grid
-    mu, V = kernels.eig
     frak_omega = harmonic_lift(f, bgrid_omega.points)
     U = np.tile((frak_omega / k0)[:, None], (1, kvals.size)).astype(complex)
     live = kvals != k0  # at k = k0 the inclusion is invisible
     if np.any(live):
+        mu, TV, q = _modes(kernels, f, k0)
         denom = _shifted(_contrast_c(kvals[live], k0), mu, kvals[live])
-        dn_frak = harmonic_lift(f, grid.points, grid.normals)
-        q = V.T @ (kernels.B @ (-dn_frak / k0))
-        TV = eval_S(grid, V, bgrid_omega.points)
         U[:, live] += TV @ (q[:, None] / denom)
     return _recenter(U, bgrid_omega)
 

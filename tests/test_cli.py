@@ -195,6 +195,8 @@ def test_end_to_end_synth_extract_invert(tmp_path):
            "inputs": {"dataset": str(tmp_path / "s/dataset.csv")}}
     assert run("extract", write_cfg(tmp_path, "ext.json", ext),
                tmp_path / "e") == 0
+    # the fit does not observe u0's constant value on the inclusion
+    assert (tmp_path / "e/u0.json").read_text() == '{\n  "rho": null\n}\n'
 
     # extracted u0 reproduces the perfect-conductor solve
     u0 = CauchyData.from_csv((tmp_path / "e/u0.csv").read_text())

@@ -317,28 +317,45 @@ def test_contour_of_batched_voltages_recovers_perfect_conductor(shape, f_cos):
     assert np.max(np.abs(u_inf - expect)) <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "shape", [TREFOIL, *_random_admissible_shapes(8)],
-    ids=["trefoil", *(f"random{i}" for i in range(8))])
-def test_f_channel_weights_are_positive(shape, f_cos):
-    # <f, U(c)> = <f, frak> + sum_n w_n / (c + mu_n), w_n = ((f w)^T T v_n) q_n
-    # with the T, V and q of solve_forward_batched: a Stieltjes function of
-    # c, the structure behind the real-pole fit in c
+#: ROADMAP's off-centre and many-mode truths, beside the trefoil
+OFF_CENTRE = StarShape(cos=(0.45, 0.1, 0.04), sin=(0.05, 0.0, 0.03))
+MANY_MODE = StarShape(cos=(0.5, 0.0, *(0.25 * (-1) ** m / m ** 3
+                                       for m in range(2, 25))))
+
+
+@pytest.mark.parametrize("shape, truth, k0", [
+    pytest.param(shape, truth, k0,
+                 id=name if k0 == 1.0 else f"{name}-k0={k0}")
+    for k0 in (1.0, 2.5)
+    for name, shape, truth in [
+        ("trefoil", TREFOIL, True), ("off-centre", OFF_CENTRE, True),
+        ("many-mode", MANY_MODE, True),
+        *((f"random{i}", s, False)
+          for i, s in enumerate(_random_admissible_shapes(8)))]])
+def test_f_channel_weights_are_positive(shape, truth, k0, f_cos):
+    # <f, U(c)> = <f, frak> / k0 + sum_n w_n / (c + mu_n),
+    # w_n = <f, TV_n>_w q_n with the modes of solve_forward_batched: a
+    # Stieltjes function of c, the structure behind the real-pole fit in c
     kernels = assemble(discretize(shape, 256))
-    mu, V = kernels.eig
+    mu, TV, q = forward._modes(kernels, f_cos, k0)
     bgrid = unit_circle_grid(f_cos.size)
     fw = f_cos * bgrid.weights
-    q = V.T @ (kernels.B @ -harmonic_lift(f_cos, kernels.grid.points,
-                                          kernels.grid.normals))
-    weights = (fw @ eval_S(kernels.grid, V, bgrid.points)) * q
-    kvals = np.array([-0.5 + 0.5j, 2.0 + 1.0j, 0.3 - 4.0j])
-    c = _contrast_c(kvals, 1.0)
-    expect = fw @ harmonic_lift(f_cos, bgrid.points) + np.sum(
+    fTV = fw @ TV
+    weights = fTV * q
+    kvals = k0 * np.array([-0.5 + 0.5j, 2.0 + 1.0j, 0.3 - 4.0j])
+    c = _contrast_c(kvals, k0)
+    expect = fw @ harmonic_lift(f_cos, bgrid.points) / k0 + np.sum(
         weights[:, None] / (c[None, :] + mu[:, None]), axis=0)
-    got = fw @ solve_forward_batched(kernels, f_cos, kvals)
+    got = fw @ solve_forward_batched(kernels, f_cos, kvals, k0)
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
     significant = weights[np.abs(weights) > 1e-12 * np.max(np.abs(weights))]
     assert significant.size > 1 and np.all(significant > 0)
+    # <f, TV_n>_w = k0 q_n / (1/2 - mu_n), so w_n = k0 q_n^2 / (1/2 - mu_n);
+    # on the random shapes that come near the circle the trace aliases
+    # above this bound
+    if truth:
+        assert (np.max(np.abs(fTV - k0 * q / (0.5 - mu)))
+                <= 1e-13 * np.max(np.abs(fTV)))
 
 
 def _out_of_place_direct(kernels, f, k, k0=1.0):
@@ -425,7 +442,6 @@ def test_cauchy_data_csv_round_trip(bgrid64, f_cos, conc_kernels):
     assert np.array_equal(again.f, data.f)
     assert np.array_equal(again.u0, data.u0)
     assert again.to_csv() == text
-    assert data.sidecar() == {"rho": data.rho}
 
 
 def test_multifreq_csv_round_trip(f_cos, conc_kernels):

@@ -5,6 +5,7 @@ import pytest
 
 from mfeit.cli import _dump
 from mfeit.errors import NotConverged
+from mfeit.forward import _modes
 from mfeit.geometry import StarShape, circle, discretize, unit_circle_grid
 from mfeit.potential import assemble, eval_S
 from mfeit.spectrum import DEFAULT_TAIL, compute_spectrum, resonance_bound
@@ -19,15 +20,15 @@ def lam_exact(n):
 def _selected_modes(kernels, n_modes, tail=DEFAULT_TAIL):
     """Oracle: the tail, order and count selections one by one.
 
-    Returns the kept eigenvalues and their eigen-densities, the columns of
-    ``kernels.eig`` that ``compute_spectrum`` keeps.
+    Returns the kept eigenvalues, their eigen-densities and their indices,
+    the columns of ``kernels.eig`` that ``compute_spectrum`` keeps.
     """
     mu, V = kernels.eig
     lam = 0.5 - mu
     resolved = np.abs(lam - 0.5) > tail
-    lam, V = lam[resolved], V[:, resolved]
-    order = np.argsort(-np.abs(lam - 0.5), kind="stable")
-    return lam[order][:n_modes], V[:, order][:, :n_modes]
+    lam, V, cols = lam[resolved], V[:, resolved], np.flatnonzero(resolved)
+    order = np.argsort(-np.abs(lam - 0.5), kind="stable")[:n_modes]
+    return lam[order], V[:, order], cols[order]
 
 
 def test_concentric_eigenvalues_closed_form(conc_spectrum):
@@ -55,7 +56,7 @@ def test_ordering_by_distance_from_half(tre_spectrum):
 
 
 def test_densities_energy_orthonormal(conc_kernels):
-    _, V = _selected_modes(conc_kernels, 24)
+    _, V, _ = _selected_modes(conc_kernels, 24)
     G = V.T @ conc_kernels.B @ V
     assert np.max(np.abs(G - np.eye(V.shape[1]))) < 1e-8
 
@@ -130,7 +131,7 @@ def test_report_json_round_trip(conc_spectrum):
 def test_neumann_series_partial_sum_oracle(conc_kernels):
     # first eigenpair (lambda_1, multiplicity 2) of the concentric disk:
     # -(w_1(x) w_1(z) + w_2(x) w_2(z)) = -r_x r_z cos(dtheta) / (0.4 pi)
-    _, V = _selected_modes(conc_kernels, 8)
+    _, V, _ = _selected_modes(conc_kernels, 8)
     x = np.array([0.1, 0.0])
     z = np.array([0.1 * np.cos(0.7), 0.1 * np.sin(0.7)])
     # partial sum -sum_n w_n(x) w_n(z) over the first two modes
@@ -144,13 +145,30 @@ def test_neumann_series_partial_sum_oracle(conc_kernels):
 def test_traces_match_per_mode_eval_S(tre_kernels, tre_spectrum):
     # one trace-matrix product for all modes against one eval_S per mode
     bg = unit_circle_grid(tre_spectrum.traces_bd_omega.shape[0])
-    _, V = _selected_modes(tre_kernels, 20, tail=1e-15)
+    _, V, _ = _selected_modes(tre_kernels, 20, tail=1e-15)
     W = np.column_stack([eval_S(tre_kernels.grid, v, bg.points) for v in V.T])
     assert np.max(np.abs(tre_spectrum.traces_bd_omega - W)) <= 1e-14
+
+
+@pytest.mark.parametrize("name, tail", [("tre", 1e-15), ("conc", DEFAULT_TAIL)],
+                         ids=["trefoil", "concentric"])
+def test_spectral_weights_are_the_batched_modal_weights(request, name, tail,
+                                                        f_cos):
+    # solve_forward_spectral weighs its traces by c_n = <f, W_n>_w, the
+    # batched solve by q of forward._modes: on the kept modes
+    # c_n = k0 q_n / lambda_n
+    kernels = request.getfixturevalue(f"{name}_kernels")
+    spectrum = request.getfixturevalue(f"{name}_spectrum")
+    lam, _, cols = _selected_modes(kernels, spectrum.lam.size, tail)
+    q = _modes(kernels, f_cos, spectrum.k0)[2][cols]
+    c_n = ((f_cos * unit_circle_grid(f_cos.size).weights)
+           @ spectrum.traces_bd_omega)
+    assert (np.max(np.abs(c_n - spectrum.k0 * q / lam))
+            <= 1e-14 * np.max(np.abs(c_n)))
 
 
 def test_modes_are_gathered_once(tre_kernels, tre_spectrum):
     """The spectrum's one composed index keeps what the oracle keeps, in
     its order; ``test_traces_match_per_mode_eval_S`` checks the columns."""
-    lam, _ = _selected_modes(tre_kernels, 20, tail=1e-15)
+    lam, _, _ = _selected_modes(tre_kernels, 20, tail=1e-15)
     assert np.array_equal(tre_spectrum.lam, lam)
