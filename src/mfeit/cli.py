@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .disentangle import extract_u0, fit_rational
+from .disentangle import (DEFAULT_FIT_TOL, DEFAULT_MAX_POLES, extract_u0,
+                          fit_rational)
 from .errors import ConstraintViolation, InvalidResolution, MfeitError
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       _check_zero_mean, _write_table, current_from_fourier,
@@ -187,8 +188,8 @@ def cmd_synth(manifest: dict, *, shape, current, profile, omega, domain=None,
     return {"dataset.csv": data.to_csv()}
 
 
-def cmd_extract(manifest: dict, *, inputs, domain=None, max_poles=6,
-                fit_tol=1e-9) -> dict:
+def cmd_extract(manifest: dict, *, inputs, domain=None,
+                max_poles=DEFAULT_MAX_POLES, fit_tol=DEFAULT_FIT_TOL) -> dict:
     domain = DomainConfig(**_section(domain, "domain", optional=True))
     check(fit_tol, "fit_tol", "a number > 0", lambda v: _is_number(v) and v > 0)
     check(max_poles, "max_poles", "an integer >= 0", _is_count)
@@ -248,8 +249,9 @@ def cmd_invert(manifest: dict, *, inputs, domain=None, shape=None,
 
 
 def cmd_sweep(manifest: dict, *, shape, current, profile, omega, noise_levels,
-              domain=None, inversion=None, seeds=(0, 1, 2), max_poles=6,
-              n_boundary=256, n_measure=64) -> dict:
+              domain=None, inversion=None, seeds=(0, 1, 2),
+              max_poles=DEFAULT_MAX_POLES, n_boundary=256,
+              n_measure=64) -> dict:
     domain, shape, _ = _inclusion(shape, domain, n_measure, n_boundary)
     settings = InversionSettings(
         **_section(inversion, "inversion", optional=True), config=domain)
@@ -298,7 +300,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"mfeit: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ValueError, KeyError, TypeError, ConstraintViolation,
+    except (ValueError, TypeError, ConstraintViolation,
             InvalidResolution) as exc:
         print(f"mfeit: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,6 +30,10 @@ from .lsq import levenberg_marquardt
 
 #: discrepancy factor: poles are added until sup residual <= TAU tol max|U|
 TAU = 1.5
+#: most poles a fit may add, and its relative tolerance, unless a caller
+#: names them
+DEFAULT_MAX_POLES = 6
+DEFAULT_FIT_TOL = 1e-9
 #: the segment points s = L _SCAN that seed each new pole, denser at its ends
 _SCAN = np.tanh(np.linspace(-3.0, 3.0, 41))
 
@@ -54,8 +58,9 @@ class RationalModel:
                 "residual": self.residual, "scale": self.scale}
 
 
-def fit_rational(data: MultiFreqData, max_poles: int = 6, tol: float = 1e-9,
-                 *, config: DomainConfig) -> RationalModel:
+def fit_rational(data: MultiFreqData, max_poles: int = DEFAULT_MAX_POLES,
+                 tol: float = DEFAULT_FIT_TOL, *,
+                 config: DomainConfig) -> RationalModel:
     """Shared real-pole rational model of the voltage in the variable c.
 
     Raises ``ValueError`` for a contrast on the closed negative real axis,

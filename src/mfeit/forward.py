@@ -16,6 +16,12 @@ Four routes to the boundary voltage:
   shape reconstruction; ``u0_shape_derivative`` is its domain derivative
   and reuses that solve's LU factors and trace matrix.
 
+The shift c owns both ends of the contrast axis: ``_contrast_c`` gives
+c = inf at k = k0, where the inclusion is invisible, and c = -1/2 at an
+infinite k, the perfect conductor, whose voltage is u0 / k0. The batched
+and spectral solves take either end as an ordinary contrast; only the LU
+oracle returns early at k = k0, whose diagonal it cannot factor.
+
 All boundary voltages are recentered to zero mean on the measurement circle.
 """
 from __future__ import annotations
@@ -383,7 +389,9 @@ def _pow2_unit(x):
 
 def _shift_pair(k, k0: float) -> tuple:
     """(2 (a - b), a + b) with a = k0 u and b = k u, u the ``_pow2_unit`` of
-    max(|k0|, |Re k|, |Im k|), element by element.
+    max(|k0|, |Re k|, |Im k|), element by element; the limit pair (-2, 1)
+    of k -> infinity for a k with an infinite part, which it multiplies by
+    nothing.
 
     No sum, difference or quotient of a and b can overflow, up to the
     largest float. While a, Re b and Im b stay zero or normal numbers, as
@@ -391,20 +399,25 @@ def _shift_pair(k, k0: float) -> tuple:
     pair, c = (a + b) / (2 (a - b)) among them, is the unscaled ratio bit
     for bit.
     """
-    k = np.asarray(k, dtype=complex)
+    k = np.where(inf := np.isinf(k), 0.0, np.asarray(k, dtype=complex))
     unit = _pow2_unit(np.maximum(abs(k0),
                                  np.maximum(abs(k.real), abs(k.imag))))
     a, b = k0 * unit, k * unit
-    return 2.0 * (a - b), a + b
+    return np.where(inf, -2.0, 2.0 * (a - b)), np.where(inf, 1.0, a + b)
 
 
 def _contrast_c(k, k0: float):
     """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k,
     as the ratio of ``_shift_pair``: finite for every finite k != k0, and
-    -1/2 to rounding for a k near the largest float. Scalar or array, it
-    is numpy's complex quotient."""
+    -1/2 to rounding for a k near the largest float. At the ends of the
+    axis it is exactly -1/2 for a k with an infinite part, the perfect
+    conductor, and inf + 0j at k = k0, where the inclusion is invisible;
+    it divides only where 2 (a - b) is nonzero, so neither end warns. A nan
+    k gives a nan shift. Scalar or array, it is numpy's complex quotient.
+    """
     num, den = _shift_pair(k, k0)
-    return den / num
+    return np.divide(den, num, out=np.full_like(den, np.inf),
+                     where=num != 0)[()]
 
 
 def _shifted(c: np.ndarray, mu: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -428,12 +441,13 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
     """Boundary voltage from the second-kind integral equation in k, by LU.
 
     The oracle for ``solve_forward_batched``: no resonance guard, and an
-    exactly zero pivot raises ``SingularSystem``. ``kernels`` are the
-    operators of the inclusion; ``shape`` is not read and stays first only
-    because the benchmark passes it positionally. LAPACK factors in place
-    one Fortran-ordered complex copy of K*, shifted by c on its diagonal.
-    With one BLAS thread the result is bit for bit that of
-    ``np.linalg.solve``, which factors a second copy.
+    exactly zero pivot raises ``SingularSystem``. At k = k0 it returns the
+    lift alone, since a diagonal shifted by c = inf cannot be factored.
+    ``kernels`` are the operators of the inclusion; ``shape`` is not read
+    and stays first only because the benchmark passes it positionally.
+    LAPACK factors in place one Fortran-ordered complex copy of K*, shifted
+    by c on its diagonal. With one BLAS thread the result is bit for bit
+    that of ``np.linalg.solve``, which factors a second copy.
     """
     bgrid_omega = unit_circle_grid(f.size)
     frak_omega = harmonic_lift(f, bgrid_omega.points)
@@ -482,18 +496,18 @@ def solve_forward_batched(kernels: KernelMatrices, f: np.ndarray, kvals,
     are built once and U = frak / k0 + TV Q with
     Q_ij = q_i / (c_j + mu_i). Raises ``NearResonance`` unless
     min|c_j + mu| >= 1e-10, the distance of the system from singularity.
-    The eigenbasis holds no equilibrium mode, so a huge contrast (c = -1/2
-    to rounding) solves like any other, its column tending to u0 / k0.
+    Every column takes these steps: at k = k0 the shift is infinite and
+    the column's Q is 0, the lift alone. The eigenbasis holds no
+    equilibrium mode, so a huge contrast (c = -1/2 to rounding) solves like
+    any other, its column tending to u0 / k0, and an infinite one (c = -1/2)
+    gives u0 / k0.
     """
     kvals = np.asarray(kvals, dtype=complex)
     bgrid_omega = unit_circle_grid(f.size)
-    frak_omega = harmonic_lift(f, bgrid_omega.points)
-    U = np.tile((frak_omega / k0)[:, None], (1, kvals.size)).astype(complex)
-    live = kvals != k0  # at k = k0 the inclusion is invisible
-    if np.any(live):
-        mu, TV, q = _modes(kernels, f, k0)
-        denom = _shifted(_contrast_c(kvals[live], k0), mu, kvals[live])
-        U[:, live] += TV @ (q[:, None] / denom)
+    mu, TV, q = _modes(kernels, f, k0)
+    denom = _shifted(_contrast_c(kvals, k0), mu, kvals)
+    U = (harmonic_lift(f, bgrid_omega.points) / k0)[:, None] \
+        + TV @ (q[:, None] / denom)
     return _recenter(U, bgrid_omega)
 
 
@@ -504,16 +518,17 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
     The expansion runs over every mode that ``spectrum`` holds. As in
     ``solve_forward_batched``, ``NearResonance`` is raised unless
     min|c + mu| >= 1e-10 over those modes, mu = 1/2 - lambda: the
-    denominator k0 + lambda (k - k0) is (k0 - k) (c + mu).
+    denominator k0 + lambda (k - k0) is (k0 - k) (c + mu). At k = k0 the
+    shift is infinite, the guard passes and every denominator is k0, so
+    the inclusion is invisible with no branch. A real infinite k gives
+    u0 / k0; a complex one forms inf * 0 in lambda (k - k0), warns and
+    gives nan.
     """
     bgrid_omega = unit_circle_grid(f.size)
     if spectrum.traces_bd_omega.shape[0] != f.size:
         raise ValueError("current sampled on a different grid than the traces")
-    lam = spectrum.lam
-    W = spectrum.traces_bd_omega
-    if k != k0:  # at k = k0 (c infinite) the inclusion is invisible
-        _shifted(np.atleast_1d(_contrast_c(k, k0)), 0.5 - lam,
-                 np.atleast_1d(k))
+    lam, W = spectrum.lam, spectrum.traces_bd_omega
+    _shifted(np.atleast_1d(_contrast_c(k, k0)), 0.5 - lam, np.atleast_1d(k))
     denom = k0 + lam * (k - k0)
     c_n = (f * bgrid_omega.weights) @ W
     u = u0.u0 / k0 + W @ (c_n / denom)

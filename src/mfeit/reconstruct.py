@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .disentangle import extract_u0, fit_rational
+from .disentangle import DEFAULT_MAX_POLES, extract_u0, fit_rational
 from .errors import MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise, _write_table,
                       current_from_fourier, solve_u0, synthesize,
@@ -245,8 +245,8 @@ class SweepResult:
 
 def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile,
                     omega_grid, noise_levels, settings: InversionSettings,
-                    seeds, max_poles: int = 6, threads: int = 1,
-                    n_forward: int = 256, n_measure: int = 64,
+                    seeds, max_poles: int = DEFAULT_MAX_POLES,
+                    threads: int = 1, n_forward: int = 256, n_measure: int = 64,
                     allow_degenerate: bool = False) -> SweepResult:
     """Noise-to-error curve of the full pipeline, with fitted stability laws.
 

@@ -603,11 +603,29 @@ def test_cauchy_file_with_a_bad_f_column_exits_2_naming_it(
     assert out.is_dir() and not any(out.iterdir())
 
 
-def test_max_poles_defaults_agree():
-    defaults = {inspect.signature(fn).parameters["max_poles"].default
-                for fn in (fit_rational, stability_sweep,
-                           _COMMANDS["extract"], _COMMANDS["sweep"])}
-    assert defaults == {6}
+def test_fit_defaults_agree():
+    # each is named once in disentangle; README documents these values
+    def defaults(key, *fns):
+        return {inspect.signature(fn).parameters[key].default for fn in fns}
+
+    assert defaults("max_poles", fit_rational, stability_sweep,
+                    _COMMANDS["extract"], _COMMANDS["sweep"]) == {6}
+    assert defaults("tol", fit_rational) \
+        | defaults("fit_tol", _COMMANDS["extract"]) == {1e-9}
+
+
+def test_a_key_error_is_a_bug_not_a_config_error(tmp_path, monkeypatch):
+    # no config path raises KeyError, so main lets one through, unblamed
+    # on the config, and writes nothing
+    def broken(*args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "solve_forward_batched", broken)
+    out = tmp_path / "fwd"
+    cfg = dict(FORWARD, contrasts=[[2.0, 0.0]])
+    with pytest.raises(KeyError, match="a bug"):
+        run("forward", write_cfg(tmp_path, "c.json", cfg), out)
+    assert out.is_dir() and not any(out.iterdir())
 
 
 #: a stand-in value that deletes the key instead of setting it

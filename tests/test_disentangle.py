@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from mfeit import disentangle
 from mfeit.cli import _dump
 from mfeit.disentangle import extract_u0, fit_rational
 from mfeit.errors import FitDiverged, InsufficientFrequencies
-from mfeit.forward import (FrequencyProfile, MultiFreqData, solve_u0,
-                           synthesize)
+from mfeit.forward import (FrequencyProfile, MultiFreqData,
+                           solve_forward_batched, solve_u0, synthesize)
 from mfeit.geometry import DomainConfig, circle
 
 from conftest import R0, TREFOIL
@@ -256,6 +257,22 @@ def test_end_to_end_concentric_extraction(f_cos, conc_kernels):
     u0 = extract_u0(model, 1.0)
     truth = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
     assert np.max(np.abs(u0.u0 - truth.u0)) < 1e-10
+
+
+def test_fit_with_an_infinite_contrast_extracts_u0(f_cos, tre_kernels):
+    # the contrasts of the CLI's forward-then-extract chain, with k = inf
+    # in place of 1e308 + 1e308j: its column num / (den - s num) in the fit
+    # is -2 / (1 + 2 s) = 1 / (-1/2 - s), exact
+    kvals = np.array([2.0 + 0.3 * j + (0.5 + 0.1 * j) * 1j for j in range(14)]
+                     + [np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        U = solve_forward_batched(tre_kernels, f_cos, kvals)
+        model = fit_rational(MultiFreqData(omega=np.arange(15.0), k=kvals,
+                                           U=U),
+                             max_poles=6, tol=1e-6, config=DOMAIN)
+    expect = solve_u0(TREFOIL, f_cos, grid=tre_kernels.grid).u0
+    assert np.max(np.abs(extract_u0(model, 1.0).u0 - expect)) <= 1e-8
 
 
 def test_noise_perturbs_poles_mildly(f_cos, conc_kernels):

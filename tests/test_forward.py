@@ -203,6 +203,45 @@ def test_shift_keeps_its_bits_below_the_float_maximum():
     assert scalars.tobytes() == numpy_quotients.tobytes() == quotient.tobytes()
 
 
+#: contrasts with an infinite part: each is the perfect conductor
+INFINITE = [np.inf, complex(np.inf, 0.0), complex(1.0, np.inf),
+            complex(np.inf, np.inf), complex(-np.inf, 1.0)]
+
+
+@pytest.mark.parametrize("k0", [1.0, 2.5])
+def test_shift_is_a_value_at_both_ends_of_the_axis(k0):
+    # k = k0 is c = inf + 0j, where the inclusion is invisible, and every
+    # infinite k is c = -1/2 exactly; neither end warns, alone or in an
+    # array, and a finite contrast beside them keeps its quotient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_k0 = [_contrast_c(k0, k0), *_contrast_c(np.array([k0, 2.0]), k0)]
+        at_inf = [*(_contrast_c(k, k0) for k in INFINITE),
+                  *_contrast_c(np.array(INFINITE), k0)]
+    for c in at_k0[:2]:
+        assert c.real == np.inf and c.imag == 0.0
+    assert at_k0[2] == (k0 + 2.0) / (2.0 * (k0 - 2.0))
+    assert all(c == -0.5 for c in at_inf)
+    # a nan contrast keeps a nan shift, which both guards refuse
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_contrast_c(complex(np.nan), k0))
+
+
+@pytest.mark.parametrize("k0", [1.0, 2.5])
+@pytest.mark.parametrize("shape, kernels_name", [(TREFOIL, "tre_kernels"),
+                                                 (circle(R0), "conc_kernels")],
+                         ids=["trefoil", "circle"])
+def test_batched_solve_at_an_infinite_contrast_is_u0_over_k0(
+        request, shape, kernels_name, k0, f_cos):
+    # the paper's limit u0 = k0 U(k = inf), taken as an ordinary contrast
+    kernels = request.getfixturevalue(kernels_name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        U = solve_forward_batched(kernels, f_cos, [2.0, *INFINITE], k0)
+    u0 = solve_u0(shape, f_cos, grid=kernels.grid).u0
+    assert np.max(np.abs(U[:, 1:] - u0[:, None] / k0)) <= 1e-13
+
+
 def test_large_contrast_approaches_perfect_conductor(bgrid64, f_cos,
                                                      conc_kernels):
     u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)
@@ -312,9 +351,10 @@ def test_contour_of_batched_voltages_recovers_perfect_conductor(shape, f_cos):
     expect = solve_u0(shape, f_cos, n=256).u0
     assert np.max(np.abs(u0.imag)) <= 1e-13
     assert np.max(np.abs(u0 - expect)) <= 1e-13
-    # and directly: k = 1e300 is c = -1/2 to rounding, u0 = k0 U(k = inf)
-    u_inf = solve_forward_batched(kernels, f_cos, [1e300])[:, 0]
-    assert np.max(np.abs(u_inf - expect)) <= 1e-13
+    # and directly: k = 1e300 is c = -1/2 to rounding and k = inf exactly,
+    # u0 = k0 U(k = inf)
+    U_inf = solve_forward_batched(kernels, f_cos, [1e300, np.inf])
+    assert np.max(np.abs(U_inf - expect[:, None])) <= 1e-13
 
 
 #: ROADMAP's off-centre and many-mode truths, beside the trefoil
