@@ -12,9 +12,10 @@ Kaufman's Jacobian (BIT 15, 1975) and the Levenberg-Marquardt iteration of
 at the best point of a scan of the segment, until the sup residual meets
 the discrepancy TAU * tol * max|U|. A fit that ends with a pole at or
 beyond an end of the segment is refused: no admissible shape has one
-there, so the data have a pole outside the admissible class. The contrast
+there, so the data have a pole outside the admissible class. The fit
+reads c from ``forward._contrast_c``, as the solvers do: the contrast
 k = infinity is c = -1/2, where the voltage is the frequency-free part
-u0 / k0.
+u0 / k0, and k = k0 is c = infinity, where it is the constant a_i.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import FitDiverged, InsufficientFrequencies
 from .forward import (CauchyData, MultiFreqData, _check_contrasts,
-                      _pow2_unit, _shift_pair)
+                      _contrast_c, _pow2_unit)
 from .geometry import DomainConfig, _is_count, check
 from .lsq import levenberg_marquardt
 
@@ -70,12 +71,13 @@ def fit_rational(data: MultiFreqData, max_poles: int = DEFAULT_MAX_POLES,
     when a fitted pole lies at or beyond an end of the segment, |s| >= L,
     where only data with a pole outside the admissible class put one.
 
-    The fit runs on c as the ratio of ``forward._shift_pair`` and on the
-    data times ``forward._pow2_unit(max|U|)``, so no square, sum or
-    quotient overflows for any finite dataset, the largest contrasts and
-    any voltage scale included. A power of two moves no bit: the poles are
-    those of the unscaled data, and the constants, residues, residual and
-    scale are returned in data units.
+    The fit runs on c = ``forward._contrast_c(k, k0)``, as the solvers do,
+    and on the data times ``forward._pow2_unit(max|U|)``, so no square, sum
+    or quotient overflows for any finite dataset, the largest contrasts and
+    any voltage scale included; at k = k0, c is infinite and its row of
+    every pole column an exact zero. A power of two moves no bit: the poles
+    are those of the unscaled data, and the constants, residues, residual
+    and scale are returned in data units.
     """
     check(max_poles, "max_poles", "an integer >= 0", _is_count)
     kvals = np.asarray(data.k, dtype=complex)
@@ -91,7 +93,7 @@ def fit_rational(data: MultiFreqData, max_poles: int = DEFAULT_MAX_POLES,
     # ``spectrum.resonance_bound``; r_inf of the circle b0 is b0
     L = 0.5 - 1.0 / (2.0 + ((config.b0 + 2.0) / config.b0) ** 2)
     J = kvals.size
-    num, den = _shift_pair(kvals, config.k0)
+    c = _contrast_c(kvals, config.k0)[:, None]
     # complex columns are split into real and imaginary rows
     Y = np.concatenate([U.real.T, U.imag.T]) * unit
 
@@ -99,9 +101,8 @@ def fit_rational(data: MultiFreqData, max_poles: int = DEFAULT_MAX_POLES,
         return np.concatenate([B.real, B.imag])
 
     def columns(s):
-        """1/(c_j - s), written as num / (den - s num) with c = den / num
-        to stay finite at k_j = k0 (c = infinity)."""
-        return num[:, None] / (den[:, None] - s * num[:, None])
+        """1/(c_j - s), one row per contrast, one column per pole."""
+        return 1.0 / (c - s)
 
     def value(s):
         """|R|^2 / 2 and (Q, X = Phi^+ Y, R = P_perp Y) at the poles s."""

@@ -11,16 +11,17 @@ Four routes to the boundary voltage:
 * ``solve_forward_direct`` -- the same equation by one dense LU per contrast,
   kept as the independent oracle for the batched route and the spectral one,
 * ``solve_forward_spectral`` -- truncated resonance expansion
-  u = u0/k0 + sum_n c_n w_n / (k0 + lambda_n (k - k0)),
+  u = (u0 + sum_n c_n w_n (1 + lambda_n / (c + mu_n))) / k0,
 * ``solve_u0`` -- the perfect-conductor limit, whose Cauchy data drive the
   shape reconstruction; ``u0_shape_derivative`` is its domain derivative
   and reuses that solve's LU factors and trace matrix.
 
-The shift c owns both ends of the contrast axis: ``_contrast_c`` gives
-c = inf at k = k0, where the inclusion is invisible, and c = -1/2 at an
-infinite k, the perfect conductor, whose voltage is u0 / k0. The batched
-and spectral solves take either end as an ordinary contrast; only the LU
-oracle returns early at k = k0, whose diagonal it cannot factor.
+Every solver, and ``disentangle.fit_rational``, reads c from
+``_contrast_c``, which owns both ends of the contrast axis: c = inf at
+k = k0, where the inclusion is invisible, and c = -1/2 at an infinite k,
+the perfect conductor, whose voltage is u0 / k0. The batched and spectral
+solves take either end as an ordinary contrast; only the LU oracle
+returns early at k = k0, whose diagonal it cannot factor.
 
 All boundary voltages are recentered to zero mean on the measurement circle.
 """
@@ -387,35 +388,28 @@ def _pow2_unit(x):
     return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1023))
 
 
-def _shift_pair(k, k0: float) -> tuple:
-    """(2 (a - b), a + b) with a = k0 u and b = k u, u the ``_pow2_unit`` of
-    max(|k0|, |Re k|, |Im k|), element by element; the limit pair (-2, 1)
-    of k -> infinity for a k with an infinite part, which it multiplies by
-    nothing.
+def _contrast_c(k, k0: float):
+    """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k,
+    and the one map from k to c that the solvers and the fit read.
 
-    No sum, difference or quotient of a and b can overflow, up to the
-    largest float. While a, Re b and Im b stay zero or normal numbers, as
-    they do unless one is about 2^-1022 of the largest, each ratio of the
-    pair, c = (a + b) / (2 (a - b)) among them, is the unscaled ratio bit
-    for bit.
+    It is the ratio (a + b) / (2 (a - b)) with a = k0 u and b = k u, u the
+    ``_pow2_unit`` of max(|k0|, |Re k|, |Im k|), element by element, so no
+    sum, difference or quotient of a and b can overflow, up to the largest
+    float. While a, Re b and Im b stay zero or normal numbers, as they do
+    unless one is about 2^-1022 of the largest, c is the unscaled ratio bit
+    for bit: finite for every finite k != k0, and -1/2 to rounding for a k
+    near the largest float. At the ends of the axis it is exactly -1/2 for
+    a k with an infinite part, the perfect conductor, whose k it replaces
+    by the limit pair (-2, 1) of k -> infinity before any product, and
+    inf + 0j at k = k0, where the inclusion is invisible; it divides only
+    where 2 (a - b) is nonzero, so neither end warns. A nan k gives a nan
+    shift. Scalar or array, it is numpy's complex quotient.
     """
     k = np.where(inf := np.isinf(k), 0.0, np.asarray(k, dtype=complex))
     unit = _pow2_unit(np.maximum(abs(k0),
                                  np.maximum(abs(k.real), abs(k.imag))))
     a, b = k0 * unit, k * unit
-    return np.where(inf, -2.0, 2.0 * (a - b)), np.where(inf, 1.0, a + b)
-
-
-def _contrast_c(k, k0: float):
-    """c = (k0 + k) / (2 (k0 - k)), the shift of K* in the equation for k,
-    as the ratio of ``_shift_pair``: finite for every finite k != k0, and
-    -1/2 to rounding for a k near the largest float. At the ends of the
-    axis it is exactly -1/2 for a k with an infinite part, the perfect
-    conductor, and inf + 0j at k = k0, where the inclusion is invisible;
-    it divides only where 2 (a - b) is nonzero, so neither end warns. A nan
-    k gives a nan shift. Scalar or array, it is numpy's complex quotient.
-    """
-    num, den = _shift_pair(k, k0)
+    num, den = np.where(inf, -2.0, 2.0 * (a - b)), np.where(inf, 1.0, a + b)
     return np.divide(den, num, out=np.full_like(den, np.inf),
                      where=num != 0)[()]
 
@@ -517,21 +511,21 @@ def solve_forward_spectral(spectrum: NPSpectrum, f: np.ndarray, k: complex,
 
     The expansion runs over every mode that ``spectrum`` holds. As in
     ``solve_forward_batched``, ``NearResonance`` is raised unless
-    min|c + mu| >= 1e-10 over those modes, mu = 1/2 - lambda: the
-    denominator k0 + lambda (k - k0) is (k0 - k) (c + mu). At k = k0 the
-    shift is infinite, the guard passes and every denominator is k0, so
-    the inclusion is invisible with no branch. A real infinite k gives
-    u0 / k0; a complex one forms inf * 0 in lambda (k - k0), warns and
-    gives nan.
+    min|c + mu| >= 1e-10 over those modes, mu = 1/2 - lambda. The term of
+    mode n, c_n w_n / ((k0 - k) (c + mu_n)) with k0 - k = k0 / (c + 1/2),
+    is c_n w_n (1 + lambda_n / (c + mu_n)) / k0, read from the c + mu that
+    the guard forms. At k = k0 the shift is infinite and each weight is
+    c_n, so the inclusion is invisible with no branch; at every infinite k,
+    c + mu = -lambda and each weight is 0 to rounding, so u = u0 / k0.
     """
     bgrid_omega = unit_circle_grid(f.size)
     if spectrum.traces_bd_omega.shape[0] != f.size:
         raise ValueError("current sampled on a different grid than the traces")
     lam, W = spectrum.lam, spectrum.traces_bd_omega
-    _shifted(np.atleast_1d(_contrast_c(k, k0)), 0.5 - lam, np.atleast_1d(k))
-    denom = k0 + lam * (k - k0)
+    c_mu = _shifted(np.atleast_1d(_contrast_c(k, k0)), 0.5 - lam,
+                    np.atleast_1d(k))[:, 0]
     c_n = (f * bgrid_omega.weights) @ W
-    u = u0.u0 / k0 + W @ (c_n / denom)
+    u = (u0.u0 + W @ (c_n * (1 + lam / c_mu))) / k0
     return _recenter(u, bgrid_omega)
 
 

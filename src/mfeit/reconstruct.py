@@ -304,21 +304,23 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
                 row["status"] = f"failed:{type(exc).__name__}"
             rows.append(row)
 
-    # per-level medians over seeds, noisy levels only, for the stability fits;
-    # n_ok counts the rows each level's median rests on
+    # per-level medians over seeds, one entry per level, None for the
+    # noise-free level and for a level with no ok row; n_ok counts the rows
+    # each level's median rests on
     eps_med, dif_med, n_ok = [], [], []
     for lv in noise_levels:
         ok = [r for r in rows if r["level"] == lv and r["status"] == "ok"
               and np.isfinite(r["sym_diff"])]
         n_ok.append(len(ok))
-        if lv > 0 and ok:
-            eps_med.append(float(np.median([r["eps_measured"] for r in ok])))
-            dif_med.append(float(np.median([r["sym_diff"] for r in ok])))
+        for med, key in ((eps_med, "eps_measured"), (dif_med, "sym_diff")):
+            med.append(float(np.median([r[key] for r in ok]))
+                       if lv > 0 and ok else None)
     summary: dict = {"levels": noise_levels, "n_ok": n_ok,
                      "eps_median": eps_med, "sym_diff_median": dif_med}
-    if len(eps_med) >= 2 and all(d > 0 for d in dif_med):
-        eps = np.array(eps_med)
-        dif = np.array(dif_med)
+    # the stability fits read the levels that have a median
+    fitted = [(e, d) for e, d in zip(eps_med, dif_med) if e is not None]
+    if len(fitted) >= 2 and all(d > 0 for _, d in fitted):
+        eps, dif = np.array(fitted).T
         C, tau, res_log = _fit_power(1.0 / np.log(1.0 / eps), dif)
         Cp, taup, res_hold = _fit_power(eps, dif)
         summary["log_model"] = {"C": C, "tau": tau, "residual": res_log}

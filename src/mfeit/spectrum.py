@@ -7,8 +7,9 @@ With this package's kernel conventions the variational eigenvalue is
 lambda = 1/2 - mu for mu an eigenvalue of the discrete K*_D (verified
 against the concentric-disk closed form lambda_n = (1 + r0^(2n)) / 2).
 
-Resonances solve the dispersion equation k0 + lambda_n (k - k0) = 0,
-hence k_n = k0 (1 - 1/lambda_n); they accumulate at -k0.
+Resonances are the contrasts whose shift c = (k0 + k) / (2 (k0 - k)) is
+-mu_n = lambda_n - 1/2, hence k_n = k0 (1 - 1/lambda_n); they accumulate
+at -k0.
 """
 from __future__ import annotations
 

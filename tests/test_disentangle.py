@@ -261,14 +261,15 @@ def test_end_to_end_concentric_extraction(f_cos, conc_kernels):
 
 def test_fit_with_an_infinite_contrast_extracts_u0(f_cos, tre_kernels):
     # the contrasts of the CLI's forward-then-extract chain, with k = inf
-    # in place of 1e308 + 1e308j: its column num / (den - s num) in the fit
-    # is -2 / (1 + 2 s) = 1 / (-1/2 - s), exact
+    # in place of 1e308 + 1e308j and k = k0 besides: the fit reads c from
+    # forward._contrast_c, so their rows of a pole column 1/(c - s) are
+    # 1/(-1/2 - s) and 1/(inf - s) = 0, each exact and neither warns
     kvals = np.array([2.0 + 0.3 * j + (0.5 + 0.1 * j) * 1j for j in range(14)]
-                     + [np.inf])
+                     + [np.inf, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         U = solve_forward_batched(tre_kernels, f_cos, kvals)
-        model = fit_rational(MultiFreqData(omega=np.arange(15.0), k=kvals,
+        model = fit_rational(MultiFreqData(omega=np.arange(16.0), k=kvals,
                                            U=U),
                              max_poles=6, tol=1e-6, config=DOMAIN)
     expect = solve_u0(TREFOIL, f_cos, grid=tre_kernels.grid).u0

@@ -242,6 +242,24 @@ def test_batched_solve_at_an_infinite_contrast_is_u0_over_k0(
     assert np.max(np.abs(U[:, 1:] - u0[:, None] / k0)) <= 1e-13
 
 
+@pytest.mark.parametrize("k0", [1.0, 2.5])
+@pytest.mark.parametrize("shape, kernels_name, spectrum_name",
+                         [(TREFOIL, "tre_kernels", "tre_spectrum"),
+                          (circle(R0), "conc_kernels", "conc_spectrum")],
+                         ids=["trefoil", "circle"])
+def test_spectral_solve_at_an_infinite_contrast_is_u0_over_k0(
+        request, shape, kernels_name, spectrum_name, k0, f_cos):
+    # c + mu = -lambda at every infinite k, so each mode's weight
+    # 1 + lambda / (c + mu) is 0 to rounding, a complex k included
+    spectrum = request.getfixturevalue(spectrum_name)
+    u0 = solve_u0(shape, f_cos, grid=request.getfixturevalue(kernels_name).grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        U = np.column_stack([solve_forward_spectral(spectrum, f_cos, k, k0, u0)
+                             for k in INFINITE])
+    assert np.max(np.abs(U - u0.u0[:, None] / k0)) <= 1e-13
+
+
 def test_large_contrast_approaches_perfect_conductor(bgrid64, f_cos,
                                                      conc_kernels):
     u0 = solve_u0(circle(R0), f_cos, grid=conc_kernels.grid)

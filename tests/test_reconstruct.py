@@ -402,8 +402,8 @@ def test_a_failed_sweep_row_is_reported_and_left_out_of_the_medians(
     assert [r["status"] for r in res.rows] == ["failed:FitDiverged"] * 2
     assert all(np.isnan(r["eps_measured"]) and np.isnan(r["sym_diff"])
                for r in res.rows)
-    assert res.summary == {"levels": [1e-3], "n_ok": [0], "eps_median": [],
-                           "sym_diff_median": []}
+    assert res.summary == {"levels": [1e-3], "n_ok": [0],
+                           "eps_median": [None], "sym_diff_median": [None]}
     assert res.to_csv().splitlines()[1] == "0.001,nan,1,nan,failed:FitDiverged"
 
     # only the second row, (1e-5, seed 2), gets no pole
@@ -423,6 +423,20 @@ def test_a_failed_sweep_row_is_reported_and_left_out_of_the_medians(
     assert res.summary["n_ok"] == [1, 2, 2]
     assert res.summary["eps_median"][0] == first["eps_measured"]
     assert res.summary["sym_diff_median"][0] == first["sym_diff"]
+    assert "log_model" in res.summary
+
+    # with one seed the second row is the whole level 1e-3: its medians are
+    # None, and the next level's stays at its own index
+    calls.clear()
+    res = stability_sweep(**_SMALL, noise_levels=[1e-5, 1e-3, 5e-2],
+                          seeds=[1], max_poles=1)
+    low, failed, high = res.rows
+    assert failed["status"] == "failed:FitDiverged"
+    assert res.summary["n_ok"] == [1, 0, 1]
+    assert res.summary["eps_median"] == [low["eps_measured"], None,
+                                         high["eps_measured"]]
+    assert res.summary["sym_diff_median"] == [low["sym_diff"], None,
+                                              high["sym_diff"]]
     assert "log_model" in res.summary
 
 
