@@ -105,28 +105,25 @@ def fit_rational(data: MultiFreqData, max_poles: int = DEFAULT_MAX_POLES,
         return 1.0 / (c - s)
 
     def value(s):
-        """|R|^2 / 2 and (Q, X = Phi^+ Y, R = P_perp Y) at the poles s."""
+        """|R|^2 / 2 at the poles s, Kaufman's Gauss-Newton matrix
+        G_kl = (P_perp d_k . P_perp d_l) (x_k . x_l) and gradient
+        g_k = -(P_perp d_k)^T R x_k of it, with d_k = dPhi/ds_k and x_k the
+        residues of pole k, and (Q, X = Phi^+ Y, R = P_perp Y)."""
         Q, T = np.linalg.qr(split(np.column_stack([np.ones(J), columns(s)])))
         QY = Q.T @ Y
         R = Y - Q @ QY
-        return 0.5 * float(np.vdot(R, R)), (Q, np.linalg.solve(T, QY), R)
-
-    def normal(s, state):
-        """Kaufman's Gauss-Newton matrix G_kl = (P_perp d_k . P_perp d_l)
-        (x_k . x_l) and gradient g_k = -(P_perp d_k)^T R x_k of |R|^2 / 2
-        over the poles, with d_k = dPhi/ds_k, x_k the residues of pole k."""
-        Q, X, R = state
+        X = np.linalg.solve(T, QY)
         D = split(columns(s) ** 2)  # d/ds 1/(c - s) = 1/(c - s)^2
         PD = D - Q @ (Q.T @ D)
         G = (PD.T @ PD) * (X[1:] @ X[1:].T)
         g = -np.sum((D.T @ R) * X[1:], axis=1)
-        return G, g
+        return 0.5 * float(np.vdot(R, R)), G, g, (Q, X, R)
 
     def sup_residual(R):
         return float(np.sqrt(np.max(R[:J] ** 2 + R[J:] ** 2)))
 
     s = np.zeros(0)
-    _, (Q, X, R) = value(s)
+    *_, (Q, X, R) = value(s)
     target = TAU * tol * scale
     while (resid := sup_residual(R) / unit) > target:
         if s.size == max_poles:
@@ -144,7 +141,7 @@ def fit_rational(data: MultiFreqData, max_poles: int = DEFAULT_MAX_POLES,
         # back, it is the reason to refuse the data
         s = np.append(s, L * _SCAN[np.argmax(score)])
         s, (Q, X, R), *_ = levenberg_marquardt(
-            s, value(s), value, normal, np.zeros((0, s.size)), np.zeros(0))
+            s, value(s), value, np.zeros((0, s.size)), np.zeros(0))
     if np.any(outside := np.abs(s) >= L):
         raise FitDiverged(
             f"pole c = {s[outside][0]:.6g} outside the segment |c| < "

@@ -18,9 +18,8 @@ of squares g_k^2 <= 2 f G_kk, so a step's predicted decrease is at most
 2 n f / lambda, below RTOL f once lambda is about 2 n / RTOL. A nan
 decrease, from a G or g that is not finite, ends the loop at its last
 accepted point, not converged. The caller evaluates the start, the loop
-only its trials; whatever ``value`` leaves in an accepted point's state
-(the inversion's solve of that shape) is what ``normal`` builds the next
-step from.
+only its trials; each evaluation forms f, G and g of its point at once, so
+nothing it solved outlives the point.
 """
 from __future__ import annotations
 
@@ -65,26 +64,25 @@ def _step(A: np.ndarray, g: np.ndarray, E: np.ndarray,
 
 
 def levenberg_marquardt(z: np.ndarray, start: tuple, value: Callable,
-                        normal: Callable, E: np.ndarray,
-                        h: np.ndarray) -> tuple:
+                        E: np.ndarray, h: np.ndarray) -> tuple:
     """Minimise f from z by damped Gauss-Newton steps under E z <= h.
 
-    ``start = value(z)``, evaluated by the caller: ``value(z) -> (f, state)``
-    is called at trial points only. ``normal(z, state) -> (G, g)``, the
-    Gauss-Newton matrix and gradient at an accepted point; E, of shape
+    ``value(z) -> (f, G, g, state)`` gives f at z with its Gauss-Newton
+    matrix G and gradient g; ``start = value(z)`` is evaluated by the
+    caller, and the loop calls ``value`` at trial points only. E, of shape
     (rows, z.size), may have no rows. The damping lambda = 1e-3 scales the
     diagonal of G, floored at 1e-12 of its largest entry; each step solves
     its damped model exactly under the rows, with the slack h - E z of the
     current point, negative slack read as zero. A trial is accepted when it
     lowers f, and lambda then falls tenfold (to 1e-12 at least), else it
     rises tenfold, as it does after a trial whose ``value`` raises
-    ``TargetTooClose`` or ``SingularSystem`` (in ``normal`` these still
-    raise). Returns z, its state, the accepted values of f from the start's
-    on, whether a row is active at the stop (slack <= 1e-12 of max(|h|, 1)),
-    and whether the stop test was met before ``MAX_STEPS``: false too when
-    a predicted decrease that is nan ended the loop.
+    ``TargetTooClose`` or ``SingularSystem``. Returns z, its state, the
+    accepted values of f from the start's on, whether a row is active at
+    the stop (slack <= 1e-12 of max(|h|, 1)), and whether the stop test was
+    met before ``MAX_STEPS``: false too when a predicted decrease that is
+    nan ended the loop.
     """
-    f, state = start
+    f, G, g, state = start
     history = [f]
     lam = 1e-3
 
@@ -92,7 +90,6 @@ def levenberg_marquardt(z: np.ndarray, start: tuple, value: Callable,
         return bool(np.any(h - E @ z <= 1e-12 * np.maximum(np.abs(h), 1.0)))
 
     for _ in range(MAX_STEPS):
-        G, g = normal(z, state)
         diag = np.diag(np.maximum(np.diag(G), 1e-12 * np.max(np.diag(G))))
         slack = np.maximum(h - E @ z, 0.0)
         while True:
@@ -102,12 +99,12 @@ def levenberg_marquardt(z: np.ndarray, start: tuple, value: Callable,
                 return z, state, history, active(), bool(pred <= RTOL * f)
             z_try = z + step
             try:
-                f_try, state_try = value(z_try)
+                trial = value(z_try)
             except (TargetTooClose, SingularSystem):
-                f_try = np.inf  # a trial that cannot be evaluated
-            if f_try < f:
+                trial = (np.inf,)  # a trial that cannot be evaluated
+            if trial[0] < f:
                 break
             lam *= 10.0
-        z, f, state, lam = z_try, f_try, state_try, max(lam / 10.0, 1e-12)
+        z, (f, G, g, state), lam = z_try, trial, max(lam / 10.0, 1e-12)
         history.append(f)
     return z, state, history, active(), False

@@ -16,18 +16,19 @@ u0' = rho' - (h . nu) d_nu u0 on dD. The jump relation of the single
 layer gives d_nu u0 = psi from outside, psi being the density that
 ``solve_u0`` solves for, so all 2M + 1 columns come from one more solve of
 its saddle system (``forward.u0_shape_derivative``). That solve reuses the
-LU factors and trace matrix of the point's solve, from the loop's state:
-each new point costs one factorization and one kernel matrix, the Jacobian
-neither. The central-difference Jacobian ``_Objective.fd_jacobian`` stays
-as the test oracle. Errors between shapes are measured by the area of the
-symmetric difference, which for star shapes about the origin reduces to a
-1D integral of |r_a^2 - r_b^2| / 2.
+LU factors and trace matrix of the point's solve, in the one call that
+evaluates the point (``_point``), which keeps u0, its derivative and rho
+and drops the rest: each new point costs one factorization and one kernel
+matrix, the Jacobian neither. The central-difference Jacobian
+``_Objective.fd_jacobian`` stays as the test oracle. Errors between shapes
+are measured by the area of the symmetric difference, which for star
+shapes about the origin reduces to a 1D integral of |r_a^2 - r_b^2| / 2.
 
 Every inversion starts from the same circle, which depends only on the
-settings, and the start's perfect-conductor solve depends only on them and
-on the current f. A stability sweep therefore solves its starting circle
-once, before any row runs; every row then starts from that solve, which is
-read-only.
+settings, and the start's perfect-conductor solve and its derivative depend
+only on them and on the current f. A stability sweep therefore evaluates
+its starting circle once, before any row runs; every row then starts from
+that u0 and derivative, which are read-only.
 """
 from __future__ import annotations
 
@@ -104,10 +105,19 @@ def _start_params(settings: InversionSettings) -> np.ndarray:
 
 
 def _point(x: np.ndarray, settings: InversionSettings, f: np.ndarray) -> tuple:
-    """(grid, perfect-conductor solve) of the shape with parameters x."""
-    shape = _params_to_shape(x, settings.n_fourier_modes)
+    """(u0, du0/dx, rho) of the shape with parameters x: the trace of its
+    perfect-conductor solve, the domain derivative of that trace along each
+    parameter's radial velocity, and the constant on the inclusion."""
+    M = settings.n_fourier_modes
+    shape = _params_to_shape(x, M)
     grid = discretize(shape, settings.n_boundary)
-    return grid, solve_u0(shape, f, grid=grid)
+    sim = solve_u0(shape, f, grid=grid)
+    # normal velocity of mode j: phi_j(t) (e_r . nu), phi = 1, cos mt, sin mt
+    mt = np.outer(grid.t, np.arange(1, M + 1))
+    modes = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
+    er_nu = (np.cos(grid.t) * grid.normals[:, 0]
+             + np.sin(grid.t) * grid.normals[:, 1])
+    return sim.u0, u0_shape_derivative(sim, modes * er_nu[:, None]), sim.rho
 
 
 class _Objective:
@@ -118,38 +128,23 @@ class _Objective:
             raise ValueError("inversion needs the injected current f")
         self.data = data
         self.settings = settings
-        self.M = settings.n_fourier_modes
         self.sqrt_w = np.sqrt(unit_circle_grid(data.u0.size).weights)
-        M = self.M
         # penalty 1/2 alpha |r''|^2 = 1/2 alpha pi sum m^4 (a_m^2 + b_m^2)
-        m2 = np.arange(1, M + 1) ** 2.0
+        m2 = np.arange(1, settings.n_fourier_modes + 1) ** 2.0
         pen = np.concatenate([[0.0], m2, m2])
         self.pen_scale = math.sqrt(settings.alpha * math.pi) * pen
 
     def value(self, x: np.ndarray, point: tuple | None = None) -> tuple:
-        """(J, (r, point)) at x; ``point`` is the ``_point`` of x, solved
-        here unless the caller has solved it with ``data.f`` already."""
-        if point is None:
-            point = _point(x, self.settings, self.data.f)
-        r_data = self.sqrt_w * (point[1].u0 - self.data.u0)
-        r = np.concatenate([r_data, self.pen_scale * x])
-        return 0.5 * float(r @ r), (r, point)
-
-    def normal(self, x: np.ndarray, state: tuple) -> tuple:
-        """Gauss-Newton matrix and gradient at a point ``value`` solved."""
-        Jac = self.jacobian(state[1])
-        return Jac.T @ Jac, Jac.T @ state[0]
-
-    def jacobian(self, point: tuple) -> np.ndarray:
-        """Domain-derivative Jacobian, reusing the solve of the ``_point``."""
-        grid, sim = point
-        # normal velocity of mode j: phi_j(t) (e_r . nu), phi = 1, cos mt, sin mt
-        mt = np.outer(grid.t, np.arange(1, self.M + 1))
-        modes = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
-        er_nu = (np.cos(grid.t) * grid.normals[:, 0]
-                 + np.sin(grid.t) * grid.normals[:, 1])
-        du = u0_shape_derivative(sim, modes * er_nu[:, None])
-        return np.vstack([self.sqrt_w[:, None] * du, np.diag(self.pen_scale)])
+        """(J, Jac^T Jac, Jac^T r, (r, Jac, rho)) at x, Jac the
+        domain-derivative Jacobian of r; ``point`` is the ``_point`` of x,
+        solved here unless the caller has solved it with ``data.f``
+        already."""
+        u0, du, rho = _point(x, self.settings, self.data.f) \
+            if point is None else point
+        r = np.concatenate([self.sqrt_w * (u0 - self.data.u0),
+                            self.pen_scale * x])
+        Jac = np.vstack([self.sqrt_w[:, None] * du, np.diag(self.pen_scale)])
+        return 0.5 * float(r @ r), Jac.T @ Jac, Jac.T @ r, (r, Jac, rho)
 
     def fd_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Central-difference Jacobian, 2 (2M + 1) solves: the test oracle."""
@@ -158,7 +153,7 @@ class _Objective:
         for i in range(x.size):
             e = np.zeros_like(x)
             e[i] = steps[i]
-            cols.append((self.value(x + e)[1][0] - self.value(x - e)[1][0])
+            cols.append((self.value(x + e)[3][0] - self.value(x - e)[3][0])
                         / (2 * steps[i]))
         return np.column_stack(cols)
 
@@ -178,11 +173,11 @@ def invert(data: CauchyData, settings: InversionSettings, *,
     M = settings.n_fourier_modes
     obj = _Objective(data, settings)
     x0 = _start_params(settings)
-    x, (_, (_, sim)), history, active, stopped = levenberg_marquardt(
-        x0, obj.value(x0, _start), obj.value, obj.normal,
+    x, (_, _, rho), history, active, stopped = levenberg_marquardt(
+        x0, obj.value(x0, _start), obj.value,
         *class_rows(M, settings.config, _BAND_MARGIN))
     return InversionResult(shape=_params_to_shape(x, M), history=history,
-                           rho=sim.rho, hit_constraint=active,
+                           rho=rho, hit_constraint=active,
                            converged=stopped, n_iter=len(history) - 1)
 
 
@@ -274,10 +269,7 @@ def stability_sweep(truth: StarShape, f_coeffs: tuple, profile: FrequencyProfile
     f = current_from_fourier(f_coeffs[0], f_coeffs[1], bgrid_omega)
     start = _point(_start_params(settings), settings, f)
     # every row reads f and the start: make each array read-only
-    grid0, sim0 = start
-    for a in (f, grid0.t, grid0.points, grid0.normals, grid0.jacobian,
-              grid0.curvature, sim0.u0, sim0.psi, *sim0.saddle[0],
-              sim0.saddle[1]):
+    for a in (f, *start[:2]):
         a.setflags(write=False)
     clean = synthesize(assemble(discretize(truth, n_forward)), f, omega_grid,
                        kvals, eta=0.0, seed=None, k0=settings.config.k0)

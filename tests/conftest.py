@@ -59,9 +59,8 @@ def objective_value(obj: _Objective, x) -> float:
 def misfit(shape, data, settings) -> tuple:
     """J at ``shape`` and its gradient J^T r from the analytic Jacobian."""
     obj = _Objective(data, settings)
-    x = _shape_to_params(shape, settings.n_fourier_modes)
-    J, state = obj.value(x)
-    return J, obj.normal(x, state)[1]
+    J, _, g, _ = obj.value(_shape_to_params(shape, settings.n_fourier_modes))
+    return J, g
 
 
 def calderon_residual(kernels) -> float:

@@ -27,13 +27,12 @@ def test_rejected_trials_reach_the_stop_test():
 
         def value(z):
             if z is z0:
-                return f0, r0
+                return f0, A.T @ A, A.T @ r0, r0
             trials.append(z)
-            return np.inf, None
+            return np.inf, None, None, None
 
         z, state, history, active, stopped = levenberg_marquardt(
-            z0, value(z0), value, lambda z, r: (A.T @ A, A.T @ r),
-            np.zeros((0, n)), np.zeros(0))
+            z0, value(z0), value, np.zeros((0, n)), np.zeros(0))
         assert stopped and z is z0 and state is r0
         assert history == [f0] and not active
         assert len(trials) <= 12
@@ -46,12 +45,11 @@ def test_linear_problem_reaches_the_least_squares_solution():
 
     def value(z):
         r = A @ z - b
-        return 0.5 * float(r @ r), r
+        return 0.5 * float(r @ r), A.T @ A, A.T @ r, r
 
     z0 = np.zeros(5)
     z, r, history, active, stopped = levenberg_marquardt(
-        z0, value(z0), value, lambda z, r: (A.T @ A, A.T @ r),
-        np.zeros((0, 5)), np.zeros(0))
+        z0, value(z0), value, np.zeros((0, 5)), np.zeros(0))
     z_ls = np.linalg.lstsq(A, b, rcond=None)[0]
     assert stopped and len(history) - 1 < MAX_STEPS and not active
     assert np.all(np.diff(history) < 0)
@@ -65,12 +63,11 @@ def test_a_row_active_at_the_stop_is_reported():
     # minimise 1/2 (z - 2)^2 over z <= 1: the solution is on the bound
     def value(z):
         r = z - 2.0
-        return 0.5 * float(r @ r), r
+        return 0.5 * float(r @ r), np.eye(1), r, r
 
     z0 = np.zeros(1)
     z, _, _, active, stopped = levenberg_marquardt(
-        z0, value(z0), value, lambda z, r: (np.eye(1), r), np.eye(1),
-        np.ones(1))
+        z0, value(z0), value, np.eye(1), np.ones(1))
     assert stopped and active and z[0] == 1.0
 
 
@@ -94,10 +91,11 @@ def test_a_non_finite_gauss_newton_pair_ends_the_loop():
             "z0, f0 = np.zeros(2), 1.0\n"
             "for G, g in [(np.full((2, 2), np.nan), np.ones(2)),\n"
             "             (np.eye(2), np.array([np.inf, 1.0]))]:\n"
+            "    def value(z):\n"
+            "        return f0 + 0.5 * float(z @ z), G, g, 'trial'\n"
             "    z, state, history, active, converged = levenberg_marquardt(\n"
-            "        z0, (f0, 'start'),\n"
-            "        lambda z: (f0 + 0.5 * float(z @ z), 'trial'),\n"
-            "        lambda z, state: (G, g), np.zeros((0, 2)), np.zeros(0))\n"
+            "        z0, (f0, G, g, 'start'), value, np.zeros((0, 2)),\n"
+            "        np.zeros(0))\n"
             "    print(json.dumps([z is z0, state, history, active,\n"
             "                      converged]))\n")
     env = dict(os.environ,

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from mfeit import forward, potential, reconstruct
 from mfeit.disentangle import extract_u0, fit_rational
+from mfeit.errors import SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, _add_noise,
                            _recenter, current_from_fourier, solve_u0,
-                           synthesize)
+                           synthesize, u0_shape_derivative)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             class_rows, discretize, fourier_series,
                             unit_circle_grid)
@@ -78,7 +79,7 @@ def test_analytic_jacobian_matches_fd_oracle(tre_data):
                       sin=(0.02, -0.01, 0.015))
     obj = _Objective(tre_data, settings_)
     x = _shape_to_params(shape, 8)
-    analytic = obj.jacobian(obj.value(x)[1][1])
+    analytic = obj.value(x)[3][1]
     fd = obj.fd_jacobian(x)
     assert analytic.shape == fd.shape == (64 + 17, 17)
     assert np.max(np.abs(analytic - fd)) / np.max(np.abs(fd)) < 1e-7
@@ -105,36 +106,54 @@ def test_jacobian_reuses_the_residual_solve(tre_data, monkeypatch):
                          (forward, "_assemble_single_layer")]:
         monkeypatch.setattr(module, attr,
                             counted("kernel", getattr(module, attr)))
-    _, (_, point) = obj.value(x)
-    # one LU, one circle-to-node kernel and one single layer S
-    assert calls == {"lu": 1, "kernel": 2}
-    obj.jacobian(point)
+    obj.value(x)
+    # the residual and its Jacobian: one LU, one circle-to-node kernel and
+    # one single layer S
     assert calls == {"lu": 1, "kernel": 2}
 
 
 def test_invert_solves_each_point_it_evaluates_once(tre_data, monkeypatch):
-    """One perfect-conductor solve per point the loop evaluates, the start
-    and every trial, and none for a Jacobian; a start the caller solved is
+    """One perfect-conductor solve and one derivative of it per point the
+    loop evaluates, the start and every trial; a start the caller solved is
     not solved again."""
     settings_ = InversionSettings(n_fourier_modes=3, alpha=1e-6)
-    calls = {"solve_u0": 0, "value": 0, "jacobian": 0}
+    calls = {"solve_u0": 0, "derivative": 0, "value": 0}
     counted = _counter(calls)
     monkeypatch.setattr(reconstruct, "solve_u0",
                         counted("solve_u0", solve_u0))
-    for name in ("value", "jacobian"):
-        monkeypatch.setattr(_Objective, name,
-                            counted(name, getattr(_Objective, name)))
+    monkeypatch.setattr(reconstruct, "u0_shape_derivative",
+                        counted("derivative", u0_shape_derivative))
+    monkeypatch.setattr(_Objective, "value",
+                        counted("value", _Objective.value))
     res = invert(tre_data, settings_)
-    # a Jacobian at every accepted point, the last one's meeting the stop
-    assert res.converged and calls["jacobian"] == res.n_iter + 1
+    assert res.converged
     assert calls["solve_u0"] == calls["value"] >= res.n_iter + 1
+    assert calls["derivative"] == calls["solve_u0"]
 
     start = reconstruct._point(_start_params(settings_), settings_,
                                tre_data.f)
-    calls.update(solve_u0=0, value=0)
+    calls.update(solve_u0=0, derivative=0, value=0)
     again = invert(tre_data, settings_, _start=start)
     assert again.history == res.history
-    assert calls["solve_u0"] == calls["value"] - 1
+    assert calls["derivative"] == calls["solve_u0"] == calls["value"] - 1
+
+
+def test_an_unsolvable_trial_jacobian_is_a_rejected_trial(tre_data,
+                                                          monkeypatch):
+    """A trial whose derivative solve fails is rejected as one whose
+    residual solve fails: the loop raises its damping and goes on."""
+    calls = []
+
+    def derivative(sim, velocity):
+        calls.append(sim)
+        if len(calls) == 2:  # the first trial's
+            raise SingularSystem("non-finite solution of the saddle system")
+        return u0_shape_derivative(sim, velocity)
+
+    monkeypatch.setattr(reconstruct, "u0_shape_derivative", derivative)
+    res = invert(tre_data, InversionSettings(n_fourier_modes=3, alpha=1e-6))
+    # the start, each accepted trial and at least the one rejected
+    assert res.converged and len(calls) >= res.n_iter + 2
 
 
 def test_shape_derivative_concentric_closed_form(conc_data):
@@ -145,7 +164,7 @@ def test_shape_derivative_concentric_closed_form(conc_data):
                       rtol=1e-8)
     obj = _Objective(conc_data, InversionSettings(n_fourier_modes=0, alpha=0.0,
                                                   n_boundary=256))
-    du = obj.jacobian(obj.value(np.array([R0]))[1][1])[:64, 0] / obj.sqrt_w
+    du = obj.value(np.array([R0]))[3][1][:64, 0] / obj.sqrt_w
     theta = unit_circle_grid(conc_data.u0.size).t
     assert np.max(np.abs(du - dg * np.cos(theta))) < 1e-10
 
@@ -252,12 +271,11 @@ def _project(y: np.ndarray, M: int) -> tuple:
     """Nearest point to y in the class rows of the inversion: 1/2 |x - y|^2
     minimised by ``levenberg_marquardt`` from the band's middle circle."""
     def value(x):
-        return 0.5 * float((x - y) @ (x - y)), x - y
+        return 0.5 * float((x - y) @ (x - y)), np.eye(x.size), x - y, None
 
     x0 = _shape_to_params(circle(0.55), M)
     x, _, _, active, stopped = levenberg_marquardt(
-        x0, value(x0), value, lambda x, r: (np.eye(x.size), r),
-        *class_rows(M, DomainConfig(), 1e-3))
+        x0, value(x0), value, *class_rows(M, DomainConfig(), 1e-3))
     return x, active, stopped
 
 
@@ -465,20 +483,28 @@ _SWEEP = dict(truth=StarShape(cos=(0.45, 0.0, 0.03)), f_coeffs=([1.0], []),
 def test_sweep_solves_its_starting_circle_once(monkeypatch):
     settings_ = _SWEEP["settings"]
     start = _params_to_shape(_start_params(settings_), 2)
-    calls = []
+    calls, sims, derivatives = [], [], []
 
     def counted(shape, *args, **kwargs):
         calls.append(shape == start)
-        return solve_u0(shape, *args, **kwargs)
+        sims.append(solve_u0(shape, *args, **kwargs))
+        return sims[-1]
+
+    def derivative(sim, velocity):
+        derivatives.append(sim is sims[0])
+        return u0_shape_derivative(sim, velocity)
 
     monkeypatch.setattr(reconstruct, "solve_u0", counted)
+    monkeypatch.setattr(reconstruct, "u0_shape_derivative", derivative)
     res = stability_sweep(**_SWEEP)
     rows = len(res.rows)
     assert rows == 6
-    # every row inverted, and only the sweep itself solved the start
+    # every row inverted, and only the sweep itself solved the start and
+    # took its derivative
     assert sum(r["status"] == "ok" for r in res.rows) == rows
-    assert sum(calls) == 1
+    assert sum(calls) == 1 and calls[0]
     assert len(calls) > rows
+    assert sum(derivatives) == 1 and len(derivatives) == len(calls)
 
 
 @pytest.fixture(scope="module")

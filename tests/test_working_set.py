@@ -11,6 +11,7 @@ and what one temporary per operation costs:
     direct      2.1 / 2.0              4.1 / 4.0 (2.5 at 512 without del A)
     spectrum    1.3 / 0.8              1.6 / 1.7
     class rows  2.4 / 2.3              5.9 / 5.7 (np.unique)
+    inversion   4.8 (128 nodes)        7.8 (the accepted point's solve held)
 
 The eigensolve's count includes the Gram matrix B it builds, in whose
 buffer LAPACK writes the Cholesky factor; sym(B K*) and syevd's 2 n^2
@@ -28,6 +29,14 @@ rows E x <= h that ``class_rows`` returns. It writes the rows and h into
 one buffer and drops repeats by a stable sort, whose sorted copy is its
 second buffer; each block, the stacked [E, h] and ``np.unique``'s sorted
 copy in an array of its own make 5.9 / 5.7.
+
+One inversion is counted in 128 x 128 matrices: ``invert`` of the
+trefoil's exact u0 at M = 8, alpha = 1e-7 and 128 nodes, after one
+untraced run of the same call, which caches its class rows. Each point the
+loop evaluates keeps u0, its derivative and rho, and drops its solve (the
+single layer, the saddle LU and the trace matrix) before the next point
+solves; a loop that held the accepted point's solve while a trial solves
+would hold two at once, 7.8.
 
 The trace matrix of ``eval_S`` is bounded at n = 256 with m = 64 targets
 and one density column, in m x n matrices: 3.0 in place, 4.0 with the
@@ -53,6 +62,7 @@ from mfeit.forward import (solve_forward_direct, solve_forward_spectral,
 from mfeit.geometry import (DomainConfig, class_rows, discretize,
                             unit_circle_grid)
 from mfeit.potential import KernelMatrices, assemble, eval_S
+from mfeit.reconstruct import InversionSettings, invert
 from mfeit.spectrum import compute_spectrum
 
 from conftest import TREFOIL
@@ -148,3 +158,10 @@ def test_class_rows_budget():
         E, _ = class_rows(M, config, 1e-3)
         assert _traced_peak(lambda: class_rows.__wrapped__(M, config, 1e-3),
                             *E.shape[::-1]) <= 3.0, M
+
+
+def test_inversion_budget(f_cos):
+    data = solve_u0(TREFOIL, f_cos, n=256)
+    settings = InversionSettings(n_fourier_modes=8, alpha=1e-7, n_boundary=128)
+    invert(data, settings)
+    assert _traced_peak(lambda: invert(data, settings), 128) <= 6.0
