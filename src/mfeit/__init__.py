@@ -15,8 +15,7 @@ from .potential import KernelMatrices, assemble, eval_S
 from .spectrum import NPSpectrum, compute_spectrum, resonance_bound
 from .forward import (CauchyData, FrequencyProfile, MultiFreqData,
                       current_from_fourier, solve_forward_direct,
-                      solve_forward_spectral, solve_u0, synthesize,
-                      u0_shape_derivative)
+                      solve_forward_spectral, solve_u0, synthesize)
 from .disentangle import RationalModel, extract_u0, fit_rational
 from .reconstruct import (InversionResult, InversionSettings, SweepResult,
                           invert, stability_sweep,
@@ -29,7 +28,6 @@ __all__ = [
     "NPSpectrum", "compute_spectrum", "resonance_bound",
     "CauchyData", "FrequencyProfile", "MultiFreqData", "current_from_fourier",
     "solve_forward_direct", "solve_forward_spectral", "solve_u0", "synthesize",
-    "u0_shape_derivative",
     "RationalModel", "extract_u0", "fit_rational",
     "InversionResult", "InversionSettings", "SweepResult", "invert",
     "stability_sweep", "symmetric_difference",

@@ -13,8 +13,9 @@ Four routes to the boundary voltage:
 * ``solve_forward_spectral`` -- truncated resonance expansion
   u = (u0 + sum_n c_n w_n (1 + lambda_n / (c + mu_n))) / k0,
 * ``solve_u0`` -- the perfect-conductor limit, whose Cauchy data drive the
-  shape reconstruction; ``u0_shape_derivative`` is its domain derivative
-  and reuses that solve's LU factors and trace matrix.
+  shape reconstruction; given boundary velocities, the same call returns
+  the domain derivative along each from that solve's LU factors and trace
+  matrix, which it frees on return.
 
 Every solver, and ``disentangle.fit_rational``, reads c from
 ``_contrast_c``, which owns both ends of the contrast axis: c = inf at
@@ -208,11 +209,9 @@ class CauchyData:
     f: np.ndarray | None
     u0: np.ndarray
     rho: float | None = None
-    #: density of a solve on the inclusion grid; by the jump relation the
-    #: outer normal derivative of u0 there (None for data read from files)
-    psi: np.ndarray | None = field(default=None, repr=False)
-    #: (LU factors of the saddle matrix, trace matrix) of that solve
-    saddle: tuple | None = field(default=None, repr=False)
+    #: domain derivative of u0 along each velocity given to the solve, one
+    #: column each (None without velocities and for data read from files)
+    du0: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
         fvals = self.f if self.f is not None else np.full_like(self.u0, np.nan)
@@ -330,16 +329,26 @@ def _solve_saddle(factors: tuple, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
-             grid: BoundaryGrid | None = None,
-             S: np.ndarray | None = None) -> CauchyData:
+             grid: BoundaryGrid | None = None, S: np.ndarray | None = None,
+             velocity: np.ndarray | None = None) -> CauchyData:
     """Perfect-conductor solution: u0 constant on the inclusion, flux f.
 
     Represents u0 = frak_f + S_D[psi] and solves the saddle system enforcing
     a constant trace (unknown rho) on the inclusion boundary and zero total
     density. One ``harmonic_lift`` call gives the lift on the circle and at
     the nodes; ``_target_kernel`` gives the trace matrix T from the nodes to
-    the circle. The saddle factors and T stay on the result for
-    ``u0_shape_derivative``.
+    the circle.
+
+    ``velocity`` holds normal velocities v = h . nu of dD, one per column,
+    sampled at the grid nodes; ``du0`` then holds the domain derivative u0'
+    of the trace along each, recentered. u0' is harmonic in Omega minus D,
+    has zero Neumann data on the circle and zero flux through dD, and
+    equals rho' - v d_nu u0 on dD (Kirsch, Inverse Problems 9, 1993;
+    Hettlich & Rundell, Inverse Problems 14, 1998). The jump relation of
+    the single layer gives d_nu u0 = psi from outside, so u0' = S_D[psi']
+    with [S -1; w^T 0] [psi'; rho'] = [-v psi; 0], solved by the same LU
+    factors and traced by the same T. The factors, T and psi are freed
+    when the call returns.
     """
     bgrid_omega = unit_circle_grid(f.size)
     if grid is None:
@@ -355,29 +364,13 @@ def solve_u0(shape: StarShape, f: np.ndarray, *, n: int = 256,
 
     T = _target_kernel(grid, bgrid_omega.points)
     trace = _recenter(frak_omega + T @ psi, bgrid_omega)
-    return CauchyData(f=f, u0=trace, rho=rho, psi=psi, saddle=(factors, T))
-
-
-def u0_shape_derivative(sim: CauchyData, velocity: np.ndarray) -> np.ndarray:
-    """Domain derivative of the perfect-conductor trace on the unit circle.
-
-    For a boundary perturbation with normal velocity v = h . nu on dD the
-    derivative u0' is harmonic in Omega minus D, has zero Neumann data on
-    the circle and zero flux through dD, and equals rho' - v d_nu u0 on dD
-    (Kirsch, Inverse Problems 9, 1993; Hettlich & Rundell, Inverse
-    Problems 14, 1998). The jump relation of the single layer gives
-    d_nu u0 = psi from outside, so u0' = S_D[psi'] with
-    [S -1; w^T 0] [psi'; rho'] = [-v psi; 0], the saddle system of the
-    ``solve_u0`` result ``sim``, whose factors and trace matrix it reuses.
-
-    ``velocity`` holds one normal velocity per column, sampled at the grid
-    nodes; returns one recentered trace per column.
-    """
-    factors, T = sim.saddle
-    psi = sim.psi
-    rhs = np.vstack([-velocity * psi[:, None], np.zeros((1, velocity.shape[1]))])
-    dpsi = _solve_saddle(factors, rhs)[:psi.size]
-    return _recenter(T @ dpsi, unit_circle_grid(sim.u0.size))
+    du0 = None
+    if velocity is not None:
+        rhs = np.vstack([-velocity * psi[:, None],
+                         np.zeros((1, velocity.shape[1]))])
+        dpsi = _solve_saddle(factors, rhs)[:grid.n]
+        du0 = _recenter(T @ dpsi, bgrid_omega)
+    return CauchyData(f=f, u0=trace, rho=rho, du0=du0)
 
 
 def _pow2_unit(x):

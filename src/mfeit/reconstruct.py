@@ -15,11 +15,11 @@ with zero Neumann data on the circle and zero flux, and
 u0' = rho' - (h . nu) d_nu u0 on dD. The jump relation of the single
 layer gives d_nu u0 = psi from outside, psi being the density that
 ``solve_u0`` solves for, so all 2M + 1 columns come from one more solve of
-its saddle system (``forward.u0_shape_derivative``). That solve reuses the
-LU factors and trace matrix of the point's solve, in the one call that
-evaluates the point (``_point``), which keeps u0, its derivative and rho
-and drops the rest: each new point costs one factorization and one kernel
-matrix, the Jacobian neither. The central-difference Jacobian
+its saddle system. ``_point`` builds the 2M + 1 velocities first and
+hands them to the point's one ``solve_u0`` call, which reuses its LU
+factors and trace matrix for that solve and returns u0, its derivative
+and rho, freeing the rest: each new point costs one factorization and one
+kernel matrix, the Jacobian neither. The central-difference Jacobian
 ``_Objective.fd_jacobian`` stays as the test oracle. Errors between shapes
 are measured by the area of the symmetric difference, which for star
 shapes about the origin reduces to a 1D integral of |r_a^2 - r_b^2| / 2.
@@ -40,8 +40,7 @@ import numpy as np
 from .disentangle import DEFAULT_MAX_POLES, extract_u0, fit_rational
 from .errors import MfeitError
 from .forward import (CauchyData, FrequencyProfile, _add_noise, _write_table,
-                      current_from_fourier, solve_u0, synthesize,
-                      u0_shape_derivative)
+                      current_from_fourier, solve_u0, synthesize)
 from .geometry import (DomainConfig, StarShape, _is_count, _is_number, check,
                        check_grid_size, check_list, class_rows, discretize,
                        unit_circle_grid)
@@ -111,13 +110,14 @@ def _point(x: np.ndarray, settings: InversionSettings, f: np.ndarray) -> tuple:
     M = settings.n_fourier_modes
     shape = _params_to_shape(x, M)
     grid = discretize(shape, settings.n_boundary)
-    sim = solve_u0(shape, f, grid=grid)
     # normal velocity of mode j: phi_j(t) (e_r . nu), phi = 1, cos mt, sin mt
     mt = np.outer(grid.t, np.arange(1, M + 1))
-    modes = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
-    er_nu = (np.cos(grid.t) * grid.normals[:, 0]
-             + np.sin(grid.t) * grid.normals[:, 1])
-    return sim.u0, u0_shape_derivative(sim, modes * er_nu[:, None]), sim.rho
+    velocity = np.hstack([np.ones((grid.n, 1)), np.cos(mt), np.sin(mt)])
+    del mt
+    velocity *= (np.cos(grid.t) * grid.normals[:, 0]
+                 + np.sin(grid.t) * grid.normals[:, 1])[:, None]
+    sim = solve_u0(shape, f, grid=grid, velocity=velocity)
+    return sim.u0, sim.du0, sim.rho
 
 
 class _Objective:

@@ -11,7 +11,7 @@ from mfeit.disentangle import extract_u0, fit_rational
 from mfeit.errors import SingularSystem
 from mfeit.forward import (CauchyData, FrequencyProfile, _add_noise,
                            _recenter, current_from_fourier, solve_u0,
-                           synthesize, u0_shape_derivative)
+                           synthesize)
 from mfeit.geometry import (DomainConfig, StarShape, build_star_shape, circle,
                             class_rows, discretize, fourier_series,
                             unit_circle_grid)
@@ -113,16 +113,18 @@ def test_jacobian_reuses_the_residual_solve(tre_data, monkeypatch):
 
 
 def test_invert_solves_each_point_it_evaluates_once(tre_data, monkeypatch):
-    """One perfect-conductor solve and one derivative of it per point the
-    loop evaluates, the start and every trial; a start the caller solved is
-    not solved again."""
+    """One perfect-conductor solve, given the velocities of its derivative,
+    per point the loop evaluates, the start and every trial; a start the
+    caller solved is not solved again."""
     settings_ = InversionSettings(n_fourier_modes=3, alpha=1e-6)
     calls = {"solve_u0": 0, "derivative": 0, "value": 0}
     counted = _counter(calls)
-    monkeypatch.setattr(reconstruct, "solve_u0",
-                        counted("solve_u0", solve_u0))
-    monkeypatch.setattr(reconstruct, "u0_shape_derivative",
-                        counted("derivative", u0_shape_derivative))
+
+    def solve(*args, velocity=None, **kwargs):
+        calls["derivative"] += velocity is not None
+        return solve_u0(*args, velocity=velocity, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "solve_u0", counted("solve_u0", solve))
     monkeypatch.setattr(_Objective, "value",
                         counted("value", _Objective.value))
     res = invert(tre_data, settings_)
@@ -143,14 +145,17 @@ def test_an_unsolvable_trial_jacobian_is_a_rejected_trial(tre_data,
     """A trial whose derivative solve fails is rejected as one whose
     residual solve fails: the loop raises its damping and goes on."""
     calls = []
+    solve_saddle = forward._solve_saddle
 
-    def derivative(sim, velocity):
-        calls.append(sim)
-        if len(calls) == 2:  # the first trial's
-            raise SingularSystem("non-finite solution of the saddle system")
-        return u0_shape_derivative(sim, velocity)
+    def derivative(factors, rhs):
+        if rhs.ndim == 2:  # the velocities' right-hand side
+            calls.append(rhs)
+            if len(calls) == 2:  # the first trial's
+                raise SingularSystem("non-finite solution of the saddle "
+                                     "system")
+        return solve_saddle(factors, rhs)
 
-    monkeypatch.setattr(reconstruct, "u0_shape_derivative", derivative)
+    monkeypatch.setattr(forward, "_solve_saddle", derivative)
     res = invert(tre_data, InversionSettings(n_fourier_modes=3, alpha=1e-6))
     # the start, each accepted trial and at least the one rejected
     assert res.converged and len(calls) >= res.n_iter + 2
@@ -167,6 +172,13 @@ def test_shape_derivative_concentric_closed_form(conc_data):
     du = obj.value(np.array([R0]))[3][1][:64, 0] / obj.sqrt_w
     theta = unit_circle_grid(conc_data.u0.size).t
     assert np.max(np.abs(du - dg * np.cos(theta))) < 1e-10
+    # the solve's own derivative along the radial velocity e_r . nu
+    grid = discretize(circle(R0), 256)
+    er_nu = (np.cos(grid.t) * grid.normals[:, 0]
+             + np.sin(grid.t) * grid.normals[:, 1])
+    du0 = solve_u0(circle(R0), conc_data.f, grid=grid,
+                   velocity=er_nu[:, None]).du0[:, 0]
+    assert np.max(np.abs(du0 - dg * np.cos(theta))) < 1e-10
 
 
 def test_invert_circle_radius_only(conc_data):
@@ -483,28 +495,23 @@ _SWEEP = dict(truth=StarShape(cos=(0.45, 0.0, 0.03)), f_coeffs=([1.0], []),
 def test_sweep_solves_its_starting_circle_once(monkeypatch):
     settings_ = _SWEEP["settings"]
     start = _params_to_shape(_start_params(settings_), 2)
-    calls, sims, derivatives = [], [], []
+    calls = []
 
-    def counted(shape, *args, **kwargs):
-        calls.append(shape == start)
-        sims.append(solve_u0(shape, *args, **kwargs))
-        return sims[-1]
-
-    def derivative(sim, velocity):
-        derivatives.append(sim is sims[0])
-        return u0_shape_derivative(sim, velocity)
+    def counted(shape, *args, velocity=None, **kwargs):
+        calls.append((shape == start, velocity is not None))
+        return solve_u0(shape, *args, velocity=velocity, **kwargs)
 
     monkeypatch.setattr(reconstruct, "solve_u0", counted)
-    monkeypatch.setattr(reconstruct, "u0_shape_derivative", derivative)
     res = stability_sweep(**_SWEEP)
     rows = len(res.rows)
     assert rows == 6
-    # every row inverted, and only the sweep itself solved the start and
-    # took its derivative
+    # every row inverted, only the sweep itself solved the start, and every
+    # solve, the start's too, took the velocities of its derivative
     assert sum(r["status"] == "ok" for r in res.rows) == rows
-    assert sum(calls) == 1 and calls[0]
+    starts = [is_start for is_start, _ in calls]
+    assert sum(starts) == 1 and starts[0]
     assert len(calls) > rows
-    assert sum(derivatives) == 1 and len(derivatives) == len(calls)
+    assert all(with_velocity for _, with_velocity in calls)
 
 
 @pytest.fixture(scope="module")

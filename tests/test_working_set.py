@@ -11,7 +11,7 @@ and what one temporary per operation costs:
     direct      2.1 / 2.0              4.1 / 4.0 (2.5 at 512 without del A)
     spectrum    1.3 / 0.8              1.6 / 1.7
     class rows  2.4 / 2.3              5.9 / 5.7 (np.unique)
-    inversion   4.8 (128 nodes)        7.8 (the accepted point's solve held)
+    inversion   5.0 (128 nodes)        7.8 (the accepted point's solve held)
 
 The eigensolve's count includes the Gram matrix B it builds, in whose
 buffer LAPACK writes the Cholesky factor; sym(B K*) and syevd's 2 n^2
@@ -21,8 +21,15 @@ K*, shifted on the diagonal and factored by LAPACK, both in place.
 One step of the benchmark's spectrum ladder (assembly, spectrum, the
 perfect-conductor solve, then four contrasts each solved directly and
 spectrally, every result held as the benchmark holds it) peaks at
-6.5 / 6.2; a Gram matrix kept on the operators, with a copy of it for
-LAPACK to factor, would make that 7.5 / 7.2.
+6.1 / 6.0; a Gram matrix kept on the operators, with a copy of it for
+LAPACK to factor, would make that 7.1 / 7.0, and a perfect-conductor
+result that held its saddle LU and trace matrix 6.4 / 6.2.
+
+A perfect-conductor solve frees its saddle LU, its trace matrix and its
+density on return: with its result held, 0.004 / 0.001 stays allocated,
+0.021 / 0.005 with the 17 radial velocities of M = 8 and their
+derivative. A result that kept them for a later derivative held
+1.27 / 1.13.
 
 The class rows are counted at M = 8 / 16, in units of the matrix E of the
 rows E x <= h that ``class_rows`` returns. It writes the rows and h into
@@ -33,10 +40,11 @@ copy in an array of its own make 5.9 / 5.7.
 One inversion is counted in 128 x 128 matrices: ``invert`` of the
 trefoil's exact u0 at M = 8, alpha = 1e-7 and 128 nodes, after one
 untraced run of the same call, which caches its class rows. Each point the
-loop evaluates keeps u0, its derivative and rho, and drops its solve (the
-single layer, the saddle LU and the trace matrix) before the next point
-solves; a loop that held the accepted point's solve while a trial solves
-would hold two at once, 7.8.
+loop evaluates keeps u0, its derivative and rho, and its solve frees the
+single layer, the saddle LU and the trace matrix on return. The point's
+128 x 17 velocities are built before that solve and live through it,
+which is 0.14 more than building them after it; a loop that held the
+accepted point's solve while a trial solves would hold two at once, 7.8.
 
 The trace matrix of ``eval_S`` is bounded at n = 256 with m = 64 targets
 and one density column, in m x n matrices: 3.0 in place, 4.0 with the
@@ -81,6 +89,19 @@ def _traced_peak(call, n, m=None) -> float:
     finally:
         tracemalloc.stop()
     return (peak - base) / ((n if m is None else m) * n * 8)
+
+
+def _traced_kept(call, n) -> float:
+    """Traced allocation still held, with the result of ``call()`` bound,
+    once the call returns, in n x n matrices of doubles."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()  # bound while the memory is read
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (kept - base) / (n * n * 8)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -132,6 +153,20 @@ def test_ladder_step_budget(f_cos):
 
     for n, budget in zip(SIZES, (6.8, 6.8)):
         assert _traced_peak(lambda: step(n), n) <= budget, n
+
+
+def test_a_solve_keeps_no_operator(f_cos):
+    # the saddle LU, the trace matrix and the density are freed on return;
+    # what stays is u0 and, given the 17 radial velocities of M = 8, du0
+    for n in SIZES:
+        grid = discretize(TREFOIL, n)
+        mt = np.outer(grid.t, np.arange(1, 9))
+        velocity = np.hstack([np.ones((n, 1)), np.cos(mt), np.sin(mt)])
+        velocity *= (np.cos(grid.t) * grid.normals[:, 0]
+                     + np.sin(grid.t) * grid.normals[:, 1])[:, None]
+        for v in (None, velocity):
+            assert _traced_kept(lambda: solve_u0(TREFOIL, f_cos, n=n,
+                                                 velocity=v), n) <= 0.05, n
 
 
 def test_direct_solve_budget(kernels, f_cos):
