@@ -48,7 +48,9 @@ class NearResonance(MfeitError):
 
 
 class SingularSystem(MfeitError):
-    """Saddle system for the perfect-conductor solve is rank deficient."""
+    """A LAPACK call failed: a zero pivot in the perfect-conductor saddle
+    system or the direct forward system, or an eigensolve whose Gram
+    matrix B is not positive definite or that did not converge."""
 
 
 class InsufficientFrequencies(MfeitError):

@@ -38,7 +38,7 @@ from .errors import NearResonance, SingularSystem
 from .geometry import (BoundaryGrid, StarShape, _angles, _is_number, check,
                        discretize, fourier_series, unit_circle_grid)
 from .potential import (KernelMatrices, _assemble_single_layer,
-                        _target_kernel, eval_S, sla)
+                        _target_kernel, eval_S, lapack)
 from .spectrum import NPSpectrum
 
 #: smallest admitted distance of a forward system from singularity
@@ -295,17 +295,9 @@ def harmonic_lift(f: np.ndarray, points, normals=None) -> np.ndarray:
     return ((normals[:, 0] + 1j * normals[:, 1]) * (c @ P)).real
 
 
-def _lu_in_place(A: np.ndarray, what: str) -> tuple:
-    """LU factors of the Fortran-ordered ``A``, which LAPACK overwrites; an
-    exactly zero pivot of the ``what`` raises ``SingularSystem``."""
-    lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularSystem(f"zero pivot in the {what}")
-    return lu, piv
-
-
 def _factor_saddle(grid: BoundaryGrid, S: np.ndarray) -> tuple:
-    """LU factors of [S -1; w^T 0] (constant trace, zero total density).
+    """LU factors of [S -1; w^T 0] (constant trace, zero total density),
+    by LAPACK's ``dgetrf`` in place of the Fortran-ordered matrix.
 
     Raises ``SingularSystem`` on an exactly zero pivot.
     """
@@ -314,16 +306,19 @@ def _factor_saddle(grid: BoundaryGrid, S: np.ndarray) -> tuple:
     A[:nd, :nd] = S
     A[:nd, nd] = -1.0
     A[nd, :nd] = grid.weights
-    return _lu_in_place(A, "saddle system")
+    lu, piv, info = lapack().dgetrf(A, overwrite_a=True)
+    if info:
+        raise SingularSystem("zero pivot in the saddle system")
+    return lu, piv
 
 
 def _solve_saddle(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored saddle system for [psi; rho].
+    """Solve the factored saddle system for [psi; rho] by ``dgetrs``.
 
     ``rhs`` has nd + 1 rows and any number of columns.
     """
-    sol = sla.lu_solve(factors, rhs, check_finite=False)
-    if not np.all(np.isfinite(sol)):
+    sol, info = lapack().dgetrs(*factors, rhs)
+    if info or not np.all(np.isfinite(sol)):
         raise SingularSystem("non-finite solution of the saddle system")
     return sol
 
@@ -432,9 +427,10 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
     lift alone, since a diagonal shifted by c = inf cannot be factored.
     ``kernels`` are the operators of the inclusion; ``shape`` is not read
     and stays first only because the benchmark passes it positionally.
-    LAPACK factors in place one Fortran-ordered complex copy of K*, shifted
-    by c on its diagonal. With one BLAS thread the result is bit for bit
-    that of ``np.linalg.solve``, which factors a second copy.
+    ``np.linalg.solve`` factors a copy of the complex K* shifted by c on its
+    diagonal, on numpy's own LAPACK build, so the oracle shares no LAPACK
+    call with the routes it checks; with one BLAS thread its result is bit
+    for bit that of scipy's ``lu_factor`` and ``lu_solve``.
     """
     bgrid_omega = unit_circle_grid(f.size)
     frak_omega = harmonic_lift(f, bgrid_omega.points)
@@ -443,10 +439,12 @@ def solve_forward_direct(shape: StarShape, f: np.ndarray, k: complex,
     grid = kernels.grid
 
     dn_frak = harmonic_lift(f, grid.points, grid.normals)
-    A = kernels.Kstar.astype(complex, order="F")
+    A = kernels.Kstar.astype(complex)
     A.flat[::grid.n + 1] += _contrast_c(k, k0)
-    phi = sla.lu_solve(_lu_in_place(A, "direct system"),
-                       -dn_frak.astype(complex) / k0, check_finite=False)
+    try:
+        phi = np.linalg.solve(A, -dn_frak.astype(complex) / k0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("zero pivot in the direct system") from exc
     del A  # the trace matrix of eval_S need not sit beside it
     u = frak_omega / k0 + eval_S(grid, phi, bgrid_omega.points)
     return _recenter(u, bgrid_omega)

@@ -42,21 +42,23 @@ place and drops it early (-2). The m x n trace matrix of
 keeps, is the Neumann kernel built in its image-term buffer and weighted
 in place (3.0 against 4.0 m x n matrices at m = 64, n = 256). Peak
 resident set of the benchmark's spectrum ladder (n up to 512): a fresh S
-or a rebound sym(B K*) each raise it, by about 0.3 and 1.8 MB, a B kept
-beside the operators by about 2 MB, and so would the untraced copy that
-``np.linalg.solve`` makes of the direct solve's matrix, by 4 MB at
-n = 512: LAPACK factors that matrix in place instead.
+or a rebound sym(B K*) each raise it, by about 0.3 and 1.8 MB, and a B
+kept beside the operators by about 2 MB. The direct solve, an oracle, hands
+its matrix to ``np.linalg.solve``, which factors an untraced copy of it,
+4 MB at n = 512, on numpy's own LAPACK build.
 """
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainViolation, TargetTooClose
+from .errors import DomainViolation, SingularSystem, TargetTooClose
 from .geometry import BoundaryGrid, check_grid_size
 
 
@@ -65,11 +67,9 @@ def _lazy_module(name: str):
 
     A module already loaded is returned as it is. Otherwise the module is
     registered through ``importlib.util.LazyLoader`` and runs when one of
-    its attributes is first read, so a start that never solves (``extract``,
-    a refused config) skips the import (about 0.27 s and 22 MB for
-    ``scipy.linalg``). Registering it, rather than importing it inside each
-    function, keeps ``sys.modules[name]`` present for code that looks it up
-    before any solve, and every caller shares the one module object.
+    its attributes is first read. mfeit reads none of ``scipy.linalg``'s:
+    it is registered only for code that looks it up in ``sys.modules``
+    before any solve, as the benchmark's tracer does.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -81,7 +81,32 @@ def _lazy_module(name: str):
     return module
 
 
-sla = _lazy_module("scipy.linalg")
+@lru_cache(maxsize=None)
+def lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from their file on the first call, without running
+    ``scipy/linalg/__init__.py``.
+
+    That package's import also loads its array-API layer, ``numpy.f2py``,
+    ``numpy.testing`` and ``unittest``, about 0.18 s and 19 MB more; this
+    extension alone loads in about 3 ms and 3 MB, which a start that never
+    solves (``extract``, a refused config) does not pay. A copy loaded
+    before, by ``import scipy.linalg``, is the one used. The routines and
+    arguments are those that ``scipy.linalg`` passes, so every bit is the
+    same.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_lazy_module("scipy.linalg")
 
 
 def _dot(a, b):
@@ -208,11 +233,21 @@ class KernelMatrices:
         at k = inf, c = -1/2, it would make every system look singular. It
         is dropped by a view, which copies no n x n matrix; the next mu is
         at most 0.16 on circles, the trefoil and random shapes of the class.
+        LAPACK's ``dsygvd`` solves the pencil with the arguments that
+        ``scipy.linalg.eigh`` passes it; a B that is not positive definite,
+        or a solve that does not converge, raises ``SingularSystem``.
         """
         B = self.B
         A = _symmetrize(B @ self.Kstar)
-        mu, V = sla.eigh(A.T, B.T, overwrite_a=True, overwrite_b=True,
-                         check_finite=False)
+        mu, V, info = lapack().dsygvd(A.T, B.T, itype=1, jobz="V",
+                                      uplo="L", overwrite_a=True,
+                                      overwrite_b=True)
+        if info:
+            n = self.grid.n
+            raise SingularSystem(
+                f"the leading minor of order {info - n} of B is not positive"
+                f" definite" if info > n else
+                f"the eigensolve failed (LAPACK dsygvd info {info})")
         return mu[:-1], V[:, :-1]
 
 
@@ -243,6 +278,17 @@ def _single_layer_row(n: int) -> np.ndarray:
     return c
 
 
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """The circulant matrix with first column ``c``, entry (i, j) =
+    c[(i - j) mod n], as a read-only strided view of one vector of 2n - 1
+    values: ``scipy.linalg.circulant``'s values, without its n x n copy."""
+    ext = np.concatenate((c[::-1], c[:0:-1]))
+    step = ext.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        ext[c.size - 1:], shape=(c.size, c.size), strides=(-step, step),
+        writeable=False)
+
+
 def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
     """Discrete S_D; ``pairs`` are the ``_node_pairs`` of the grid if given.
 
@@ -255,7 +301,7 @@ def _assemble_single_layer(grid: BoundaryGrid, pairs=None) -> np.ndarray:
     S *= d2
     np.log(S, out=S)
     S *= grid.h / (4 * np.pi)
-    S += sla.circulant(_single_layer_row(grid.n))
+    S += _circulant(_single_layer_row(grid.n))
     S *= grid.jacobian[None, :]
     return S
 

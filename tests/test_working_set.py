@@ -56,9 +56,10 @@ Arrays that numpy and scipy create are traced, the LAPACK arguments and
 work arrays of scipy's wrappers included; the buffers that numpy's own
 ``np.linalg`` routines ``malloc`` for LAPACK are not, so these budgets
 cannot see a stage that hands its matrix to ``np.linalg.solve``, which
-copies it into such a buffer. No stage here does. ``scipy.linalg`` runs on
-first use, and its import would count in the first traced stage that
-reaches it, so one untraced assembly runs it before any budget.
+copies it into such a buffer. The direct solve, an oracle, does: the
+direct-solve and ladder-step budgets leave out that complex n x n copy.
+One untraced assembly runs before any budget, so that nothing a first call
+sets up for the process counts in the first traced stage.
 """
 import tracemalloc
 
@@ -105,8 +106,8 @@ def _traced_kept(call, n) -> float:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _scipy_linalg_loaded():
-    """One untraced assembly, which runs the lazily loaded ``scipy.linalg``."""
+def _first_assembly_untraced():
+    """One untraced assembly, before any budget."""
     assemble(discretize(TREFOIL, 32))
 
 
